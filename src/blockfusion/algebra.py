@@ -735,29 +735,49 @@ def module_iso(m: Module, n: Module, seed: int = DEFAULT_SEED):
 
 # -- unit enumeration ---------------------------------------------------------
 
+UNIT_SCAN_CHUNK = 32  # candidates per batched inversion; bounds transient memory
+
+
+def unit_scan(a: Algebra, rows, cap: int = EXHAUSTIVE_CAP):
+    """The units of a in the row span of `rows`, with their inverses.
+
+    Exhaustive: walks every coefficient vector of [0, p)^r in np.ndindex
+    order, in chunks, and yields (units, inverses) per chunk, both in scan
+    order.  All left multiplications of a chunk come from one tensordot
+    and go through one batched Gauss-Jordan elimination, gfp.batch_solve.
+    """
+    p = a.p
+    rows = np.mod(np.asarray(rows, dtype=np.int64), p).reshape(-1, a.dim)
+    r = rows.shape[0]
+    if p**r > cap:
+        raise Inconclusive(f"unit scan of size {p}^{r} exceeds cap {cap}")
+    # left multiplication by each row
+    lmul = np.einsum("ri,ijk->rkj", rows, a.sc) % p
+    place = p ** np.arange(r - 1, -1, -1)
+    for start in range(0, p**r, UNIT_SCAN_CHUNK):
+        index = np.arange(start, min(start + UNIT_SCAN_CHUNK, p**r))
+        coeffs = index[:, None] // place % p
+        # v is a unit iff its left multiplication L is invertible, and then
+        # L x = 1 gives x = v^-1
+        is_unit, inv = gfp.batch_solve(
+            np.tensordot(coeffs, lmul, axes=1), a.unit[:, None], p)
+        yield np.mod(coeffs[is_unit] @ rows, p), inv[is_unit, :, 0]
+
 
 def iter_units(a: Algebra, cap: int = EXHAUSTIVE_CAP):
     """All invertible elements, deterministically ordered; exhaustive scan."""
-    if a.p**a.dim > cap:
-        raise Inconclusive(f"unit scan of size {a.p}^{a.dim} exceeds cap {cap}")
-    for idx in np.ndindex(*([a.p] * a.dim)):
-        x = np.array(idx, dtype=np.int64)
-        if a.is_unit_element(x):
-            yield x
+    for units, _ in unit_scan(a, np.eye(a.dim, dtype=np.int64), cap):
+        yield from units
 
 
 def find_unit_in_space(a: Algebra, rows, cap: int = EXHAUSTIVE_CAP):
     """An invertible element of a inside the row span, or None (exhaustive)."""
     rows = gfp.row_basis(rows, a.p)
-    r = rows.shape[0]
-    if r == 0:
+    if rows.shape[0] == 0:
         return None
-    if a.p**r > cap:
-        raise Inconclusive("unit search space exceeds cap")
-    for idx in np.ndindex(*([a.p] * r)):
-        x = np.mod(np.asarray(idx, dtype=np.int64) @ rows, a.p)
-        if x.any() and a.is_unit_element(x):
-            return x
+    for units, _ in unit_scan(a, rows, cap):
+        if len(units):
+            return units[0]
     return None
 
 

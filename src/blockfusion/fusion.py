@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import gfp, permgroups
-from .algebra import find_unit_in_space
+from .algebra import find_unit_in_space, unit_scan
 from .blocks import GroupAlgebra, PointedGroupData, Point, stabilizer_of_point
 from .graded import GradedAlgebra, graded_corner
 from .permgroups import GroupTable, PermGroup, aut_compose, pconj, pinv, pmul
@@ -172,34 +172,30 @@ def fusion_F_direct(ext, cd: CornerData) -> FusionGroup:
 
 
 def fusion_F_normalizer(ext, cd: CornerData) -> FusionGroup:
-    """F via scanning homogeneous units of iAi that normalize Pi."""
+    """F via scanning homogeneous units of iAi that normalize Pi.
+
+    Exhaustive and independent of fusion_F_direct: every nonzero vector of
+    every component is tested for invertibility, and each unit v found acts
+    on all of Pi.  v(ui)v^-1 = u'i is tested as (ui)v^-1 = v^-1(u'i), which
+    needs no multiplication matrix of v; each pair keeps its first witness
+    in scan order.
+    """
     g = cd.graded
     a = g.alg
     p = a.p
-    image_index = {tuple(v): u for u, v in cd.p_images.items()}
+    images = np.array([cd.p_images[u] for u in cd.P.elements])
+    # (ui) x and x (ui) as matrices acting on x
+    left = np.einsum("ui,ijk->ukj", images, a.sc) % p
+    right = np.einsum("uj,ijk->uki", images, a.sc) % p
     found = {}
     for d in range(g.group.order):
-        idx = g.component_indices(d)
-        if p ** len(idx) > 10**6:
-            raise RuntimeError("homogeneous unit scan exceeds cap")
-        for tup in np.ndindex(*([p] * len(idx))):
-            v = np.zeros(a.dim, dtype=np.int64)
-            v[idx] = tup
-            if not v.any() or not a.is_unit_element(v):
-                continue
-            vinv = a.inverse_element(v)
-            phi = [None] * cd.P.order
-            ok = True
-            for u in cd.P.elements:
-                conj = a.mul(a.mul(v, cd.p_images[u]), vinv)
-                target = image_index.get(tuple(conj))
-                if target is None:
-                    ok = False
-                    break
-                phi[cd.P.index(u)] = cd.P.index(target)
-            if ok:
-                key = (tuple(phi), d)
-                found.setdefault(key, v)
+        for units, invs in unit_scan(a, g.component_rows(d)):
+            ui_vinv = np.einsum("ukj,nj->nuk", left, invs) % p
+            vinv_ui = np.einsum("ukj,nj->nuk", right, invs) % p
+            match = (ui_vinv[:, :, None] == vinv_ui[:, None, :]).all(axis=3)
+            normalizes = match.any(axis=2).all(axis=1)
+            for v, phi in zip(units[normalizes], match[normalizes].argmax(axis=2)):
+                found.setdefault((tuple(phi.tolist()), d), v)
     pairs = sorted(found)
     return FusionGroup(pairs, pair_table(pairs, ext.quot.group), dict(found))
 
@@ -285,13 +281,18 @@ def theta_check(ext, data: PointedGroupData, pt: Point, cd: CornerData,
 
 
 def fusion_report(ext, data: PointedGroupData, pt: Point, within: PermGroup):
-    """Compute E, F both ways, Theta; assert all three agree."""
+    """Compute E, F both ways, Theta; raise AssertionError unless all three
+    agree (explicitly, so that python -O keeps the comparison)."""
     cd = corner_data(ext, data, pt)
     f_direct = fusion_F_direct(ext, cd)
     f_norm = fusion_F_normalizer(ext, cd)
-    assert f_direct.pairs == f_norm.pairs, "direct and normalizer F disagree"
+    if f_direct.pairs != f_norm.pairs:
+        raise AssertionError("direct and normalizer F disagree")
     e_data = fusion_E(ext.kg, ext.sub, data, pt, within)
     theta = theta_check(ext, data, pt, cd, e_data)
-    assert theta.fusion.pairs == f_direct.pairs, "Theta image differs from F"
-    assert e_data.quot.order == f_direct.order
+    if theta.fusion.pairs != f_direct.pairs:
+        raise AssertionError("Theta image differs from F")
+    if e_data.quot.order != f_direct.order:
+        raise AssertionError(
+            f"|E| = {e_data.quot.order} differs from |F| = {f_direct.order}")
     return cd, e_data, f_direct, theta

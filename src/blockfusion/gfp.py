@@ -156,3 +156,85 @@ def inverse(a, p: int) -> np.ndarray:
     if x is None or a.shape[0] != a.shape[1]:
         raise ValueError("matrix not invertible")
     return x
+
+
+def batch_solve(stack, rhs, p: int):
+    """Solve L x = rhs for every L of a stack of square matrices (n, d, d).
+
+    Gauss-Jordan on [L | rhs] runs over the whole stack at once; rhs = I
+    gives the inverses.  Returns (is_unit, x): a bool mask of shape (n,),
+    true where L is invertible, and the int64 solutions of shape (n, d, k),
+    zero where L is singular.
+    For p = 2 with d <= 32 and k <= 32 each row of [L | rhs] is packed into
+    one 64-bit word and eliminated with XOR (the M4RI idea of Albrecht, Bard
+    and Hart, ACM TOMS 2010); otherwise elimination runs on int64 entries
+    mod p, exact while p^2 < 2^63.
+    """
+    if p * p >= 2**63:
+        raise ValueError(f"p = {p} is too large for int64 elimination")
+    m = np.mod(np.asarray(stack, dtype=np.int64), p)
+    if m.ndim != 3 or m.shape[1] != m.shape[2]:
+        raise ValueError("expected a stack of square matrices")
+    rhs = np.mod(np.asarray(rhs, dtype=np.int64), p)
+    if rhs.ndim != 2 or rhs.shape[0] != m.shape[1]:
+        raise ValueError("rhs must have shape (d, k)")
+    if p == 2 and max(rhs.shape) <= 32:
+        is_unit, x = _batch_solve_gf2(m, rhs)
+    else:
+        is_unit, x = _batch_solve_modp(m, rhs, p)
+    x[~is_unit] = 0
+    return is_unit, x
+
+
+def _batch_solve_gf2(m, rhs):
+    n, d, _ = m.shape
+    k = rhs.shape[1]
+    at = np.arange(n)
+    # row j of [L | rhs] as one 64-bit word: bit c holds L[j, c] and bit
+    # 32 + c holds rhs[j, c]; int64 arithmetic is exact on these bits
+    rows = m @ (1 << np.arange(d, dtype=np.int64))
+    rows |= rhs @ (1 << np.arange(32, 32 + k, dtype=np.int64))
+    for c in range(d):
+        has = (rows & (1 << c)) != 0
+        # without bit c, row c takes in the first row below that has it
+        piv = c + has[:, c:].argmax(axis=1)
+        rows[:, c] ^= np.where(has[:, c], 0, rows[at, piv])
+        has[:, c] = False
+        rows ^= np.where(has, rows[:, c, None], 0)
+    # invertible iff the left half reduced to the identity
+    is_unit = ((rows & (2**32 - 1)) == 1 << np.arange(d)).all(axis=1)
+    return is_unit, rows[:, :, None] >> np.arange(32, 32 + k) & 1
+
+
+def _batch_solve_modp(m, rhs, p: int):
+    n, d, _ = m.shape
+    at = np.arange(n)
+    aug = np.empty((n, d, d + rhs.shape[1]), dtype=np.int64)
+    aug[:, :, :d] = m
+    aug[:, :, d:] = rhs
+    for c in range(d):
+        has = aug[:, :, c] != 0
+        # without a pivot, row c takes in the first row below that has one
+        piv = c + has[:, c:].argmax(axis=1)
+        aug[:, c] += np.where(has[:, c, None], 0, aug[at, piv])
+        # entries below p keep every product below p^2
+        aug[:, c] %= p
+        aug[:, c] = aug[:, c] * _inv_mod_array(aug[:, c, c], p)[:, None] % p
+        has[:, c] = False
+        aug -= np.where(has, aug[:, :, c], 0)[:, :, None] * aug[:, c, None, :]
+        aug %= p
+    is_unit = (aug[:, :, :d] == np.eye(d, dtype=np.int64)).all(axis=(1, 2))
+    return is_unit, aug[:, :, d:]
+
+
+def _inv_mod_array(x, p: int):
+    """Elementwise inverse mod p of an int64 array, 0 where x is 0."""
+    # x^(p-2) by repeated squaring (Fermat)
+    out = (x != 0).astype(np.int64)
+    e = p - 2
+    while e:
+        if e & 1:
+            out = out * x % p
+        x = x * x % p
+        e >>= 1
+    return out

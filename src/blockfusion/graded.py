@@ -13,15 +13,17 @@ import numpy as np
 
 from . import gfp, permgroups, polys
 from .algebra import (
+    EXHAUSTIVE_CAP,
     Algebra,
     Inconclusive,
     SpanAlgebra,
+    find_unit_in_space,
+    iter_units,
     quotient_algebra,
     span_algebra,
 )
 from .permgroups import GroupTable
 
-UNIT_SCAN_CAP = 10**6
 COCHAIN_CAP = 10**7
 
 
@@ -129,20 +131,12 @@ def homogeneous_unit(g: GradedAlgebra, d: int, preferred=None):
     """
     if d == 0:
         return g.alg.unit.copy()
-    idx = g.component_indices(d)
     if preferred is not None:
         for cand in preferred:
             cand = g.alg.vec(cand)
             if g.degree_of(cand) == d and g.alg.is_unit_element(cand):
                 return cand
-    if g.p ** len(idx) > UNIT_SCAN_CAP:
-        raise Inconclusive("homogeneous unit scan exceeds cap")
-    for tup in np.ndindex(*([g.p] * len(idx))):
-        v = np.zeros(g.alg.dim, dtype=np.int64)
-        v[idx] = tup
-        if v.any() and g.alg.is_unit_element(v):
-            return v
-    return None
+    return find_unit_in_space(g.alg, g.component_rows(d))
 
 
 # -- graded radical quotient ---------------------------------------------------
@@ -383,7 +377,7 @@ def factor_sets_equivalent(f1: FactorSetData, f2: FactorSetData,
     if not (alg1.is_commutative() and alg2.is_commutative()):
         raise Inconclusive("1-components are not fields; use graded_iso_search")
     p = alg1.p
-    units2 = [v for v in _all_vectors(alg2.dim, p) if alg2.is_unit_element(v)]
+    units2 = list(iter_units(alg2))
     if (len(units2) ** max(n - 1, 0)) > COCHAIN_CAP:
         raise Inconclusive("cochain search exceeds cap")
     for sigma in _field_isos(alg1, alg2):
@@ -399,11 +393,6 @@ def factor_sets_equivalent(f1: FactorSetData, f2: FactorSetData,
         if _cochain_search(alg2, f1, f2, gm, sigma, units2):
             return True
     return False
-
-
-def _all_vectors(dim, p):
-    for tup in np.ndindex(*([p] * dim)):
-        yield np.array(tup, dtype=np.int64)
 
 
 def _cochain_search(alg2: Algebra, f1, f2, gm, sigma, units2) -> bool:
@@ -465,7 +454,7 @@ def graded_generators(g: GradedAlgebra):
 
 
 def graded_iso_search(g1: GradedAlgebra, g2: GradedAlgebra, group_map=None,
-                      cap: int = UNIT_SCAN_CAP):
+                      cap: int = EXHAUSTIVE_CAP):
     """A degree-preserving algebra isomorphism g1 -> g2 (matrix, columns =
     images of g1's basis), or None; exhaustive over generator images."""
     if g1.alg.dim != g2.alg.dim or g1.group.order != g2.group.order:

@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+import textwrap
+
 import numpy as np
 import pytest
 
@@ -130,3 +135,43 @@ def test_theta_witness_conjugates_like_its_group_element():
         for k, u in enumerate(c3.elements):
             assert pg.pconj(g, u) == c3.elements[phi[k]]
         assert ext.quot.omega_of(g) == gbar
+
+
+def test_oracle_comparison_survives_python_O():
+    # python -O strips assert statements; fusion_report must still compare
+    # the direct F with the normalizer F and refuse a dropped pair
+    script = textwrap.dedent("""
+        import sys
+        from blockfusion import blocks as bl, fusion as fu, permgroups as pg
+        s3 = pg.enumerate_group(
+            (pg.parse_cycles("(0 1)", 3), pg.parse_cycles("(0 1 2)", 3)), 3)
+        c3 = pg.enumerate_group((pg.parse_cycles("(0 1 2)", 3),), 3)
+        kg = bl.GroupAlgebra(s3, 3)
+        b = bl.blocks(kg, c3)[0]
+        ext = bl.block_extension(kg, c3, b)
+        data = bl.points_at(kg, c3, b, c3)
+        (pt,) = data.points
+        print("optimize", sys.flags.optimize)
+        fu.fusion_report(ext, data, pt, s3)
+        print("clean run passed")
+        real = fu.fusion_F_normalizer
+
+        def drop_a_pair(ext, cd):
+            f = real(ext, cd)
+            return fu.FusionGroup(f.pairs[1:], f.table, f.witnesses)
+
+        fu.fusion_F_normalizer = drop_a_pair
+        try:
+            fu.fusion_report(ext, data, pt, s3)
+        except AssertionError as exc:
+            print("refused:", exc)
+    """)
+    src = os.path.dirname(os.path.dirname(fu.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert lines == ["optimize 1", "clean run passed",
+                     "refused: direct and normalizer F disagree"]

@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from blockfusion import gfp
 
@@ -109,3 +112,109 @@ def test_inverse():
     assert (gfp.matmul(a, inv, 5) == np.eye(2)).all()
     with pytest.raises(ValueError):
         gfp.inverse([[1, 1], [1, 1]], 2)
+
+
+# -- batched elimination against the scalar routines ---------------------------
+
+
+@st.composite
+def stacks(draw, p, dims):
+    """A stack of random matrices over GF(p); some are made singular by
+    setting their last row to a multiple of the first (or to zero)."""
+    d = draw(dims)
+    n = draw(st.integers(1, 4))
+    m = draw(hnp.arrays(np.int64, (n, d, d), elements=st.integers(0, p - 1)))
+    singular = draw(hnp.arrays(np.bool_, (n,)))
+    if d:
+        k = draw(st.integers(0, p - 1))
+        m[singular, -1] = (k * m[singular, 0]) % p if d > 1 else 0
+    return m
+
+
+def _check_batch_inverse(m, p):
+    # [L | I]: the solutions are the inverses
+    is_unit, inv = gfp.batch_solve(m, np.eye(m.shape[1], dtype=np.int64), p)
+    assert is_unit.shape == (m.shape[0],) and inv.shape == m.shape
+    for a, ok, x in zip(m, is_unit, inv):
+        assert ok == gfp.is_invertible(a, p)
+        if ok:
+            assert (x == gfp.inverse(a, p)).all()
+        else:
+            assert not x.any()
+
+
+BATCH_SETTINGS = settings(max_examples=40, deadline=None)
+
+
+@pytest.mark.parametrize("p", [3, 5])
+def test_batch_inverse_matches_scalar_odd_p(p):
+    @BATCH_SETTINGS
+    @given(stacks(p, st.integers(0, 9)))
+    def check(m):
+        _check_batch_inverse(m, p)
+
+    check()
+
+
+@BATCH_SETTINGS
+@given(stacks(2, st.integers(0, 32)))
+def test_batch_inverse_matches_scalar_gf2_packed(m):
+    _check_batch_inverse(m, 2)
+
+
+@settings(max_examples=15, deadline=None)
+@given(stacks(2, st.integers(33, 40)))
+def test_batch_inverse_matches_scalar_gf2_wide(m):
+    _check_batch_inverse(m, 2)
+
+
+@pytest.mark.parametrize("p", [40009, 65537, 3037000493])
+def test_batch_inverse_matches_scalar_large_p(p):
+    # entries near p overflow 32-bit products, and at the largest prime with
+    # p^2 < 2^63 any unreduced entry overflows 64-bit ones; a zero top-left
+    # entry makes the first pivot come from a lower row
+    @settings(max_examples=25, deadline=None)
+    @given(stacks(p, st.integers(2, 6)))
+    def check(m):
+        m[:, 0, 0] = 0
+        _check_batch_inverse(m, p)
+
+    check()
+    _check_batch_inverse(np.array([[[0, p - 1], [p - 1, p - 2]]]), p)
+
+
+def test_batch_solve_refuses_p_past_int64():
+    with pytest.raises(ValueError):
+        gfp.batch_solve(np.eye(2, dtype=np.int64)[None], np.eye(2), 3037000507)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_batch_solve_matches_scalar_solve(p):
+    @BATCH_SETTINGS
+    @given(stacks(p, st.integers(1, 12)), st.data())
+    def check(m, data):
+        d = m.shape[1]
+        rhs = data.draw(hnp.arrays(np.int64, (d, data.draw(st.integers(1, 3))),
+                                   elements=st.integers(0, p - 1)))
+        is_unit, x = gfp.batch_solve(m, rhs, p)
+        for a, ok, xa in zip(m, is_unit, x):
+            assert ok == gfp.is_invertible(a, p)
+            if ok:
+                assert (xa == gfp.solve(a, rhs, p)).all()
+            else:
+                assert not xa.any()
+
+    check()
+
+
+@pytest.mark.parametrize("d, packed", [(1, True), (32, True), (33, False)])
+def test_batch_inverse_branch_at_p2(monkeypatch, d, packed):
+    # over GF(2) the packed XOR branch inverts exactly when 2d <= 64
+    calls = []
+    real = gfp._batch_solve_gf2
+    monkeypatch.setattr(gfp, "_batch_solve_gf2",
+                        lambda *a: calls.append(1) or real(*a))
+    eye = np.eye(d, dtype=np.int64)
+    is_unit, inv = gfp.batch_solve(eye[None], eye, 2)
+    assert is_unit.all() and (inv[0] == np.eye(d)).all()
+    assert bool(calls) == packed
