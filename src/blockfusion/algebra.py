@@ -60,7 +60,13 @@ class Algebra:
         return np.mod(np.asarray(x, dtype=np.int64).ravel(), self.p)
 
     def mul(self, x, y) -> np.ndarray:
-        return np.einsum("i,j,ijk->k", self.vec(x), self.vec(y), self.sc) % self.p
+        """x*y; stacks of vectors broadcast over their leading axes."""
+        p, d = self.p, self.dim
+        x = np.mod(np.asarray(x, dtype=np.int64), p)
+        y = np.mod(np.asarray(y, dtype=np.int64), p)
+        # row j of lx is x*e_j
+        lx = (x @ self.sc.reshape(d, d * d)).reshape(x.shape[:-1] + (d, d)) % p
+        return (y[..., None, :] @ lx)[..., 0, :] % p
 
     def left_mult(self, x) -> np.ndarray:
         """Matrix of y -> x*y on column vectors."""
@@ -112,8 +118,8 @@ class Algebra:
     def corner(self, e) -> "SpanAlgebra":
         """The corner eAe, a unital algebra with unit e."""
         e = self.vec(e)
-        rows = [self.mul(self.mul(e, b), e) for b in np.eye(self.dim, dtype=np.int64)]
-        return span_algebra(np.array(rows), self.mul, e, self.p)
+        rows = self.mul(self.mul(e, np.eye(self.dim, dtype=np.int64)), e)
+        return span_algebra(rows, self.mul, e, self.p)
 
     def quotient_by_ideal(self, ideal_rows) -> "QuotientAlgebra":
         return quotient_algebra(self, ideal_rows)
@@ -154,17 +160,40 @@ class SpanAlgebra:
         return out[0] if np.asarray(coords).shape[0] == 1 else out
 
 
+def structure_constants(left, right, target, mul, p: int, name: str = "span") -> np.ndarray:
+    """Coordinates, in the rows of `target`, of every product left[i]*right[j].
+
+    One broadcast call of `mul` forms all the products and one solve with
+    many right-hand sides finds their coordinates.  Elements may be arrays
+    of any shape; each is flattened against the flattened target rows.
+    Returns shape (len(left), len(right), len(target)); raises ValueError
+    naming the span when some product leaves it.
+    """
+    left, right, target = (np.asarray(v, dtype=np.int64) for v in (left, right, target))
+    prods = mul(left[:, None], right[None, :])
+    width = int(np.prod(prods.shape[2:]))
+    c = gfp.coords_in_rows(target.reshape(len(target), width), prods.reshape(-1, width), p)
+    if c is None:
+        raise ValueError(f"{name} is not closed under multiplication")
+    return c.reshape(len(left), len(right), len(target))
+
+
+def check_algebra_map(m, a: Algebra, b: Algebra) -> bool:
+    """Whether m (columns: images in b of a's basis) is unital and
+    multiplicative on every pair of basis elements."""
+    p = a.p
+    m = np.mod(np.asarray(m, dtype=np.int64), p)
+    img = m.T  # row i: the image of e_i
+    if (m @ a.unit % p != b.unit).any():
+        return False
+    # image of e_i e_j against the product of the images
+    lhs = np.tensordot(a.sc, img, axes=1) % p
+    return bool((lhs == b.mul(img[:, None], img[None, :])).all())
+
+
 def span_algebra(rows, mul, unit_vec, p: int) -> SpanAlgebra:
     rows = gfp.row_basis(rows, p)
-    d = rows.shape[0]
-    sc = np.zeros((d, d, d), dtype=np.int64)
-    for i in range(d):
-        for j in range(d):
-            prod = mul(rows[i], rows[j])
-            c = gfp.coords_in_rows(rows, prod, p)
-            if c is None:
-                raise ValueError("span is not closed under multiplication")
-            sc[i, j] = c.ravel()
+    sc = structure_constants(rows, rows, rows, mul, p)
     ucoords = gfp.coords_in_rows(rows, unit_vec, p)
     if ucoords is None:
         raise ValueError("unit does not lie in the span")
@@ -188,20 +217,22 @@ class QuotientAlgebra:
 
 
 def quotient_algebra(a: Algebra, ideal_rows) -> QuotientAlgebra:
-    p = a.p
-    ideal = gfp.row_basis(ideal_rows, p)
-    r, pivots = gfp.rref(ideal, p)
+    ideal = gfp.row_basis(ideal_rows, a.p)
+    _, pivots = gfp.rref(ideal, a.p)
     free = [c for c in range(a.dim) if c not in pivots]
-    section = np.eye(a.dim, dtype=np.int64)[free]
-    combined = np.vstack([ideal, section]) if ideal.shape[0] else section
-    inv = gfp.inverse(combined.T, p)  # coords of v in [ideal; section] basis
+    return quotient_by_section(a, ideal, np.eye(a.dim, dtype=np.int64)[free])
+
+
+def quotient_by_section(a: Algebra, ideal, section) -> QuotientAlgebra:
+    """A/I on the basis of `section`, whose rows complement the ideal rows."""
+    p = a.p
+    ideal = np.asarray(ideal, dtype=np.int64).reshape(-1, a.dim)
+    section = np.asarray(section, dtype=np.int64).reshape(-1, a.dim)
+    # coordinates of v in the [ideal; section] basis
+    inv = gfp.inverse(np.vstack([ideal, section]).T, p)
     proj = inv[ideal.shape[0]:, :]
-    q = len(free)
-    sc = np.zeros((q, q, q), dtype=np.int64)
-    for i in range(q):
-        for j in range(q):
-            sc[i, j] = (proj @ a.mul(section[i], section[j])) % p
-    unit = (proj @ a.unit) % p
+    sc = a.mul(section[:, None], section[None, :]) @ proj.T % p
+    unit = proj @ a.unit % p
     return QuotientAlgebra(Algebra(p, sc, unit, check=False), proj, section)
 
 
@@ -359,22 +390,17 @@ def _radical(a: Algebra, seed: int, verify: bool) -> np.ndarray:
 
 def _verify_radical(a: Algebra, rad: np.ndarray, seed: int) -> None:
     p = a.p
+    eye = np.eye(a.dim, dtype=np.int64)
     # two-sided ideal
-    for r in rad:
-        for e in np.eye(a.dim, dtype=np.int64):
-            assert gfp.in_rowspace(rad, a.mul(r, e), p), "radical not a right ideal"
-            assert gfp.in_rowspace(rad, a.mul(e, r), p), "radical not a left ideal"
+    prods = np.vstack([a.mul(rad[:, None], eye[None, :]).reshape(-1, a.dim),
+                       a.mul(eye[:, None], rad[None, :]).reshape(-1, a.dim)])
+    assert gfp.in_rowspace(rad, prods, p), "radical is not a two-sided ideal"
     # nilpotent
     power = rad
     for _ in range(a.dim + 1):
         if power.shape[0] == 0:
             break
-        power = gfp.row_basis(
-            np.array([a.mul(x, y) for x in power for y in rad]).reshape(-1, a.dim)
-            if power.size
-            else np.zeros((0, a.dim), dtype=np.int64),
-            p,
-        )
+        power = gfp.row_basis(a.mul(power[:, None], rad[None, :]).reshape(-1, a.dim), p)
     assert power.shape[0] == 0, "radical is not nilpotent"
     # semisimple quotient: its own radical must vanish
     q = quotient_algebra(a, rad)
@@ -567,14 +593,6 @@ def refine_to_primitive(s: Algebra, e, rng) -> np.ndarray:
         if split is None:
             return e
         e = corner.lift(split)
-
-
-def is_primitive_semisimple(s: Algebra, e) -> bool:
-    corner = s.corner(e)
-    c = corner.alg
-    if not c.is_commutative():
-        return False
-    return len(split_commutative_semisimple(c)) == 1
 
 
 def _simple_components(a: Algebra, seed: int):
@@ -783,19 +801,23 @@ def find_unit_in_space(a: Algebra, rows, cap: int = EXHAUSTIVE_CAP):
 
 def central_idempotents(a: Algebra):
     """The primitive central idempotents of a, sorted, summing to 1."""
-    z = a.subalgebra(a.center_rows(), a.unit)
+    return primitive_idempotents(a.subalgebra(a.center_rows(), a.unit), a.mul, a.unit)
+
+
+def primitive_idempotents(z: SpanAlgebra, mul, unit) -> list:
+    """The primitive idempotents of a commutative span z, in ambient
+    coordinates, sorted: split z modulo its nilradical, lift, and verify
+    against the ambient multiplication `mul` and unit."""
+    p = z.alg.p
     nil = nilradical_commutative(z.alg)
     quo = quotient_algebra(z.alg, nil)
-    out = []
-    for ebar in split_commutative_semisimple(quo.alg):
-        e = lift_idempotent(z.alg, quo.lift(ebar), nil)
-        out.append(np.mod(np.asarray(z.lift(e), dtype=np.int64).ravel(), a.p))
+    out = [z.lift(lift_idempotent(z.alg, quo.lift(ebar), nil))
+           for ebar in split_commutative_semisimple(quo.alg)]
     out.sort(key=lambda v: v.tolist())
-    total = np.zeros(a.dim, dtype=np.int64)
-    for i, e in enumerate(out):
-        assert a.is_idempotent(e)
-        total = (total + e) % a.p
-        for f in out[i + 1:]:
-            assert not a.mul(e, f).any()
-    assert (total == a.unit % a.p).all()
+    e = np.array(out, dtype=np.int64)
+    prods = mul(e[:, None], e[None, :])
+    if (prods != e[:, None] * np.eye(len(out), dtype=np.int64)[:, :, None]).any():
+        raise AssertionError("idempotents are not idempotent and pairwise orthogonal")
+    if (e.sum(axis=0) % p != np.mod(unit, p)).any():
+        raise AssertionError("idempotents do not sum to the unit")
     return out

@@ -16,14 +16,11 @@ from . import gfp, permgroups
 from .algebra import (
     Algebra,
     SpanAlgebra,
-    lift_idempotent,
-    nilradical_commutative,
     primitive_idempotent_in,
+    primitive_idempotents,
     primitive_summands,
-    quotient_algebra,
     same_point,
     span_algebra,
-    split_commutative_semisimple,
 )
 from .permgroups import PermGroup, pconj, pinv, pmul
 
@@ -60,12 +57,15 @@ class GroupAlgebra:
         return v % self.p
 
     def mul(self, x, y) -> np.ndarray:
-        x = np.mod(np.asarray(x, dtype=np.int64).ravel(), self.p)
-        y = np.mod(np.asarray(y, dtype=np.int64).ravel(), self.p)
-        out = np.zeros(self.n, dtype=np.int64)
-        for i in np.nonzero(x)[0]:
-            np.add.at(out, self.mtable[i], x[i] * y)
-        return out % self.p
+        """x*y; stacks of vectors broadcast over their leading axes."""
+        p = self.p
+        x = np.mod(np.asarray(x, dtype=np.int64), p)
+        y = np.mod(np.asarray(y, dtype=np.int64), p)
+        out = np.zeros(np.broadcast_shapes(x.shape, y.shape), dtype=np.int64)
+        # g_i g_j = g_mtable[i, j]; each row of the table is a permutation
+        for i in np.nonzero(x.reshape(-1, self.n).any(axis=0))[0]:
+            out[..., self.mtable[i]] += x[..., i, None] * y % p
+        return out % p
 
     @property
     def unit(self) -> np.ndarray:
@@ -124,22 +124,7 @@ def center_span(kg: GroupAlgebra, sub: PermGroup) -> SpanAlgebra:
 
 def blocks(kg: GroupAlgebra, sub: PermGroup):
     """Primitive central idempotents of k[sub], as vectors in kG coords."""
-    z = center_span(kg, sub)
-    nil = nilradical_commutative(z.alg)
-    quo = quotient_algebra(z.alg, nil)
-    out = []
-    for ebar in split_commutative_semisimple(quo.alg):
-        e = lift_idempotent(z.alg, quo.lift(ebar), nil)
-        out.append(z.lift(e))
-    out.sort(key=lambda v: v.tolist())
-    total = np.zeros(kg.n, dtype=np.int64)
-    for i, b in enumerate(out):
-        assert (kg.mul(b, b) == b).all()
-        total = (total + b) % kg.p
-        for c in out[i + 1:]:
-            assert not kg.mul(b, c).any()
-    assert (total == kg.unit).all()
-    return out
+    return primitive_idempotents(center_span(kg, sub), kg.mul, kg.unit)
 
 
 def block_ideal_dim(kg: GroupAlgebra, sub: PermGroup, b) -> int:
@@ -255,13 +240,11 @@ def block_extension(kg: GroupAlgebra, sub: PermGroup, b) -> BlockExtension:
 def _verify_crossed(ext: BlockExtension) -> None:
     """Each component contains an invertible element of A (crossed product)."""
     kg, p = ext.kg, ext.kg.p
-    aspan = None
     for d, rep in enumerate(ext.quot.reps):
         u = kg.mul(kg.vec_of(rep), ext.b)
         uinv = kg.mul(kg.vec_of(pinv(rep)), ext.b)
         assert (kg.mul(u, uinv) == ext.b).all() and (kg.mul(uinv, u) == ext.b).all()
         assert gfp.in_rowspace(ext.component_rows(d), u, p)
-    del aspan
 
 
 # -- fixed points, traces, and the Brauer map ---------------------------------

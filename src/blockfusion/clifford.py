@@ -27,9 +27,11 @@ from .algebra import (
     Inconclusive,
     Module,
     SpanAlgebra,
+    check_algebra_map,
     hom_space,
     module_iso,
     primitive_summands,
+    structure_constants,
 )
 from .blocks import (
     BlockExtension,
@@ -93,18 +95,9 @@ class CliffordExtensionData:
 
 def _conj_matrix(kg: GroupAlgebra, g, span: SpanAlgebra) -> np.ndarray:
     """Matrix (acting on coordinate columns) of x -> g x g^-1 on a span."""
-    cols = [span.coords(kg.conj_vec(g, r)) for r in span.rows]
-    return np.array(cols, dtype=np.int64).T
-
-
-def _left_mult_in_rows(rows, mul, x, p):
-    """Matrix (on columns) of left multiplication by x on a row span."""
-    cols = []
-    for r in rows:
-        c = gfp.coords_in_rows(rows, mul(x, r), p)
-        assert c is not None, "span is not stable under left multiplication"
-        cols.append(c.ravel())
-    return np.array(cols, dtype=np.int64).T
+    moved = np.zeros_like(span.rows)
+    moved[:, kg.conj_perm(g)] = span.rows
+    return span.coords(moved).T
 
 
 def _rep_defects(quot: permgroups.QuotientSetup):
@@ -130,9 +123,9 @@ def _end_crossed(balg: Algebra, quot: permgroups.QuotientSetup, action: dict,
     v_rows = gfp.row_basis(v_rows, p)
     nv = v_rows.shape[0]
     eye_b = np.eye(balg.dim, dtype=np.int64)
-    mats_v = np.zeros((balg.dim, nv, nv), dtype=np.int64)
-    for k in range(balg.dim):
-        mats_v[k] = _left_mult_in_rows(v_rows, balg.mul, eye_b[k], p)
+    # mats_v[k]: left multiplication by e_k on V, on coordinate columns
+    mats_v = structure_constants(eye_b, v_rows, v_rows, balg.mul, p,
+                                 "the module V").transpose(0, 2, 1)
     vmod = Module(balg, mats_v)
     vmod.check()
     sigma_inv = {d: gfp.inverse(action[quot.reps[d]], p) for d in range(n)}
@@ -173,31 +166,32 @@ def _end_crossed(balg: Algebra, quot: permgroups.QuotientSetup, action: dict,
             out[fd * nv:(fd + 1) * nv, f * nv:(f + 1) * nv] = (left_on_v(coeff) @ t) % p
         return out
 
-    basis = [(d, t) for d in range(n) for t in hom_bases[d]]
-    fulls = [full_endo(d, t) for d, t in basis]
-    for m in fulls:  # commuting with the crossed-product action
-        for a in act_m:
-            assert ((m @ a - a @ m) % p == 0).all(), "endomorphism is not linear"
-    deg = np.array([d for d, _ in basis], dtype=np.int64)
-    flat = {d: np.array([t.ravel() for t in hom_bases[d]]) for d in range(n)}
-    dim = len(basis)
+    fulls = [np.array([full_endo(d, t) for t in hom_bases[d]]) for d in range(n)]
+    for m in np.concatenate(fulls):  # commuting with the crossed-product action
+        if ((m @ act_m - act_m @ m) % p).any():
+            raise AssertionError("endomorphism is not linear")
+    deg = np.repeat(np.arange(n), dims[0])
+    dim = n * dims[0]
+    # an endomorphism is fixed by its values on the generating block 1 (x) V
+    gens = np.zeros((n, dims[0], dim_m, nv), dtype=np.int64)
+    for d in range(n):
+        gens[d, :, d * nv:(d + 1) * nv] = hom_bases[d]
+
+    def compose(x, y):  # the opposite composition, on 1 (x) V
+        return y @ x[..., :nv] % p
+
     sc = np.zeros((dim, dim, dim), dtype=np.int64)
-    offsets = np.cumsum([0] + dims)
-    for i, (di, _) in enumerate(basis):
-        for j, (dj, _) in enumerate(basis):
+    blk = [slice(d * dims[0], (d + 1) * dims[0]) for d in range(n)]
+    for di in range(n):
+        for dj in range(n):
             dij = quot.group.mul(di, dj)
-            prod = (fulls[j] @ fulls[i]) % p  # opposite composition
-            blockv = prod[dij * nv:(dij + 1) * nv, 0:nv]
-            rest = prod[:, 0:nv].copy()
-            rest[dij * nv:(dij + 1) * nv] = 0
-            assert not rest.any(), "product left the expected degree"
-            c = gfp.coords_in_rows(flat[dij], blockv.ravel(), p)
-            assert c is not None, "product is not in the hom span"
-            sc[i, j, offsets[dij]:offsets[dij + 1]] = c.ravel()
-    unit = np.zeros(dim, dtype=np.int64)
-    uc = gfp.coords_in_rows(flat[0], np.eye(nv, dtype=np.int64).ravel(), p)
+            sc[blk[di], blk[dj], blk[dij]] = structure_constants(
+                fulls[di], fulls[dj], gens[dij], compose, p, f"the degree-{dij} homs")
+    uc = gfp.coords_in_rows(gens[0].reshape(dims[0], -1),
+                            np.eye(dim_m, nv, dtype=np.int64).ravel(), p)
     assert uc is not None, "identity map is missing from the degree-1 homs"
-    unit[offsets[0]:offsets[1]] = uc.ravel()
+    unit = np.zeros(dim, dtype=np.int64)
+    unit[blk[0]] = uc.ravel()
     g = GradedAlgebra(alg=Algebra(p, sc, unit, check=True), group=quot.group, deg=deg)
     g.validate()
     assert g.is_crossed_product()
@@ -219,9 +213,8 @@ def build_E(ext: BlockExtension, data: PointedGroupData, pt: Point,
         interior[c] = bp.coords(kg.mul(kg.vec_of(c), ext.b))
         if c not in action:  # defects need not be chosen representatives
             action[c] = _conj_matrix(kg, c, bp)
-    v_amb = gfp.row_basis(
-        np.array([kg.mul(r, pt.idem) for r in bp.rows]), kg.p)
-    v_inner = np.array([bp.coords(r) for r in v_amb])
+    v_amb = gfp.row_basis(kg.mul(bp.rows, pt.idem), kg.p)
+    v_inner = bp.coords(v_amb)
     return _end_crossed(bp.alg, quot, action, interior, v_inner,
                         kind="end", base=bp, v_ambient=v_amb)
 
@@ -250,32 +243,32 @@ def build_F(ext: BlockExtension, data: PointedGroupData, cd: CornerData,
             np.zeros((0, alg.dim), dtype=np.int64)
         chunks.append(gfp.row_basis(rows, p))
     dims = [c.shape[0] for c in chunks]
-    assert all(d == dims[0] for d in dims), "pair components of unequal size"
+    if any(d != dims[0] for d in dims):
+        raise AssertionError("pair components of unequal size")
     # the identity-pair component is i B^P i
     ident = fg.pairs.index((tuple(range(cd.P.order)), 0))
-    ibpi = gfp.row_basis(np.array([
-        cd.span.coords(kg.mul(kg.mul(cd.idem, r), cd.idem))
-        for r in data.span.rows
-    ]), p)
-    assert chunks[ident].shape == ibpi.shape
-    assert gfp.rank(np.vstack([chunks[ident], ibpi]), p) == ibpi.shape[0]
-    offsets = np.cumsum([0] + dims)
-    dim = int(offsets[-1])
+    ibpi = gfp.row_basis(cd.span.coords(
+        kg.mul(kg.mul(cd.idem, data.span.rows), cd.idem)), p)
+    if (chunks[ident].shape != ibpi.shape
+            or gfp.rank(np.vstack([chunks[ident], ibpi]), p) != ibpi.shape[0]):
+        raise AssertionError("the identity-pair component is not i B^P i")
+    dim = len(chunks) * dims[0]
+    blk = [slice(k * dims[0], (k + 1) * dims[0]) for k in range(len(chunks))]
     sc = np.zeros((dim, dim, dim), dtype=np.int64)
+    # one solve per pair of components: their images may overlap in iAi
     for k in range(len(chunks)):
         for l in range(len(chunks)):
             kl = fg.table.mul(k, l)
-            for a in range(dims[k]):
-                for b in range(dims[l]):
-                    prod = alg.mul(chunks[k][a], chunks[l][b])
-                    c = gfp.coords_in_rows(chunks[kl], prod, p)
-                    assert c is not None, "product left its pair component"
-                    sc[offsets[k] + a, offsets[l] + b,
-                       offsets[kl]:offsets[kl + 1]] = c.ravel()
-    unit = np.zeros(dim, dtype=np.int64)
+            try:
+                sc[blk[k], blk[l], blk[kl]] = structure_constants(
+                    chunks[k], chunks[l], chunks[kl], alg.mul, p)
+            except ValueError as exc:
+                raise AssertionError("product left its pair component") from exc
     uc = gfp.coords_in_rows(chunks[ident], alg.unit % p, p)
-    assert uc is not None
-    unit[offsets[ident]:offsets[ident + 1]] = uc.ravel()
+    if uc is None:
+        raise AssertionError("the unit is missing from the identity-pair component")
+    unit = np.zeros(dim, dtype=np.int64)
+    unit[blk[ident]] = uc.ravel()
     deg = np.repeat(np.arange(len(chunks)), dims[0])
     g = GradedAlgebra(alg=Algebra(p, sc, unit, check=True), group=fg.table,
                       deg=deg)
@@ -283,10 +276,12 @@ def build_F(ext: BlockExtension, data: PointedGroupData, cd: CornerData,
     # the fusion witnesses are homogeneous units, one per pair
     for k, pair in enumerate(fg.pairs):
         w = gfp.coords_in_rows(chunks[k], fg.witnesses[pair], p)
-        assert w is not None, "fusion witness escapes its component"
+        if w is None:
+            raise AssertionError("fusion witness escapes its component")
         v = np.zeros(dim, dtype=np.int64)
-        v[offsets[k]:offsets[k + 1]] = w.ravel()
-        assert g.alg.is_unit_element(v), "fusion witness is not invertible"
+        v[blk[k]] = w.ravel()
+        if not g.alg.is_unit_element(v):
+            raise AssertionError("fusion witness is not invertible")
     return CliffordExtensionData(
         graded=g, kind="corner", pairs=fg.pairs, corner=cd, chunk_rows=chunks,
     )
@@ -306,7 +301,8 @@ def psi_iso(ext: BlockExtension, pt: Point, ecd: CliffordExtensionData,
     p = kg.p
     quot = ecd.quot
     ci = gfp.coords_in_rows(ecd.v_ambient, pt.idem, p)
-    assert ci is not None
+    if ci is None:
+        raise AssertionError("the point idempotent is outside B^P i")
     ci = ci.ravel()
     pair_index = {pair: k for k, pair in enumerate(fcd.pairs)}
     dims = [c.shape[0] for c in fcd.chunk_rows]
@@ -320,24 +316,16 @@ def psi_iso(ext: BlockExtension, pt: Point, ecd: CliffordExtensionData,
             amb = kg.mul(kg.vec_of(g), w_amb)
             corner_coords = fcd.corner.span.coords(amb)
             c = gfp.coords_in_rows(fcd.chunk_rows[target], corner_coords, p)
-            assert c is not None, "image misses the matching pair component"
+            if c is None:
+                raise AssertionError("image misses the matching pair component")
             fc = np.zeros(fcd.dim, dtype=np.int64)
             fc[offsets[target]:offsets[target + 1]] = c.ravel()
             rows.append(fc)
     psi = np.array(rows, dtype=np.int64)
-    assert gfp.is_invertible(psi, p), "the comparison map is not bijective"
-    ea, fa = ecd.graded.alg, fcd.graded.alg
-
-    def apply(v):
-        return np.mod(np.asarray(v, dtype=np.int64) @ psi, p)
-
-    assert (apply(ea.unit) == fa.unit % p).all()
-    eye = np.eye(ea.dim, dtype=np.int64)
-    for i in range(ea.dim):
-        for j in range(ea.dim):
-            lhs = apply(ea.mul(eye[i], eye[j]))
-            rhs = fa.mul(apply(eye[i]), apply(eye[j]))
-            assert (lhs == rhs).all(), "comparison map is not multiplicative"
+    if not gfp.is_invertible(psi, p):
+        raise AssertionError("the comparison map is not bijective")
+    if not check_algebra_map(psi.T, ecd.graded.alg, fcd.graded.alg):
+        raise AssertionError("the comparison map is not a unital algebra map")
     return psi
 
 
@@ -517,24 +505,16 @@ def _truncate_hom_map(kg: GroupAlgebra, ecd: CliffordExtensionData,
 
 
 def _check_graded_map(g1: GradedAlgebra, g2: GradedAlgebra, m) -> None:
-    """Verify a coordinate matrix is a degree-preserving algebra iso."""
+    """Verify a coordinate matrix (rows: images of g1's basis) is a
+    degree-preserving algebra iso."""
     p = g1.p
-    assert gfp.is_invertible(m, p)
-    a1, a2 = g1.alg, g2.alg
-
-    def apply(v):
-        return np.mod(np.asarray(v, dtype=np.int64) @ m, p)
-
-    assert (apply(a1.unit) == a2.unit % p).all()
-    eye = np.eye(a1.dim, dtype=np.int64)
-    for i in range(a1.dim):
-        img = apply(eye[i])
-        if img.any():
-            assert g2.degree_of(img) == int(g1.deg[i]), "map breaks the grading"
-        for j in range(a1.dim):
-            lhs = apply(a1.mul(eye[i], eye[j]))
-            rhs = a2.mul(apply(eye[i]), apply(eye[j]))
-            assert (lhs == rhs).all(), "map is not multiplicative"
+    m = np.mod(np.asarray(m, dtype=np.int64), p)
+    if not gfp.is_invertible(m, p):
+        raise AssertionError("map is not invertible")
+    if ((m != 0) & (g1.deg[:, None] != g2.deg[None, :])).any():
+        raise AssertionError("map breaks the grading")
+    if not check_algebra_map(m.T, g1.alg, g2.alg):
+        raise AssertionError("map is not a unital algebra map")
 
 
 # -- diagonal tensor comparison --------------------------------------------------

@@ -100,10 +100,6 @@ def nullspace(a, p: int) -> np.ndarray:
     return basis
 
 
-def kron(a, b, p: int) -> np.ndarray:
-    return np.mod(np.kron(asmat(a, p), asmat(b, p)), p)
-
-
 def row_basis(a, p: int) -> np.ndarray:
     """Canonical (RREF) basis of the row space; zero rows dropped."""
     r, pivots = rref(a, p)
@@ -138,10 +134,6 @@ def intersect_rowspaces(a, b, p: int) -> np.ndarray:
     if left_kernel.shape[0] == 0:
         return np.zeros((0, a.shape[1]), dtype=np.int64)
     return row_basis(matmul(left_kernel[:, : a.shape[0]], a, p), p)
-
-
-def sum_rowspaces(a, b, p: int) -> np.ndarray:
-    return row_basis(np.vstack([asmat(a, p), asmat(b, p)]), p)
 
 
 def is_invertible(a, p: int) -> bool:

@@ -1,4 +1,4 @@
-"""Group-graded algebras and bimodules over GF(p).
+"""Group-graded algebras over GF(p).
 
 A graded algebra is a structure-constant algebra whose basis is split
 into components indexed by a finite group (given by its multiplication
@@ -17,10 +17,12 @@ from .algebra import (
     Algebra,
     Inconclusive,
     SpanAlgebra,
+    check_algebra_map,
     find_unit_in_space,
     iter_units,
-    quotient_algebra,
+    quotient_by_section,
     span_algebra,
+    structure_constants,
 )
 from .permgroups import GroupTable
 
@@ -58,14 +60,12 @@ class GradedAlgebra:
 
     def validate(self) -> None:
         self.group.validate()
-        assert self.degree_of(self.alg.unit) == 0, "unit is not in degree 1"
-        eye = np.eye(self.alg.dim, dtype=np.int64)
-        for i in range(self.alg.dim):
-            for j in range(self.alg.dim):
-                prod = self.alg.mul(eye[i], eye[j])
-                if prod.any():
-                    want = self.group.mul(int(self.deg[i]), int(self.deg[j]))
-                    assert self.degree_of(prod) == want, "grading broken on products"
+        if self.degree_of(self.alg.unit) != 0:
+            raise AssertionError("unit is not in degree 1")
+        # e_i e_j may only have support in degree deg(i) deg(j)
+        want = self.group.table[self.deg[:, None], self.deg[None, :]]
+        if ((self.alg.sc != 0) & (self.deg != want[:, :, None])).any():
+            raise AssertionError("grading broken on products")
 
     def is_crossed_product(self) -> bool:
         try:
@@ -88,13 +88,7 @@ def graded_from_chunks(mul, unit_vec, chunks, table: GroupTable, p: int):
         degs.extend([d] * rb.shape[0])
     stacked = np.vstack(rows)
     assert gfp.rank(stacked, p) == stacked.shape[0], "chunks were not independent"
-    d = stacked.shape[0]
-    sc = np.zeros((d, d, d), dtype=np.int64)
-    for i in range(d):
-        for j in range(d):
-            c = gfp.coords_in_rows(stacked, mul(stacked[i], stacked[j]), p)
-            assert c is not None, "span is not closed under multiplication"
-            sc[i, j] = c.ravel()
+    sc = structure_constants(stacked, stacked, stacked, mul, p)
     ucoords = gfp.coords_in_rows(stacked, unit_vec, p)
     assert ucoords is not None, "unit does not lie in the span"
     span = SpanAlgebra(Algebra(p, sc, ucoords.ravel(), check=False), stacked)
@@ -113,10 +107,8 @@ def graded_corner(ext, i):
     """The corner iAi of a block extension, graded by the same group."""
     kg = ext.kg
     i = np.mod(np.asarray(i, dtype=np.int64).ravel(), kg.p)
-    chunks = []
-    for d in range(ext.quot.group.order):
-        rows = np.array([kg.mul(kg.mul(i, r), i) for r in ext.component_rows(d)])
-        chunks.append(gfp.row_basis(rows, kg.p))
+    chunks = [gfp.row_basis(kg.mul(kg.mul(i, ext.component_rows(d)), i), kg.p)
+              for d in range(ext.quot.group.order)]
     return graded_from_chunks(kg.mul, i, chunks, ext.quot.group, kg.p)
 
 
@@ -169,43 +161,28 @@ def graded_radical_quotient(g: GradedAlgebra):
         if rad1_inner.shape[0]
         else np.zeros((0, a.dim), dtype=np.int64)
     )
-    eye = np.eye(a.dim, dtype=np.int64)
     jd_list = []
     sec_list = []
     degs = []
     for d in range(g.group.order):
         comp = g.component_rows(d)
-        prods = np.array(
-            [a.mul(r, e) for r in rad1 for e in comp]
-        ).reshape(-1, a.dim) if rad1.shape[0] and comp.shape[0] else np.zeros((0, a.dim), dtype=np.int64)
-        jd = gfp.row_basis(prods, p)
+        jd = gfp.row_basis(a.mul(rad1[:, None], comp[None, :]).reshape(-1, a.dim), p)
         comp_section = _complement_rows(jd, comp, p)
         jd_list.append(jd)
         sec_list.append(comp_section)
         degs.extend([d] * comp_section.shape[0])
     j_rows = np.vstack(jd_list)
     section = np.vstack(sec_list)
-    combined = np.vstack([j_rows, section])
-    assert combined.shape[0] == a.dim, "J(A_1)A is not a graded complemented ideal"
-    inv = gfp.inverse(combined.T, p)
-    proj = inv[j_rows.shape[0]:, :]
-    q = section.shape[0]
-    sc = np.zeros((q, q, q), dtype=np.int64)
-    for i in range(q):
-        for j in range(q):
-            sc[i, j] = (proj @ a.mul(section[i], section[j])) % p
-    unit = (proj @ a.unit) % p
-    quot = GradedAlgebra(
-        alg=Algebra(p, sc, unit, check=False),
-        group=g.group,
-        deg=np.array(degs, dtype=np.int64),
-    )
+    assert j_rows.shape[0] + section.shape[0] == a.dim, \
+        "J(A_1)A is not a graded complemented ideal"
+    q = quotient_by_section(a, j_rows, section)
+    quot = GradedAlgebra(alg=q.alg, group=g.group, deg=np.array(degs, dtype=np.int64))
     quot.validate()
     assert quot.identity_span().alg.radical_rows().shape[0] == 0, (
         "quotient 1-component is not semisimple"
     )
     assert quot.is_crossed_product(), "quotient is not a crossed product"
-    return quot, proj, section
+    return quot, q.proj, section
 
 
 # -- crossed products ----------------------------------------------------------
@@ -219,36 +196,29 @@ def crossed_product(balg: Algebra, quot: permgroups.QuotientSetup, action: dict,
     p = balg.p
     n = quot.order
     db = balg.dim
+    eye = np.eye(db, dtype=np.int64)
     # compatibility: acting by c equals conjugation by interior(c)
     for c, ic in interior.items():
-        assert balg.is_unit_element(ic), "interior image is not a unit"
-        icinv = balg.inverse_element(ic)
-        for e in np.eye(db, dtype=np.int64):
-            lhs = np.mod(action[c] @ e, p)
-            rhs = balg.mul(balg.mul(ic, e), icinv)
-            assert (lhs == rhs).all(), "interior map incompatible with the action"
-    for x in action:
-        m = action[x]
-        for e in np.eye(db, dtype=np.int64):
-            for f in np.eye(db, dtype=np.int64):
-                lhs = np.mod(m @ balg.mul(e, f), p)
-                rhs = balg.mul(np.mod(m @ e, p), np.mod(m @ f, p))
-                assert (lhs == rhs).all(), "action is not by algebra automorphisms"
-        break  # spot-check one generator image; full check is quadratic cost
+        if not balg.is_unit_element(ic):
+            raise AssertionError("interior image is not a unit")
+        conj = balg.mul(balg.mul(ic, eye), balg.inverse_element(ic))
+        if (np.mod(action[c], p) != conj.T).any():
+            raise AssertionError("interior map incompatible with the action")
+    for x, m in action.items():
+        if not check_algebra_map(m, balg, balg):
+            raise AssertionError(f"action of {x} is not by algebra automorphisms")
     dim = db * n
     sc = np.zeros((dim, dim, dim), dtype=np.int64)
     for d in range(n):
         rd = quot.reps[d]
         for e in range(n):
-            re = quot.reps[e]
             de = quot.group.mul(d, e)
-            c = permgroups.pmul(permgroups.pmul(rd, re), permgroups.pinv(quot.reps[de]))
-            ic = interior[c]
-            for i in range(db):
-                for j in range(db):
-                    acted = np.mod(action[rd] @ np.eye(db, dtype=np.int64)[j], p)
-                    val = balg.mul(balg.mul(np.eye(db, dtype=np.int64)[i], acted), ic)
-                    sc[d * db + i, e * db + j, de * db: (de + 1) * db] = val
+            c = permgroups.pmul(permgroups.pmul(rd, quot.reps[e]),
+                                permgroups.pinv(quot.reps[de]))
+            # e_i x(e_j) i(c), as e_i (x(e_j) i(c))
+            acted = balg.mul(np.mod(action[rd], p).T, interior[c])
+            sc[d * db:(d + 1) * db, e * db:(e + 1) * db, de * db:(de + 1) * db] = \
+                balg.mul(eye[:, None], acted[None, :])
     unit = np.zeros(dim, dtype=np.int64)
     unit[:db] = balg.unit
     g = GradedAlgebra(
@@ -257,7 +227,8 @@ def crossed_product(balg: Algebra, quot: permgroups.QuotientSetup, action: dict,
         deg=np.repeat(np.arange(n), db),
     )
     g.validate()
-    assert g.is_crossed_product()
+    if not g.is_crossed_product():
+        raise AssertionError("some component has no homogeneous unit")
     return g
 
 
@@ -520,171 +491,7 @@ def _extend_iso(g1, g2, gens, images):
         return None
     coords = gfp.inverse(basis_src.T, p)
     iso = (basis_img.T @ coords.T) % p  # columns: images of standard basis
-    if not gfp.is_invertible(iso, p):
-        return None
-    # full multiplicativity check
-    eye = np.eye(a.dim, dtype=np.int64)
-    for i in range(a.dim):
-        for j in range(a.dim):
-            lhs = np.mod(iso @ a.mul(eye[i], eye[j]), p)
-            rhs = b.mul(np.mod(iso @ eye[i], p), np.mod(iso @ eye[j], p))
-            if (lhs != rhs).any():
-                return None
-    if ((iso @ a.unit) % p != b.unit).any():
+    if not gfp.is_invertible(iso, p) or not check_algebra_map(iso, a, b):
         return None
     return iso
 
-
-# -- graded bimodules ----------------------------------------------------------
-
-
-@dataclass
-class GradedBimodule:
-    left: GradedAlgebra
-    right: GradedAlgebra
-    left_mats: np.ndarray  # (dim left alg, n, n)
-    right_mats: np.ndarray  # (dim right alg, n, n); right action m -> m*a
-    deg: np.ndarray  # (n,)
-
-    @property
-    def dim(self) -> int:
-        return self.left_mats.shape[1]
-
-    def validate(self) -> None:
-        p = self.left.p
-        n = self.dim
-        eyeL = np.eye(self.left.alg.dim, dtype=np.int64)
-        eyeR = np.eye(self.right.alg.dim, dtype=np.int64)
-        lu = np.tensordot(self.left.alg.unit, self.left_mats, axes=1) % p
-        ru = np.tensordot(self.right.alg.unit, self.right_mats, axes=1) % p
-        assert (lu == np.eye(n, dtype=np.int64)).all()
-        assert (ru == np.eye(n, dtype=np.int64)).all()
-        for i in range(self.left.alg.dim):
-            for j in range(self.right.alg.dim):
-                lhs = (self.left_mats[i] @ self.right_mats[j]) % p
-                rhs = (self.right_mats[j] @ self.left_mats[i]) % p
-                assert (lhs == rhs).all(), "left and right actions do not commute"
-        # associativity of each side
-        for i in range(self.left.alg.dim):
-            for j in range(self.left.alg.dim):
-                lhs = (self.left_mats[i] @ self.left_mats[j]) % p
-                rhs = np.tensordot(
-                    self.left.alg.mul(eyeL[i], eyeL[j]), self.left_mats, axes=1
-                ) % p
-                assert (lhs == rhs).all()
-        for i in range(self.right.alg.dim):
-            for j in range(self.right.alg.dim):
-                # (m*a)*a' = m*(a a')
-                lhs = (self.right_mats[j] @ self.right_mats[i]) % p
-                rhs = np.tensordot(
-                    self.right.alg.mul(eyeR[i], eyeR[j]), self.right_mats, axes=1
-                ) % p
-                assert (lhs == rhs).all()
-        self._check_grading()
-
-    def _check_grading(self) -> None:
-        p = self.left.p
-        n = self.dim
-        eyeM = np.eye(n, dtype=np.int64)
-        for i in range(self.left.alg.dim):
-            x = int(self.left.deg[i])
-            for m in range(n):
-                out = (self.left_mats[i] @ eyeM[m]) % p
-                for k in np.nonzero(out)[0]:
-                    want = self.left.group.mul(x, int(self.deg[m]))
-                    assert int(self.deg[k]) == want, "left grading violated"
-        for j in range(self.right.alg.dim):
-            z = int(self.right.deg[j])
-            for m in range(n):
-                out = (self.right_mats[j] @ eyeM[m]) % p
-                for k in np.nonzero(out)[0]:
-                    want = self.left.group.mul(int(self.deg[m]), z)
-                    assert int(self.deg[k]) == want, "right grading violated"
-
-
-def regular_bimodule(g: GradedAlgebra) -> GradedBimodule:
-    eye = np.eye(g.alg.dim, dtype=np.int64)
-    left = np.array([g.alg.left_mult(e) for e in eye])
-    right = np.array([g.alg.right_mult(e) for e in eye])
-    return GradedBimodule(g, g, left, right, g.deg.copy())
-
-
-def shift(m: GradedBimodule, y: int) -> GradedBimodule:
-    """M(y) with M(y)_x = M_{xy}; the right algebra grading is conjugated."""
-    grp = m.left.group
-    yinv = grp.inv(y)
-    new_deg = np.array([grp.mul(int(d), yinv) for d in m.deg], dtype=np.int64)
-    new_right_deg = np.array(
-        [grp.mul(grp.mul(y, int(d)), yinv) for d in m.right.deg], dtype=np.int64
-    )
-    new_right = GradedAlgebra(m.right.alg, m.right.group, new_right_deg)
-    return GradedBimodule(m.left, new_right, m.left_mats, m.right_mats, new_deg)
-
-
-def twist(m: GradedBimodule, phi: np.ndarray) -> GradedBimodule:
-    """M_phi: right action precomposed with the automorphism phi of the
-    right algebra (matrix, columns = images of basis)."""
-    p = m.right.p
-    b = m.right.alg
-    eye = np.eye(b.dim, dtype=np.int64)
-    for i in range(b.dim):
-        for j in range(b.dim):
-            lhs = np.mod(phi @ b.mul(eye[i], eye[j]), p)
-            rhs = b.mul(np.mod(phi @ eye[i], p), np.mod(phi @ eye[j], p))
-            if (lhs != rhs).any():
-                raise ValueError("phi is not an algebra automorphism")
-    if ((phi @ b.unit) % p != b.unit).any():
-        raise ValueError("phi does not fix the unit")
-    new_right_mats = np.tensordot(phi.T % p, m.right_mats, axes=1) % p
-    return GradedBimodule(m.left, m.right, m.left_mats, new_right_mats, m.deg)
-
-
-def conjugate_module(g: GradedAlgebra, d: int, v_mats: np.ndarray):
-    """The d-conjugate of a module over the 1-component: action through
-    conjugation by a degree-d homogeneous unit."""
-    u = homogeneous_unit(g, d)
-    if u is None:
-        raise ValueError(f"no homogeneous unit in degree {d}")
-    a = g.alg
-    p = g.p
-    uinv = a.inverse_element(u)
-    ispan = g.identity_span()
-    out = np.zeros_like(v_mats)
-    for k in range(ispan.rows.shape[0]):
-        conj = a.mul(a.mul(uinv, ispan.rows[k]), u)
-        coords = ispan.coords(conj)
-        out[k] = np.tensordot(coords, v_mats, axes=1) % p
-    return out
-
-
-def graded_hom(m: GradedBimodule, n: GradedBimodule, shift_deg: int = 0,
-               use_right: bool = True):
-    """Basis of maps F: M -> N intertwining the actions with
-    F(M_x) ⊆ N_{x·shift_deg}."""
-    p = m.left.p
-    rows = []
-    eye_m = np.eye(m.dim, dtype=np.int64)
-    eye_n = np.eye(n.dim, dtype=np.int64)
-    for i in range(m.left.alg.dim):
-        rows.append(
-            (np.kron(m.left_mats[i].T, eye_n) - np.kron(eye_m, n.left_mats[i])) % p
-        )
-    if use_right:
-        for j in range(m.right.alg.dim):
-            rows.append(
-                (np.kron(m.right_mats[j].T, eye_n) - np.kron(eye_m, n.right_mats[j])) % p
-            )
-    # degree constraint: entry F[k, m] = 0 unless deg_n[k] == deg_m[m]*shift
-    constraint = np.zeros((n.dim * m.dim,), dtype=np.int64)
-    extra = []
-    for mm in range(m.dim):
-        want = m.left.group.mul(int(m.deg[mm]), shift_deg)
-        for k in range(n.dim):
-            if int(n.deg[k]) != want:
-                row = np.zeros((n.dim * m.dim,), dtype=np.int64)
-                row[mm * n.dim + k] = 1  # column-major vec index
-                extra.append(row)
-    del constraint
-    system = np.vstack(rows + extra) if extra else np.vstack(rows)
-    ker = gfp.nullspace(system, p)
-    return [ker[:, t].reshape(n.dim, m.dim, order="F") for t in range(ker.shape[1])]

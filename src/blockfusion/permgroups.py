@@ -125,11 +125,6 @@ class PermGroup:
     def conjugate(self, g: Perm) -> "PermGroup":
         return from_elements([pconj(g, x) for x in self.elements], self.degree)
 
-    def relabel(self, sigma: Perm) -> "PermGroup":
-        """The group sigma G sigma^-1 (relabeling of the permuted points)."""
-        gens = [pconj(sigma, x) for x in self.generators]
-        return enumerate_group(gens, self.degree)
-
     def is_p_group(self, p: int) -> bool:
         n = self.order
         while n % p == 0:
@@ -260,78 +255,6 @@ def table_of_permgroup(g: PermGroup) -> GroupTable:
         for j, b in enumerate(g.elements):
             t[i, j] = g.index(pmul(a, b))
     return GroupTable(t, tuple(g.elements))
-
-
-def table_isomorphism(a: GroupTable, b: GroupTable):
-    """A group isomorphism a -> b as an index map, or None.
-
-    Brute-force backtracking on a generating sequence; fine at desk scale.
-    """
-    n = a.order
-    if n != b.order:
-        return None
-    if n == 1:
-        return {0: 0}
-    gens = []
-    have = {a.identity}
-    for i in range(n):
-        if i not in have:
-            gens.append(i)
-            closure = set(have) | {i}
-            changed = True
-            while changed:
-                changed = False
-                for x in list(closure):
-                    for y in list(closure):
-                        z = a.mul(x, y)
-                        if z not in closure:
-                            closure.add(z)
-                            changed = True
-            have = closure
-        if len(have) == n:
-            break
-    orders_b = {}
-    for j in range(n):
-        orders_b.setdefault(b.element_order(j), []).append(j)
-
-    def extend(assignment):
-        # close the partial map under multiplication; None on conflict
-        known = dict(assignment)
-        known[a.identity] = b.identity
-        changed = True
-        while changed:
-            changed = False
-            items = list(known.items())
-            for x, fx in items:
-                for y, fy in items:
-                    z = a.mul(x, y)
-                    fz = b.mul(fx, fy)
-                    if z in known:
-                        if known[z] != fz:
-                            return None
-                    else:
-                        known[z] = fz
-                        changed = True
-        return known
-
-    def search(k, assignment):
-        if k == len(gens):
-            full = extend(assignment)
-            if full is not None and len(full) == n and len(set(full.values())) == n:
-                return full
-            return None
-        g = gens[k]
-        for cand in orders_b.get(a.element_order(g), []):
-            assignment[g] = cand
-            partial = extend(assignment)
-            if partial is not None and len(set(partial.values())) == len(partial):
-                result = search(k + 1, assignment)
-                if result is not None:
-                    return result
-            del assignment[g]
-        return None
-
-    return search(0, {})
 
 
 @dataclass(frozen=True)
@@ -503,13 +426,3 @@ def aut_inverse(a):
     for i, j in enumerate(a):
         out[j] = i
     return tuple(out)
-
-
-def aut_table(auts) -> GroupTable:
-    index = {a: k for k, a in enumerate(auts)}
-    n = len(auts)
-    t = np.zeros((n, n), dtype=np.int64)
-    for i in range(n):
-        for j in range(n):
-            t[i, j] = index[aut_compose(auts[i], auts[j])]
-    return GroupTable(t, tuple(auts))

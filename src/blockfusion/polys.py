@@ -183,11 +183,6 @@ def factor(f, p: int):
     return out
 
 
-def is_irreducible(f, p: int) -> bool:
-    fs = factor(f, p)
-    return len(fs) == 1 and fs[0][1] == 1
-
-
 def eval_at_matrix(f, m, p: int) -> np.ndarray:
     """f(m) for a square matrix m, by Horner's rule."""
     n = m.shape[0]

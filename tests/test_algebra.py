@@ -1,8 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from blockfusion import algebra as alg
+from blockfusion import blocks as bl
 from blockfusion import gfp
+from blockfusion import permgroups as pg
 
 
 def cyclic_group_algebra(n, p):
@@ -277,3 +282,171 @@ def test_find_unit_in_space():
 def test_frobenius_matrix_requires_commutative():
     with pytest.raises(ValueError):
         alg.frobenius_matrix(matrix_algebra(2, 2))
+
+
+# -- the structure-constant and algebra-map kernels against scalar loops ------
+
+def small_group(degree, *cycles):
+    return pg.enumerate_group(tuple(pg.parse_cycles(c, degree) for c in cycles), degree)
+
+
+SMALL_GROUPS = (small_group(3, "(0 1 2)"), small_group(3, "(0 1)", "(0 1 2)"),
+                small_group(4, "(0 1 2 3)"))
+KERNEL_SETTINGS = settings(max_examples=30, deadline=None)
+
+
+def add_at_mul(kg, x, y):
+    """The convolution x*y in kG, one np.add.at per group element, on
+    Python integers, so exact for every p."""
+    out = np.zeros(kg.n, dtype=object)
+    for i in np.nonzero(x)[0]:
+        np.add.at(out, kg.mtable[i], int(x[i]) * np.asarray(y, dtype=object))
+    return (out % kg.p).astype(np.int64)
+
+
+def einsum_mul(a, x, y):
+    return np.einsum("i,j,ijk->k", x, y, a.sc) % a.p
+
+
+def pairwise_sc(rows, mul, p):
+    """Structure constants of a closed span, one product and one solve per pair."""
+    d = rows.shape[0]
+    sc = np.zeros((d, d, d), dtype=np.int64)
+    for i in range(d):
+        for j in range(d):
+            c = gfp.coords_in_rows(rows, mul(rows[i], rows[j]), p)
+            assert c is not None
+            sc[i, j] = c.ravel()
+    return sc
+
+
+def closure(kg, rows):
+    span = gfp.row_basis(rows, kg.p)
+    while True:
+        prods = np.array([add_at_mul(kg, x, y) for x in span for y in span])
+        grown = gfp.row_basis(np.vstack([span, prods]), kg.p)
+        if grown.shape[0] == span.shape[0]:
+            return span
+        span = grown
+
+
+def averaging_idempotents(kg):
+    """e = |H|^-1 sum H for the cyclic p'-subgroups H, and 1 - e."""
+    p = kg.p
+    out = []
+    for g in kg.grp.elements:
+        h = pg.enumerate_group((g,), kg.grp.degree)
+        if h.order % p:
+            e = gfp.inv_mod(h.order, p) * kg.sum_over(h.elements) % p
+            out += [e, (kg.unit - e) % p]
+    return out
+
+
+@st.composite
+def closed_spans(draw, p):
+    """(group algebra, rows): a random subalgebra of kG or a corner ekGe."""
+    kg = bl.GroupAlgebra(draw(st.sampled_from(SMALL_GROUPS)), p)
+    if draw(st.booleans()):
+        e = draw(st.sampled_from(averaging_idempotents(kg)))
+        corner = [add_at_mul(kg, add_at_mul(kg, e, g), e) for g in np.eye(kg.n, dtype=np.int64)]
+        return kg, gfp.row_basis(np.array(corner), p)
+    gens = draw(hnp.arrays(np.int64, (draw(st.integers(1, 2)), kg.n),
+                           elements=st.integers(0, p - 1)))
+    return kg, closure(kg, np.vstack([kg.unit, gens]))
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_structure_constants_match_pairwise_loop(p):
+    @KERNEL_SETTINGS
+    @given(closed_spans(p))
+    def check(case):
+        kg, rows = case
+        want = pairwise_sc(rows, lambda x, y: add_at_mul(kg, x, y), p)
+        assert (alg.structure_constants(rows, rows, rows, kg.mul, p) == want).all()
+        # the same span through the full structure constants of kG
+        a = kg.algebra()
+        assert (alg.structure_constants(rows, rows, rows, a.mul, p) == want).all()
+
+    check()
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_structure_constants_reject_an_open_span(p):
+    @KERNEL_SETTINGS
+    @given(st.sampled_from(SMALL_GROUPS), st.data())
+    def check(grp, data):
+        kg = bl.GroupAlgebra(grp, p)
+        rows = gfp.row_basis(data.draw(hnp.arrays(
+            np.int64, (data.draw(st.integers(1, 3)), kg.n),
+            elements=st.integers(0, p - 1))), p)
+        assume(rows.shape[0])
+        if closure(kg, rows).shape[0] > rows.shape[0]:
+            with pytest.raises(ValueError, match="not closed under multiplication"):
+                alg.structure_constants(rows, rows, rows, kg.mul, p)
+        else:
+            alg.structure_constants(rows, rows, rows, kg.mul, p)
+
+    check()
+
+
+def scalar_is_algebra_map(m, a, b):
+    p = a.p
+    if ((m @ a.unit) % p != b.unit).any():
+        return False
+    for i in range(a.dim):
+        for j in range(a.dim):
+            lhs = (m @ a.sc[i, j]) % p
+            if (lhs != einsum_mul(b, m[:, i], m[:, j])).any():
+                return False
+    return True
+
+
+def test_algebra_map_check_matches_scalar_loop():
+    algebras = [matrix_algebra(2, 3), matrix_algebra(2, 2),
+                bl.GroupAlgebra(SMALL_GROUPS[1], 2).algebra()]
+
+    @KERNEL_SETTINGS
+    @given(st.sampled_from(algebras), st.data())
+    def check(a, data):
+        p = a.p
+        u = data.draw(hnp.arrays(np.int64, a.dim, elements=st.integers(0, p - 1)))
+        assume(a.is_unit_element(u))
+        uinv = a.inverse_element(u)
+        # columns: u e_i u^-1, an inner automorphism
+        inner = np.array([einsum_mul(a, einsum_mul(a, u, e), uinv)
+                          for e in np.eye(a.dim, dtype=np.int64)]).T
+        assert alg.check_algebra_map(inner, a, a)
+        assert scalar_is_algebra_map(inner, a, a)
+        other = data.draw(st.sampled_from(["random", "perturbed"]))
+        if other == "random":
+            m = data.draw(hnp.arrays(np.int64, (a.dim, a.dim),
+                                     elements=st.integers(0, p - 1)))
+        else:
+            m = inner.copy()
+            i, j = data.draw(st.integers(0, a.dim - 1)), data.draw(st.integers(0, a.dim - 1))
+            m[i, j] = (m[i, j] + data.draw(st.integers(1, p - 1))) % p
+        assert alg.check_algebra_map(m, a, a) == scalar_is_algebra_map(m, a, a)
+
+    check()
+
+
+@pytest.mark.parametrize("p", [65537, 3037000493])
+def test_group_algebra_mul_broadcast_is_exact_at_large_p(p):
+    # entries near 65537 make products exceed 2^32; near 3037000493, the
+    # largest prime with p^2 < 2^63, they exceed the 2^53 of a float
+
+    @KERNEL_SETTINGS
+    @given(st.sampled_from(SMALL_GROUPS), st.data())
+    def check(grp, data):
+        kg = bl.GroupAlgebra(grp, p)
+        big = st.integers(p - 3, p - 1) | st.integers(0, p - 1)
+        x = data.draw(hnp.arrays(np.int64, (data.draw(st.integers(1, 3)), kg.n), elements=big))
+        y = data.draw(hnp.arrays(np.int64, (data.draw(st.integers(1, 3)), kg.n), elements=big))
+        prods = kg.mul(x[:, None], y[None, :])
+        assert prods.shape == (len(x), len(y), kg.n)
+        for i in range(len(x)):
+            for j in range(len(y)):
+                assert (prods[i, j] == add_at_mul(kg, x[i], y[j])).all()
+        assert (kg.mul(x[0], y[0]) == add_at_mul(kg, x[0], y[0])).all()
+
+    check()

@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+import textwrap
+
 import numpy as np
 import pytest
 
@@ -193,3 +198,47 @@ def test_diagonal_subgroup_of_a_product_scenario(s3_chain):
     assert report["common_pairs"] == 2
     assert report["isomorphic"]
     assert report["tensor_dims"] == report["diagonal_dims"]
+
+
+def test_graded_map_check_survives_python_O():
+    # python -O strips assert statements; _check_graded_map must still
+    # refuse a map that is invertible, unital and degree-preserving but not
+    # multiplicative: e_3 -> e_3 + e_4 inside the degree-1 component of kS3
+    script = textwrap.dedent("""
+        import sys
+        import numpy as np
+        from blockfusion import blocks as bl, clifford as cl, gfp
+        from blockfusion import graded as gr, permgroups as pg
+        s3 = pg.enumerate_group(
+            (pg.parse_cycles("(0 1)", 3), pg.parse_cycles("(0 1 2)", 3)), 3)
+        c3 = pg.enumerate_group((pg.parse_cycles("(0 1 2)", 3),), 3)
+        kg = bl.GroupAlgebra(s3, 3)
+        g, _ = gr.graded_from_extension(
+            bl.block_extension(kg, c3, bl.blocks(kg, c3)[0]))
+        a = g.alg
+        m = np.eye(6, dtype=np.int64)
+        m[3, 4] = 1
+        print("optimize", sys.flags.optimize)
+        print("degrees", g.deg.tolist(), "unit", a.unit.tolist())
+        print("invertible", gfp.is_invertible(m, 3))
+        # rows of m are images: compare the image of each product with the
+        # product of the images
+        print("multiplicative", all((a.sc[i, j] @ m % 3 == a.mul(m[i], m[j])).all()
+                                    for i in range(6) for j in range(6)))
+        cl._check_graded_map(g, g, np.eye(6, dtype=np.int64))
+        print("identity passed")
+        try:
+            cl._check_graded_map(g, g, m)
+        except AssertionError as exc:
+            print("refused:", exc)
+    """)
+    src = os.path.dirname(os.path.dirname(cl.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == [
+        "optimize 1", "degrees [0, 0, 0, 1, 1, 1] unit [1, 0, 0, 0, 0, 0]",
+        "invertible True", "multiplicative False", "identity passed",
+        "refused: map is not a unital algebra map"]

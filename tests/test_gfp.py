@@ -56,24 +56,6 @@ def test_nullspace_parity():
     assert (ns[:, 0] == [1, 1]).all()
 
 
-def test_kron_identities():
-    assert (gfp.kron(np.eye(2, dtype=int), np.eye(3, dtype=int), 5) == np.eye(6)).all()
-    assert not gfp.kron(np.zeros((2, 2), dtype=int), np.eye(3, dtype=int), 5).any()
-
-
-def test_kron_definition_exhaustive():
-    # direct-definition oracle on all positions of 2x2 inputs
-    rng = np.random.default_rng(0)
-    a = rng.integers(0, 3, size=(2, 2))
-    b = rng.integers(0, 3, size=(2, 2))
-    k = gfp.kron(a, b, 3)
-    for i in range(2):
-        for j in range(2):
-            for r in range(2):
-                for c in range(2):
-                    assert k[i * 2 + r, j * 2 + c] == (a[i, j] * b[r, c]) % 3
-
-
 @pytest.mark.parametrize("p", [2, 3, 5])
 def test_rank_transpose_and_nullity_sweep(p):
     rng = np.random.default_rng(12)

@@ -1,9 +1,7 @@
 import numpy as np
-import pytest
 
 from blockfusion import algebra as alg
 from blockfusion import blocks as bl
-from blockfusion import gfp
 from blockfusion import graded as gr
 from blockfusion import permgroups as pg
 
@@ -165,72 +163,3 @@ def test_graded_generators_generate():
     _, _, (g, _) = sc1_graded()
     gens = gr.graded_generators(g)
     assert gens  # the algebra is not spanned by its unit
-
-
-def test_regular_bimodule_and_shift():
-    _, _, (g, _) = sc1_graded()
-    m = gr.regular_bimodule(g)
-    m.validate()
-    sh = gr.shift(m, 1)
-    sh.validate()
-    assert (sh.deg != m.deg).all()  # both components move
-    back = gr.shift(sh, g.group.inv(1))
-    assert (back.deg == m.deg).all()
-
-
-def test_twist_identity_and_inverse():
-    _, _, (g, _) = sc1_graded()
-    m = gr.regular_bimodule(g)
-    ident = np.eye(6, dtype=np.int64)
-    assert (gr.twist(m, ident).right_mats == m.right_mats).all()
-    with pytest.raises(ValueError):
-        gr.twist(m, np.zeros((6, 6), dtype=np.int64))
-
-
-def test_twist_by_group_automorphism_then_inverse():
-    # kC3 over GF(2) as a bimodule over itself; x -> x^2 on the group
-    kc3 = bl.GroupAlgebra(C3, 2)
-    a = kc3.algebra()
-    table = pg.GroupTable(np.zeros((1, 1), dtype=np.int64), (0,))
-    g = gr.GradedAlgebra(a, table, np.zeros(3, dtype=np.int64))
-    m = gr.regular_bimodule(g)
-    phi = np.zeros((3, 3), dtype=np.int64)
-    for i, h in enumerate(C3.elements):
-        phi[kc3.index(pg.pmul(h, h)), i] = 1
-    tw = gr.twist(m, phi)
-    tw.validate()
-    assert not (tw.right_mats == m.right_mats).all()
-    tw2 = gr.twist(tw, phi)  # phi has order 2 on C3
-    assert (tw2.right_mats == m.right_mats).all()
-
-
-def test_graded_hom_identity_and_shift():
-    _, _, (g, _) = sc1_graded()
-    m = gr.regular_bimodule(g)
-    homs0 = gr.graded_hom(m, m, 0)
-    # degree-0 bimodule endos of A: left-and-right A-linear = center action
-    assert len(homs0) >= 1
-    span = np.array([h.reshape(-1) for h in homs0])
-    assert gfp.in_rowspace(span, np.eye(6, dtype=np.int64).reshape(-1), 3)
-    homs1 = gr.graded_hom(m, m, 1)
-    assert len(homs1) == 1  # Hom(A, A(sigma)) is free of rank 1 over Z(A)_? here 1
-
-
-def test_conjugate_module():
-    _, _, (g, _) = sc1_graded()
-    ispan = g.identity_span()
-    reg = np.array([ispan.alg.left_mult(e) for e in np.eye(3, dtype=np.int64)])
-    out = gr.conjugate_module(g, 0, reg)
-    assert (out == reg).all()
-    out1 = gr.conjugate_module(g, 1, reg)
-    # conjugation by a degree-1 unit inverts the 3-cycles: still a module
-    a1 = ispan.alg
-    for i in range(3):
-        for j in range(3):
-            lhs = (out1[i] @ out1[j]) % 3
-            rhs = np.tensordot(
-                a1.mul(np.eye(3, dtype=np.int64)[i], np.eye(3, dtype=np.int64)[j]),
-                out1,
-                axes=1,
-            ) % 3
-            assert (lhs == rhs).all()

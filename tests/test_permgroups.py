@@ -114,9 +114,14 @@ def test_aut_group_small():
     )
     auts = pg.aut_group(v4)
     assert len(auts) == 6
-    # group under composition containing the identity, homomorphisms all
-    table = pg.aut_table(auts)
-    table.validate()
+    # closed under composition and inverses, containing the identity
+    ident = tuple(range(v4.order))
+    assert ident in auts
+    for a in auts:
+        assert pg.aut_inverse(a) in auts
+        for b in auts:
+            assert pg.aut_compose(a, b) in auts
+    # every automorphism is a homomorphism
     for a in auts:
         for i, x in enumerate(v4.elements):
             for j, y in enumerate(v4.elements):
@@ -132,19 +137,3 @@ def test_aut_group_d8():
     )
     assert d8.order == 8
     assert len(pg.aut_group(d8)) == 8
-
-
-def test_table_isomorphism():
-    c3 = pg.enumerate_group([pg.parse_cycles("(0 1 2)", 3)], 3)
-    c3b = pg.enumerate_group([pg.parse_cycles("(1 2 0)", 3)], 3)
-    ta, tb = pg.table_of_permgroup(c3), pg.table_of_permgroup(c3b)
-    iso = pg.table_isomorphism(ta, tb)
-    assert iso is not None
-    for i in range(3):
-        for j in range(3):
-            assert iso[ta.mul(i, j)] == tb.mul(iso[i], iso[j])
-    s3 = pg.table_of_permgroup(pg.enumerate_group(S3_GENS, 3))
-    c6 = pg.table_of_permgroup(
-        pg.enumerate_group([pg.parse_cycles("(0 1 2 3 4 5)", 6)], 6)
-    )
-    assert pg.table_isomorphism(s3, c6) is None
