@@ -287,13 +287,14 @@ def spin(vectors, mats, p: int) -> np.ndarray:
 def submodule_restrict(mod: Module, rows) -> Module:
     p = mod.algebra.p
     rows = gfp.row_basis(rows, p)
-    mats = []
-    for m in mod.mats:
-        x = gfp.solve(rows.T, np.mod(m @ rows.T, p), p)
-        if x is None:
-            raise ValueError("rows do not span a submodule")
-        mats.append(x)
-    return Module(mod.algebra, np.array(mats))
+    k, r = len(mod.mats), rows.shape[0]
+    # one solve against the images under every action matrix side by side
+    images = np.mod(mod.mats @ rows.T, p)  # (k, n, r)
+    x = gfp.solve(rows.T, images.transpose(1, 0, 2).reshape(mod.dim, k * r),
+                  p)
+    if x is None:
+        raise ValueError("rows do not span a submodule")
+    return Module(mod.algebra, x.reshape(r, k, r).transpose(1, 0, 2))
 
 
 def quotient_module(mod: Module, rows) -> Module:

@@ -186,12 +186,6 @@ class BlockExtension:
     def component_rows(self, dbar: int) -> np.ndarray:
         return self.rows[self.degrees == dbar]
 
-    def identity_component(self) -> SpanAlgebra:
-        return self.kg.span(self.component_rows(0), self.b)
-
-    def span_all(self) -> SpanAlgebra:
-        return self.kg.span(self.rows, self.b)
-
     def degree_of(self, v) -> int | None:
         """Degree of a homogeneous vector; None if not homogeneous."""
         hits = [

@@ -15,7 +15,7 @@ from . import workbench as wb
 def _common() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--seed", type=int, default=0,
-                        help="seed recorded in reports and used downstream")
+                        help="seed recorded in reports")
     common.add_argument("--format", choices=("json", "text"), default="json")
     common.add_argument("--cap-order", type=int,
                         default=wb.DEFAULT_CAP_ORDER,

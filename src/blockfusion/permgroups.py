@@ -224,14 +224,6 @@ class GroupTable:
                 return j
         raise ValueError("no inverse; not a group table")
 
-    def element_order(self, i: int) -> int:
-        e = self.identity
-        x, n = i, 1
-        while x != e:
-            x = self.mul(x, i)
-            n += 1
-        return n
-
     def validate(self) -> None:
         n = self.order
         t = self.table
@@ -246,15 +238,6 @@ class GroupTable:
                     if t[t[i, j], k] != t[i, t[j, k]]:
                         raise ValueError("table is not associative")
         self.identity  # raises if absent
-
-
-def table_of_permgroup(g: PermGroup) -> GroupTable:
-    n = g.order
-    t = np.zeros((n, n), dtype=np.int64)
-    for i, a in enumerate(g.elements):
-        for j, b in enumerate(g.elements):
-            t[i, j] = g.index(pmul(a, b))
-    return GroupTable(t, tuple(g.elements))
 
 
 @dataclass(frozen=True)

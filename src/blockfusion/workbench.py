@@ -19,7 +19,6 @@ from . import algebra as al
 from . import blocks as bl
 from . import clifford as cl
 from . import fusion as fu
-from . import gfp
 from . import permgroups as pg
 
 SCHEMA_VERSION = 1
@@ -180,8 +179,6 @@ class Resolved:
     invariant: list
     b: np.ndarray
     ext: bl.BlockExtension
-    data: bl.PointedGroupData | None = None
-    pt: bl.Point | None = None
 
 
 def resolve_scenario(s: Scenario, cap_order: int = DEFAULT_CAP_ORDER) -> Resolved:
@@ -208,7 +205,12 @@ def resolve_scenario(s: Scenario, cap_order: int = DEFAULT_CAP_ORDER) -> Resolve
 
 def resolve_subgroup(r: Resolved, s: Scenario, cap_order: int):
     """The pointed p-subgroup: explicit generators, or a defect group."""
-    if s.subgroup == "defect":
+    return _local_point(r, s.subgroup, s.degree, cap_order)
+
+
+def _local_point(r: Resolved, sel, degree: int, cap_order: int):
+    """The local pointed group that a P or Q selector names."""
+    if sel == "defect":
         found = bl.defect_pointed_groups(r.kg, r.h, r.b, r.g,
                                          subgroup_cap=cap_order)
         if not found:
@@ -216,18 +218,80 @@ def resolve_subgroup(r: Resolved, s: Scenario, cap_order: int):
         # deterministic choice: largest subgroup, then lexicographic
         found.sort(key=lambda dp: (-dp[0].P.order, dp[0].P.elements))
         return found[0]
-    P = _parse_group(s.subgroup, s.degree, cap_order)
-    data = bl.points_at(r.kg, r.h, r.b, P)
+    data = bl.points_at(r.kg, r.h, r.b, _parse_group(sel, degree, cap_order))
     locals_ = [pt for pt in data.points if pt.local]
     if not locals_:
         raise ValueError("no local point at the requested subgroup")
     return data, locals_[0]
 
 
+class Pipeline:
+    """The stage results of one scenario, each computed on first use and
+    kept for the life of the pipeline.  A result at a subgroup is keyed by
+    its ordered element tuple, one at a local pointed group `at` =
+    (data, point) by that tuple and the point index, so a kept value is
+    the value the call would compute."""
+
+    def __init__(self, scenario: Scenario, cap_order: int = DEFAULT_CAP_ORDER):
+        self.scenario = scenario
+        self.cap_order = cap_order
+        self._memo = {}
+
+    def _once(self, key, fn):
+        if key not in self._memo:
+            self._memo[key] = fn()
+        return self._memo[key]
+
+    def _at(self, kind: str, at, fn):
+        return self._once((kind, at[0].P.elements, at[1].index), fn)
+
+    def resolved(self) -> Resolved:
+        return self._once("resolved", lambda: resolve_scenario(
+            self.scenario, self.cap_order))
+
+    def points(self, P: pg.PermGroup) -> bl.PointedGroupData:
+        r = self.resolved()
+        return self._once(("points", P.elements),
+                          lambda: bl.points_at(r.kg, r.h, r.b, P))
+
+    def pointed(self, at_q: bool = False) -> tuple:
+        """(data, point) at P, or at Q when asked and the scenario has one."""
+        s = self.scenario
+        at_q = at_q and s.q is not None
+        at = self._once(("pointed", at_q), lambda: _local_point(
+            self.resolved(), s.q if at_q else s.subgroup, s.degree,
+            self.cap_order))
+        self._memo.setdefault(("points", at[0].P.elements), at[0])
+        return at
+
+    def fusion(self, at) -> tuple:
+        """`fusion_report` at the local pointed group: (cd, E, F, Theta)."""
+        r = self.resolved()
+        return self._at("fusion", at, lambda: fu.fusion_report(
+            r.ext, *at, r.g))
+
+    def clifford_f(self, at) -> cl.CliffordExtensionData:
+        """The corner-side Clifford extension F."""
+        cd, _, fg, _ = self.fusion(at)
+        return self._at("F", at, lambda: cl.build_F(
+            self.resolved().ext, at[0], cd, fg))
+
+    def residual_f(self, at) -> cl.CliffordExtensionData:
+        return self._at("residual-F", at,
+                        lambda: cl.residual(self.clifford_f(at)))
+
+    def local_block(self, at) -> bl.LocalBlockData:
+        r = self.resolved()
+        return self._at("local", at, lambda: bl.local_block_data(
+            r.kg, r.h, r.b, *at))
+
+
 # -- the verification pipeline ---------------------------------------------------
 
 _STAGES = ("blocks", "extension", "points", "brauer", "fusion", "clifford",
            "residuals", "local-residual")
+_PAIR_STAGES = ("identification", "fusion-iso", "residual-equivalence",
+                "local-algebra-dims")
 
 # how far down the pipeline each CLI subcommand runs
 STAGE_OF_COMMAND = {
@@ -239,30 +303,33 @@ STAGE_OF_COMMAND = {
 }
 
 
-class _StageFailed(Exception):
-    pass
+def _require(ok, msg: str) -> None:
+    """A check that `python -O` keeps."""
+    if not ok:
+        raise AssertionError(msg)
 
 
-class _Runner:
-    def __init__(self, report: Report):
-        self.report = report
-
-    def run(self, name: str, fn):
+def _run_stages(report: Report, names, witnesses) -> Report:
+    """Record one check per stage name.  `witnesses` is a generator that
+    does the work of each stage in turn and then yields its witness.  A
+    stage that raises is recorded as "fail", or as "inconclusive" when a
+    bounded search ran out, and the stages after it are skipped."""
+    for k, name in enumerate(names):
         t0 = time.perf_counter()
         try:
-            witness = fn()
+            status, witness = "pass", next(witnesses)
+        except (al.Inconclusive, al.MeataxeBudgetExceeded) as ex:
+            status, witness = "inconclusive", {"reason": str(ex)}
         except Exception as ex:  # recorded, later stages skipped
-            ms = int((time.perf_counter() - t0) * 1000)
-            self.report.checks.append(Check(name, "fail", ms,
-                                            {"error": str(ex)}))
-            raise _StageFailed from ex
+            status, witness = "fail", {"error": str(ex)}
         ms = int((time.perf_counter() - t0) * 1000)
-        self.report.checks.append(Check(name, "pass", ms, witness))
-
-    def skip_rest(self, names):
-        for name in names:
-            self.report.checks.append(
-                Check(name, "inconclusive", 0, {"reason": "skipped"}))
+        report.checks.append(Check(name, status, ms, witness))
+        if status != "pass":
+            report.checks += [Check(n, "inconclusive", 0,
+                                    {"reason": "skipped"})
+                              for n in names[k + 1:]]
+            break
+    return report
 
 
 def _ints(v) -> list:
@@ -274,123 +341,84 @@ def run_scenario(s: Scenario, seed: int = 0,
                  through: str = "local-residual") -> Report:
     """Execute the pipeline on one scenario, recording a witnessed check
     per stage; a failing stage is recorded and the rest are skipped."""
-    report = Report(scenario=s.name, seed=seed)
-    runner = _Runner(report)
-    stages = _STAGES[:_STAGES.index(through) + 1]
-    state = {}
+    return _run_scenario(Pipeline(s, cap_order), seed, through)
 
-    def stage_blocks():
-        r = resolve_scenario(s, cap_order)
-        state["r"] = r
-        kg = r.kg
-        total = np.zeros(kg.n, dtype=np.int64)
-        for i, x in enumerate(r.all_blocks):
-            assert (kg.mul(x, x) == x).all()
-            for y in r.all_blocks[i + 1:]:
-                assert not kg.mul(x, y).any()
-            for hh in r.h.elements:
-                hv = kg.vec_of(hh)
-                assert (kg.mul(hv, x) == kg.mul(x, hv)).all()
-            total = (total + x) % kg.p
-        assert (total == kg.unit).all()
-        dims = sorted(bl.block_ideal_dim(kg, r.h, x) for x in r.all_blocks)
-        report.invariants["block_dims"] = dims
-        report.invariants["n_blocks"] = len(r.all_blocks)
-        report.invariants["n_invariant_blocks"] = len(r.invariant)
-        return {"block_dims": dims, "chosen_block": _ints(r.b)}
 
-    def stage_extension():
-        r = state["r"]
-        report.invariants["A_dim"] = int(r.ext.dim)
-        report.invariants["quotient_order"] = int(r.ext.quot.order)
-        return {"A_dim": int(r.ext.dim),
-                "component_dim": int((r.ext.degrees == 0).sum()),
-                "quotient_order": int(r.ext.quot.order)}
+def _run_scenario(pipe: Pipeline, seed: int,
+                  through: str = "local-residual") -> Report:
+    report = Report(scenario=pipe.scenario.name, seed=seed)
+    return _run_stages(report, _STAGES[:_STAGES.index(through) + 1],
+                       _scenario_stages(pipe, report.invariants))
 
-    def stage_points():
-        r = state["r"]
-        data, pt = resolve_subgroup(r, s, cap_order)
-        state["data"], state["pt"] = data, pt
-        report.invariants["P_order"] = int(data.P.order)
-        report.invariants["n_points"] = len(data.points)
-        report.invariants["n_local_points"] = sum(
-            1 for q in data.points if q.local)
-        return {"P_order": int(data.P.order),
-                "n_points": len(data.points),
-                "idempotent": _ints(pt.idem),
-                "local": bool(pt.local)}
 
-    def stage_brauer():
-        r, data = state["r"], state["data"]
-        bl.verify_brauer_hom(r.kg, r.h, r.b, data.P, data.br)
-        bp_dim = int(data.span.alg.dim)
-        tgt = data.br.target
-        return {"fixed_dim": bp_dim,
-                "brauer_dim": int(tgt.alg.dim) if tgt is not None else 0}
+def _scenario_stages(pipe: Pipeline, inv: dict):
+    """The stages of `_STAGES`, each yielding its witness."""
+    r = pipe.resolved()
+    kg, bs = r.kg, np.array(r.all_blocks)
+    diag = np.eye(len(bs), dtype=np.int64)[:, :, None]
+    _require((kg.mul(bs[:, None], bs) == diag * bs[:, None]).all(),
+             "the blocks are not orthogonal idempotents")
+    # commuting with the generators of H is commuting with kH
+    hv = np.array([kg.vec_of(h) for h in r.h.generators])[:, None]
+    _require((kg.mul(hv, bs) == kg.mul(bs, hv)).all(),
+             "a block idempotent is not central in kH")
+    _require((bs.sum(axis=0) % kg.p == kg.unit).all(),
+             "the block idempotents do not sum to 1")
+    dims = sorted(bl.block_ideal_dim(kg, r.h, x) for x in r.all_blocks)
+    inv.update(block_dims=dims, n_blocks=len(bs),
+               n_invariant_blocks=len(r.invariant))
+    yield {"block_dims": dims, "chosen_block": _ints(r.b)}
 
-    def stage_fusion():
-        r, data, pt = state["r"], state["data"], state["pt"]
-        cd, e_data, fg, theta = fu.fusion_report(r.ext, data, pt, r.g)
-        state.update(cd=cd, e_data=e_data, fg=fg, theta=theta)
-        report.invariants["|E|"] = int(e_data.quot.order)
-        report.invariants["|F|"] = int(fg.order)
-        return {"|E|": int(e_data.quot.order), "|F|": int(fg.order),
-                "pair_degrees": sorted(int(g) for _, g in fg.pairs)}
+    ext = r.ext
+    inv.update(A_dim=int(ext.dim), quotient_order=int(ext.quot.order))
+    yield {"A_dim": int(ext.dim),
+           "component_dim": int((ext.degrees == 0).sum()),
+           "quotient_order": int(ext.quot.order)}
 
-    def stage_clifford():
-        r, data, pt = state["r"], state["data"], state["pt"]
-        ecd = cl.build_E(r.ext, data, pt, state["e_data"])
-        fcd = cl.build_F(r.ext, data, state["cd"], state["fg"])
-        psi = cl.psi_iso(r.ext, pt, ecd, fcd, state["theta"])
-        state.update(ecd=ecd, fcd=fcd)
-        report.invariants["clifford_dim"] = int(ecd.dim)
-        return {"end_dim": int(ecd.dim),
-                "corner_dim": int(fcd.graded.alg.dim),
-                "psi": [_ints(row) for row in psi]}
+    at = pipe.pointed()
+    data, pt = at
+    inv.update(P_order=int(data.P.order), n_points=len(data.points),
+               n_local_points=sum(1 for q in data.points if q.local))
+    yield {"P_order": int(data.P.order), "n_points": len(data.points),
+           "idempotent": _ints(pt.idem), "local": bool(pt.local)}
 
-    def stage_residuals():
-        e_data, theta, fcd = state["e_data"], state["theta"], state["fcd"]
-        re = cl.residual(state["ecd"])
-        rf = cl.residual(fcd)
-        state["re"] = re
-        reps = e_data.quot.reps
-        gm = [fcd.pairs.index(theta.pair_of_rep[reps[d]])
-              for d in range(len(reps))]
-        assert cl.residuals_match(re, rf, group_map=gm), \
-            "residual extensions are not equivalent"
-        report.invariants["residual_dim"] = int(re.graded.alg.dim)
-        return {"degree_map": gm,
-                "residual_dims": [int(re.graded.alg.dim),
-                                  int(rf.graded.alg.dim)]}
+    bl.verify_brauer_hom(kg, r.h, r.b, data.P, data.br)
+    tgt = data.br.target
+    yield {"fixed_dim": int(data.span.alg.dim),
+           "brauer_dim": int(tgt.alg.dim) if tgt is not None else 0}
 
-    def stage_local_residual():
-        r, data, pt = state["r"], state["data"], state["pt"]
-        lbd = bl.local_block_data(r.kg, r.h, r.b, data, pt)
-        lres = cl.local_residual(r.ext, data, pt, state["e_data"], lbd)
-        assert cl.residuals_match(state["re"], lres), \
-            "residual does not match the local construction"
-        return {"local_block_dim": int(lbd.block_span.alg.dim),
-                "simple_dim": int(lbd.simple_dim)}
+    _, e_data, fg, theta = pipe.fusion(at)
+    inv.update({"|E|": int(e_data.quot.order), "|F|": int(fg.order)})
+    yield {"|E|": int(e_data.quot.order), "|F|": int(fg.order),
+           "pair_degrees": sorted(int(g) for _, g in fg.pairs)}
 
-    fns = {"blocks": stage_blocks, "extension": stage_extension,
-           "points": stage_points, "brauer": stage_brauer,
-           "fusion": stage_fusion, "clifford": stage_clifford,
-           "residuals": stage_residuals,
-           "local-residual": stage_local_residual}
-    for k, name in enumerate(stages):
-        try:
-            runner.run(name, fns[name])
-        except _StageFailed:
-            runner.skip_rest(stages[k + 1:])
-            break
-    return report
+    ecd, fcd = cl.build_E(ext, data, pt, e_data), pipe.clifford_f(at)
+    psi = cl.psi_iso(ext, pt, ecd, fcd, theta)
+    inv["clifford_dim"] = int(ecd.dim)
+    yield {"end_dim": int(ecd.dim), "corner_dim": int(fcd.graded.alg.dim),
+           "psi": [_ints(row) for row in psi]}
+
+    re, rf = cl.residual(ecd), pipe.residual_f(at)
+    gm = [fcd.pairs.index(theta.pair_of_rep[rep]) for rep in e_data.quot.reps]
+    _require(cl.residuals_match(re, rf, group_map=gm),
+             "residual extensions are not equivalent")
+    inv["residual_dim"] = int(re.graded.alg.dim)
+    yield {"degree_map": gm,
+           "residual_dims": [int(re.graded.alg.dim), int(rf.graded.alg.dim)]}
+
+    lbd = pipe.local_block(at)
+    _require(cl.residuals_match(
+        re, cl.local_residual(ext, data, pt, e_data, lbd)),
+        "residual does not match the local construction")
+    yield {"local_block_dim": int(lbd.block_span.alg.dim),
+           "simple_dim": int(lbd.simple_dim)}
 
 
 # -- Morita pairs ----------------------------------------------------------------
 
 
-def _relabeled(perm, elements):
-    return [pg.pconj(perm, x) for x in elements]
+def _relabeled(perm, elements) -> tuple:
+    return tuple(pg.pconj(perm, x) for x in elements)
 
 
 def _transport_vec(kg_l: bl.GroupAlgebra, kg_r: bl.GroupAlgebra, perm, v):
@@ -405,117 +433,81 @@ def verify_morita(ms: MoritaScenario, seed: int = 0,
     """Check the conclusions of a supplied graded equivalence: matching
     fusion groups at corresponding local pointed subgroups, equivalent
     residual extensions, and matching graded local algebra dimensions."""
+    left = Pipeline(ms.left, cap_order)
+    right = left if ms.right == ms.left else Pipeline(ms.right, cap_order)
+    return _verify_morita(ms, seed, left, right)
+
+
+def _verify_morita(ms: MoritaScenario, seed: int, left: Pipeline,
+                   right: Pipeline) -> Report:
     report = Report(scenario=ms.name, seed=seed)
-    runner = _Runner(report)
-    state = {}
-    names = ("identification", "fusion-iso", "residual-equivalence",
-             "local-algebra-dims")
+    return _run_stages(report, _PAIR_STAGES,
+                       _pair_stages(ms, left, right, report.invariants))
 
-    def stage_identify():
-        left = resolve_scenario(ms.left, cap_order)
-        right = resolve_scenario(ms.right, cap_order)
-        if ms.identification == "identity":
-            perm = pg.identity_perm(ms.left.degree)
-        else:
-            perm = pg.parse_cycles(ms.identification, ms.left.degree)
-        assert sorted(_relabeled(perm, left.g.elements)) == \
-            sorted(right.g.elements), "identification does not map G onto G'"
-        assert sorted(_relabeled(perm, left.h.elements)) == \
-            sorted(right.h.elements), "identification does not map H onto H'"
-        bt = _transport_vec(left.kg, right.kg, perm, left.b)
-        assert (bt == right.b).all(), "identification does not carry b to b'"
-        # the pointed subgroup on the left, its image on the right
-        sub = ms.left if ms.left.q is None else Scenario(
-            name=ms.left.name, p=ms.left.p, degree=ms.left.degree,
-            gens_g=ms.left.gens_g, gens_h=ms.left.gens_h,
-            block=ms.left.block, subgroup=ms.left.q)
-        data_l, pt_l = resolve_subgroup(left, sub, cap_order)
-        q_r = pg.from_elements(_relabeled(perm, data_l.P.elements),
-                               ms.left.degree)
-        data_r = bl.points_at(right.kg, right.h, right.b, q_r)
-        it = _transport_vec(left.kg, right.kg, perm, pt_l.idem)
-        matches = [q for q in data_r.points if al.same_point(
-            data_r.span.alg, data_r.span.coords(it),
-            data_r.span.coords(q.idem))]
-        assert len(matches) == 1, \
-            "identification does not map the point to a point"
-        pt_r = matches[0]
-        assert pt_r.local, "transported point is not local"
-        state.update(left=left, right=right, perm=perm, data_l=data_l,
-                     pt_l=pt_l, data_r=data_r, pt_r=pt_r)
-        return {"relabeling": list(perm), "Q_order": int(data_l.P.order)}
 
-    def stage_fusion_iso():
-        left, right, perm = state["left"], state["right"], state["perm"]
-        out_l = fu.fusion_report(left.ext, state["data_l"], state["pt_l"],
-                                 left.g)
-        out_r = fu.fusion_report(right.ext, state["data_r"], state["pt_r"],
-                                 right.g)
-        state["out_l"], state["out_r"] = out_l, out_r
-        fg_l, fg_r = out_l[2], out_r[2]
-        assert fg_l.order == fg_r.order, "fusion groups differ in order"
-        # transport each pair (phi, gbar) through the relabeling
-        q_l = state["data_l"].P
-        q_r = state["data_r"].P
-        inv = pg.pinv(perm)
-        pair_map = []
-        for phi, gbar in fg_l.pairs:
-            phi_r = tuple(
-                q_r.elements.index(pg.pconj(perm, q_l.elements[
-                    phi[q_l.elements.index(pg.pconj(inv, u))]]))
-                for u in q_r.elements)
-            gbar_rep = left.ext.quot.reps[gbar]
-            gbar_r = right.ext.quot.omega_of(pg.pconj(perm, gbar_rep))
-            pair_map.append(fg_r.pairs.index((phi_r, gbar_r)))
-        assert sorted(pair_map) == list(range(fg_r.order))
-        # the bijection respects the two multiplication tables
-        for i in range(fg_l.order):
-            for j in range(fg_l.order):
-                assert pair_map[fg_l.table.mul(i, j)] == \
-                    fg_r.table.mul(pair_map[i], pair_map[j])
-        state["pair_map"] = pair_map
-        report.invariants["|F|"] = int(fg_l.order)
-        return {"|F|": int(fg_l.order), "pair_map": pair_map}
+def _pair_stages(ms: MoritaScenario, left: Pipeline, right: Pipeline,
+                 inv: dict):
+    """The stages of `_PAIR_STAGES`, each yielding its witness."""
+    if ms.identification == "identity":
+        perm = pg.identity_perm(ms.left.degree)
+    else:
+        perm = pg.parse_cycles(ms.identification, ms.left.degree)
+    rl, rr = left.resolved(), right.resolved()
+    _require(sorted(_relabeled(perm, rl.g.elements)) == sorted(rr.g.elements),
+             "identification does not map G onto G'")
+    _require(sorted(_relabeled(perm, rl.h.elements)) == sorted(rr.h.elements),
+             "identification does not map H onto H'")
+    _require((_transport_vec(rl.kg, rr.kg, perm, rl.b) == rr.b).all(),
+             "identification does not carry b to b'")
+    # the pointed subgroup on the left; its image on the right lists the
+    # relabeled elements in the left's order
+    at_l = left.pointed(at_q=True)
+    q = at_l[0].P
+    data_r = right.points(pg.PermGroup(q.degree, _relabeled(perm, q.generators),
+                                       _relabeled(perm, q.elements)))
+    it = _transport_vec(rl.kg, rr.kg, perm, at_l[1].idem)
+    matches = [x for x in data_r.points if al.same_point(
+        data_r.span.alg, data_r.span.coords(it), data_r.span.coords(x.idem))]
+    _require(len(matches) == 1,
+             "identification does not map the point to a point")
+    _require(matches[0].local, "transported point is not local")
+    at_r = (data_r, matches[0])
+    yield {"relabeling": list(perm), "Q_order": int(q.order)}
 
-    def stage_residuals():
-        left, right = state["left"], state["right"]
-        cd_l, e_l, fg_l, _ = state["out_l"]
-        cd_r, e_r, fg_r, _ = state["out_r"]
-        rf_l = cl.residual(cl.build_F(left.ext, state["data_l"], cd_l, fg_l))
-        rf_r = cl.residual(cl.build_F(right.ext, state["data_r"], cd_r, fg_r))
-        assert cl.residuals_match(rf_l, rf_r, group_map=state["pair_map"]), \
-            "residual extensions are not equivalent"
-        return {"residual_dims": [int(rf_l.graded.alg.dim),
-                                  int(rf_r.graded.alg.dim)]}
+    fg_l, fg_r = left.fusion(at_l)[2], right.fusion(at_r)[2]
+    _require(fg_l.order == fg_r.order, "fusion groups differ in order")
+    # transport each pair (phi, gbar) through the relabeling; phi, a
+    # permutation of positions in the element list, stays as it is
+    quot_l, quot_r = rl.ext.quot, rr.ext.quot
+    pair_map = [fg_r.pairs.index(
+        (phi, quot_r.omega_of(pg.pconj(perm, quot_l.reps[gbar]))))
+        for phi, gbar in fg_l.pairs]
+    _require(sorted(pair_map) == list(range(fg_r.order)),
+             "the pair map is not a bijection of F onto F'")
+    pm = np.array(pair_map)
+    _require((pm[fg_l.table.table] ==
+              fg_r.table.table[np.ix_(pm, pm)]).all(),
+             "the pair map does not respect the multiplication tables")
+    inv["|F|"] = int(fg_l.order)
+    yield {"|F|": int(fg_l.order), "pair_map": pair_map}
 
-    def stage_local_dims():
-        left, right = state["left"], state["right"]
-        dims = []
-        for side, data, pt in (
-                (left, state["data_l"], state["pt_l"]),
-                (right, state["data_r"], state["pt_r"])):
-            lbd = bl.local_block_data(side.kg, side.h, side.b, data, pt)
-            stab = bl.stabilizer_of_point(side.kg, side.h, data, pt, side.g)
-            _, lext = bl.extended_brauer_extension(
-                side.kg, side.h, data, pt, stab, lbd)
-            per_degree = [int((lext.degrees == d).sum())
-                          for d in range(lext.quot.order)]
-            dims.append(per_degree)
-        assert dims[0] == dims[1], \
-            "graded local algebras differ in dimension"
-        report.invariants["local_degree_dims"] = dims[0]
-        return {"per_degree_dims": dims[0]}
+    rf_l, rf_r = left.residual_f(at_l), right.residual_f(at_r)
+    _require(cl.residuals_match(rf_l, rf_r, group_map=pair_map),
+             "residual extensions are not equivalent")
+    yield {"residual_dims": [int(rf_l.graded.alg.dim),
+                             int(rf_r.graded.alg.dim)]}
 
-    fns = {"identification": stage_identify, "fusion-iso": stage_fusion_iso,
-           "residual-equivalence": stage_residuals,
-           "local-algebra-dims": stage_local_dims}
-    for k, name in enumerate(names):
-        try:
-            runner.run(name, fns[name])
-        except _StageFailed:
-            runner.skip_rest(names[k + 1:])
-            break
-    return report
+    dims = []
+    for pipe, at in ((left, at_l), (right, at_r)):
+        # k[N_G(Q_delta)] b_delta, N_G(Q_delta) from the fusion stage
+        r, stab = pipe.resolved(), pipe.fusion(at)[1].stabilizer
+        _, lext = bl.extended_brauer_extension(r.kg, r.h, *at, stab,
+                                               pipe.local_block(at))
+        dims.append([int((lext.degrees == d).sum())
+                     for d in range(lext.quot.order)])
+    _require(dims[0] == dims[1], "graded local algebras differ in dimension")
+    inv["local_degree_dims"] = dims[0]
+    yield {"per_degree_dims": dims[0]}
 
 
 # -- the built-in catalog --------------------------------------------------------
@@ -563,9 +555,15 @@ def morita_catalog() -> list:
 
 
 def run_catalog(seed: int = 0, cap_order: int = DEFAULT_CAP_ORDER) -> list:
-    reports = [run_scenario(s, seed=seed, cap_order=cap_order)
-               for s in catalog()]
-    reports += [verify_morita(ms, seed=seed, cap_order=cap_order)
+    """Every built-in scenario, then every pair, with one Pipeline per
+    distinct scenario shared between them."""
+    pipes = {}
+
+    def pipe(s):
+        return pipes.setdefault(repr(s), Pipeline(s, cap_order))
+
+    reports = [_run_scenario(pipe(s), seed) for s in catalog()]
+    reports += [_verify_morita(ms, seed, pipe(ms.left), pipe(ms.right))
                 for ms in morita_catalog()]
     return reports
 

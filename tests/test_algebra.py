@@ -450,3 +450,19 @@ def test_group_algebra_mul_broadcast_is_exact_at_large_p(p):
         assert (kg.mul(x[0], y[0]) == add_at_mul(kg, x[0], y[0])).all()
 
     check()
+
+
+def test_submodule_restrict_matches_per_matrix_solves_and_refuses():
+    s3 = pg.enumerate_group((pg.parse_cycles("(0 1)", 3),
+                             pg.parse_cycles("(0 1 2)", 3)), 3)
+    reg = alg.regular_module(bl.GroupAlgebra(s3, 3).algebra())
+    rows = alg.spin(np.array([1, 2, 0, 0, 0, 0]), reg.mats, 3)
+    assert 0 < rows.shape[0] < 6
+    sub = alg.submodule_restrict(reg, rows)
+    basis = gfp.row_basis(rows, 3)
+    for m, x in zip(reg.mats, sub.mats):
+        assert (x == gfp.solve(basis.T, m @ basis.T % 3, 3)).all()
+    sub.check()
+    # two group elements span no left ideal of kS3
+    with pytest.raises(ValueError, match="do not span a submodule"):
+        alg.submodule_restrict(reg, np.eye(6, dtype=np.int64)[:2])

@@ -1,8 +1,17 @@
+import collections
 import json
+import os
+import subprocess
+import sys
+import textwrap
 
 import pytest
 
+from blockfusion import algebra as al
+from blockfusion import blocks as bl
 from blockfusion import cli
+from blockfusion import clifford as cl
+from blockfusion import fusion as fu
 from blockfusion import workbench as wb
 
 
@@ -161,3 +170,97 @@ def test_cli_verify_morita(tmp_path):
     pair = tmp_path / "pair.json"
     pair.write_text(json.dumps(wb.morita_catalog()[1].to_dict()))
     assert cli.main(["verify-morita", str(pair), "--format", "text"]) == 0
+
+
+def test_pair_checks_survive_python_O():
+    # python -O strips assert statements; the pair checks must still run
+    script = textwrap.dedent("""
+        import json, sys
+        from blockfusion import workbench as wb
+        by_name = {s.name: s for s in wb.catalog()}
+        ms = wb.MoritaScenario(name="SC1-vs-SC3",
+                               left=by_name["SC1-S3-over-C3"],
+                               right=by_name["SC3-S3-classical"])
+        print("optimize", sys.flags.optimize)
+        r = wb.verify_morita(ms)
+        print(json.dumps([[c.name, c.status, c.witness] for c in r.checks]))
+    """)
+    src = os.path.dirname(os.path.dirname(wb.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    optimize, checks = proc.stdout.splitlines()
+    assert optimize == "optimize 1"
+    assert json.loads(checks) == [
+        ["identification", "fail",
+         {"error": "identification does not map H onto H'"}],
+        ["fusion-iso", "inconclusive", {"reason": "skipped"}],
+        ["residual-equivalence", "inconclusive", {"reason": "skipped"}],
+        ["local-algebra-dims", "inconclusive", {"reason": "skipped"}]]
+
+
+@pytest.mark.parametrize("exc", [al.Inconclusive, al.MeataxeBudgetExceeded])
+def test_exhausted_search_is_inconclusive_not_fail(monkeypatch, exc):
+    def out_of_budget(ext, cd):
+        raise exc("search budget of 7 candidates exhausted")
+
+    monkeypatch.setattr(fu, "fusion_F_normalizer", out_of_budget)
+    r = wb.run_scenario(wb.catalog()[1])
+    got = [(c.name, c.status) for c in r.checks]
+    assert got == [("blocks", "pass"), ("extension", "pass"),
+                   ("points", "pass"), ("brauer", "pass"),
+                   ("fusion", "inconclusive"), ("clifford", "inconclusive"),
+                   ("residuals", "inconclusive"),
+                   ("local-residual", "inconclusive")]
+    assert r.checks[4].witness == {
+        "reason": "search budget of 7 candidates exhausted"}
+    assert all(c.witness == {"reason": "skipped"} for c in r.checks[5:])
+    assert not r.passed()
+
+
+@pytest.fixture
+def calls(monkeypatch):
+    """Counts the calls of the pipeline's costly stages."""
+    counts = collections.Counter()
+    for mod, name in ((wb, "resolve_scenario"), (fu, "fusion_report"),
+                      (cl, "build_F"), (bl, "local_block_data"),
+                      (bl, "points_at")):
+        def counted(*args, _real=getattr(mod, name), _name=name, **kwargs):
+            counts[_name] += 1
+            return _real(*args, **kwargs)
+        monkeypatch.setattr(mod, name, counted)
+    return counts
+
+
+STAGE_FUNCTIONS = ("resolve_scenario", "fusion_report", "build_F",
+                   "local_block_data")
+
+
+@pytest.mark.parametrize("name", ["SC1-S3-over-C3-identity",
+                                  "SC2-S4-over-A4-identity",
+                                  "SC4-D8-in-S4-classical-identity",
+                                  "SC1-relabeled"])
+def test_pair_of_one_scenario_computes_it_once(calls, name):
+    ms = next(m for m in wb.morita_catalog() if m.name == name)
+    assert wb.verify_morita(ms).passed()
+    assert {f: calls[f] for f in STAGE_FUNCTIONS} == dict.fromkeys(
+        STAGE_FUNCTIONS, 1)
+
+
+def test_pair_of_two_scenarios_computes_each_once(calls):
+    ms = next(m for m in wb.morita_catalog() if m.name == "SC2-relabeled")
+    assert wb.verify_morita(ms).passed()
+    assert {f: calls[f] for f in STAGE_FUNCTIONS} == dict.fromkeys(
+        STAGE_FUNCTIONS, 2)
+
+
+def test_catalog_shares_one_pipeline_per_scenario(calls):
+    reports = wb.run_catalog()
+    assert all(r.passed() for r in reports)
+    # 6 distinct scenarios; SC2 is run at P and its pairs at Q
+    assert calls["resolve_scenario"] == 6
+    assert calls["fusion_report"] == 7
+    # once per subgroup a defect search visits or a scenario or pair names
+    assert calls["points_at"] == 19
