@@ -45,13 +45,9 @@ class Algebra:
             self._check_axioms()
 
     def _check_axioms(self):
-        p, sc = self.p, self.sc
-        left = np.einsum("ijm,mkl->ijkl", sc, sc) % p
-        right = np.einsum("jkm,iml->ijkl", sc, sc) % p
-        if (left != right).any():
-            raise ValueError("structure constants are not associative")
-        if (self.left_mult(self.unit) != np.eye(self.dim, dtype=np.int64)).any():
-            raise ValueError("unit is not a left identity")
+        # associativity and the left unit are the module laws of the
+        # left-regular action, whose matrices are L(e_i)[k, j] = sc[i, j, k]
+        Module(self, self.sc.transpose(0, 2, 1)).check()
         if (self.right_mult(self.unit) != np.eye(self.dim, dtype=np.int64)).any():
             raise ValueError("unit is not a right identity")
 
@@ -217,23 +213,28 @@ class QuotientAlgebra:
 
 
 def quotient_algebra(a: Algebra, ideal_rows) -> QuotientAlgebra:
-    ideal = gfp.row_basis(ideal_rows, a.p)
-    _, pivots = gfp.rref(ideal, a.p)
-    free = [c for c in range(a.dim) if c not in pivots]
-    return quotient_by_section(a, ideal, np.eye(a.dim, dtype=np.int64)[free])
-
-
-def quotient_by_section(a: Algebra, ideal, section) -> QuotientAlgebra:
-    """A/I on the basis of `section`, whose rows complement the ideal rows."""
+    """A/I on the basis that `quotient_by_section` picks for the ideal."""
     p = a.p
-    ideal = np.asarray(ideal, dtype=np.int64).reshape(-1, a.dim)
-    section = np.asarray(section, dtype=np.int64).reshape(-1, a.dim)
-    # coordinates of v in the [ideal; section] basis
-    inv = gfp.inverse(np.vstack([ideal, section]).T, p)
-    proj = inv[ideal.shape[0]:, :]
+    section, proj = quotient_by_section(ideal_rows, a.dim, p)
     sc = a.mul(section[:, None], section[None, :]) @ proj.T % p
     unit = proj @ a.unit % p
     return QuotientAlgebra(Algebra(p, sc, unit, check=False), proj, section)
+
+
+def quotient_by_section(rows, n: int, p: int):
+    """(section, proj) for GF(p)^n modulo the row span of `rows`.
+
+    The section is the unit vectors at the free columns of the rows' RREF,
+    so it spans a complement; proj (q, n) takes coordinates to coordinates
+    on the section: subtracting v[c] times the RREF row with pivot c, for
+    every pivot c, leaves v[free] - R[:, free].T @ v[pivots].
+    """
+    r, pivots = gfp.rref(rows, p)
+    free = np.setdiff1d(np.arange(n), pivots)
+    proj = np.zeros((len(free), n), dtype=np.int64)
+    proj[:, free] = np.eye(len(free), dtype=np.int64)
+    proj[:, pivots] = -r[:len(pivots), free].T % p
+    return np.eye(n, dtype=np.int64)[free], proj
 
 
 # -- modules and the meataxe ------------------------------------------------
@@ -254,14 +255,20 @@ class Module:
         return np.tensordot(self.algebra.vec(x), self.mats, axes=1) % self.algebra.p
 
     def check(self) -> None:
-        a = self.algebra
-        eye = np.eye(self.dim, dtype=np.int64)
-        assert (self.action(a.unit) == eye).all(), "unit does not act as identity"
+        """Raise ValueError naming the broken law: the unit must act as the
+        identity, and e_i e_j as mats[i] @ mats[j], tested one i at a time
+        against every j, so the transient arrays stay (d, n, n)."""
+        a, p = self.algebra, self.algebra.p
+        mats = np.mod(self.mats, p)
+        if (self.action(a.unit) != np.eye(self.dim, dtype=np.int64)).any():
+            raise ValueError("the unit does not act as the identity")
         for i in range(a.dim):
-            for j in range(a.dim):
-                lhs = (self.mats[i] @ self.mats[j]) % a.p
-                rhs = np.tensordot(a.sc[i, j], self.mats, axes=1) % a.p
-                assert (lhs == rhs).all(), "action violates structure constants"
+            bad = ((mats[i] @ mats) % p
+                   != np.tensordot(a.sc[i], mats, axes=1) % p).any(axis=(1, 2))
+            if bad.any():
+                j = int(np.argmax(bad))
+                raise ValueError(f"e_{i} e_{j} does not act as e_{i} after "
+                                 f"e_{j}: the action is not associative")
 
 
 def regular_module(a: Algebra) -> Module:
@@ -299,15 +306,8 @@ def submodule_restrict(mod: Module, rows) -> Module:
 
 def quotient_module(mod: Module, rows) -> Module:
     p = mod.algebra.p
-    rows = gfp.row_basis(rows, p)
-    _, pivots = gfp.rref(rows, p)
-    free = [c for c in range(mod.dim) if c not in pivots]
-    section = np.eye(mod.dim, dtype=np.int64)[free]
-    combined = np.vstack([rows, section]) if rows.shape[0] else section
-    inv = gfp.inverse(combined.T, p)
-    proj = inv[rows.shape[0]:, :]
-    mats = np.array([(proj @ m @ section.T) % p for m in mod.mats])
-    return Module(mod.algebra, mats)
+    section, proj = quotient_by_section(rows, mod.dim, p)
+    return Module(mod.algebra, proj @ mod.mats @ section.T % p)
 
 
 def _random_action(mod: Module, rng) -> np.ndarray:

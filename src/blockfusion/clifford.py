@@ -100,15 +100,18 @@ def _conj_matrix(kg: GroupAlgebra, g, span: SpanAlgebra) -> np.ndarray:
     return span.coords(moved).T
 
 
-def _rep_defects(quot: permgroups.QuotientSetup):
-    """All c with r_d r_e = c r_{de} over representative pairs."""
-    out = {}
-    for d in range(quot.order):
-        for e in range(quot.order):
-            de = quot.group.mul(d, e)
-            c = pmul(pmul(quot.reps[d], quot.reps[e]), pinv(quot.reps[de]))
-            out[c] = None
-    return list(out)
+def _interior_action(kg: GroupAlgebra, quot: permgroups.QuotientSetup,
+                     span: SpanAlgebra, u) -> tuple:
+    """(action, interior) on a span with unit u: the conjugation matrix of
+    every representative r_d and of every defect c, where r_d r_e =
+    c r_{de}, and interior[c], the coordinates of u c u."""
+    defects = dict.fromkeys(
+        pmul(pmul(quot.reps[d], quot.reps[e]), pinv(quot.reps[quot.group.mul(d, e)]))
+        for d in range(quot.order) for e in range(quot.order))
+    action = {g: _conj_matrix(kg, g, span) for g in [*quot.reps, *defects]}
+    interior = {c: span.coords(kg.mul(kg.mul(u, kg.vec_of(c)), u))
+                for c in defects}
+    return action, interior
 
 
 def _end_crossed(balg: Algebra, quot: permgroups.QuotientSetup, action: dict,
@@ -206,16 +209,10 @@ def build_E(ext: BlockExtension, data: PointedGroupData, pt: Point,
     """Endomorphism-side extension over B^P * E acting on B^P i."""
     kg = ext.kg
     bp = data.span
-    quot = e_data.quot
-    action = {r: _conj_matrix(kg, r, bp) for r in quot.reps}
-    interior = {}
-    for c in _rep_defects(quot):
-        interior[c] = bp.coords(kg.mul(kg.vec_of(c), ext.b))
-        if c not in action:  # defects need not be chosen representatives
-            action[c] = _conj_matrix(kg, c, bp)
+    action, interior = _interior_action(kg, e_data.quot, bp, ext.b)
     v_amb = gfp.row_basis(kg.mul(bp.rows, pt.idem), kg.p)
     v_inner = bp.coords(v_amb)
-    return _end_crossed(bp.alg, quot, action, interior, v_inner,
+    return _end_crossed(bp.alg, e_data.quot, action, interior, v_inner,
                         kind="end", base=bp, v_ambient=v_amb)
 
 
@@ -348,27 +345,18 @@ def local_residual(ext: BlockExtension, data: PointedGroupData, pt: Point,
     p = kg.p
     span = lbd.block_span
     quot = e_data.quot
-    inner_max = (np.array([span.coords(r) for r in lbd.max_ideal_rows])
-                 if lbd.max_ideal_rows.shape[0]
+    inner_max = (span.coords(lbd.max_ideal_rows) if lbd.max_ideal_rows.shape[0]
                  else np.zeros((0, span.alg.dim), dtype=np.int64))
     ssq = span.alg.quotient_by_ideal(inner_max)
-    keys = list(quot.reps) + [c for c in _rep_defects(quot)
-                              if c not in quot.reps]
-    action = {}
-    for g in keys:
-        assert (kg.conj_vec(g, lbd.b_gamma) == lbd.b_gamma).all(), \
-            "stabilizer does not fix the local block"
-        if lbd.max_ideal_rows.shape[0]:
-            for r in lbd.max_ideal_rows:
-                c = gfp.coords_in_rows(lbd.max_ideal_rows, kg.conj_vec(g, r), p)
-                assert c is not None, "action does not preserve the radical"
-        m = _conj_matrix(kg, g, span)
-        action[g] = np.array(
-            [ssq.project(m @ ssq.section[k]) for k in range(ssq.alg.dim)],
-            dtype=np.int64).T
-    interior = {}
-    for c in _rep_defects(quot):
-        interior[c] = ssq.project(span.coords(kg.mul(kg.vec_of(c), lbd.b_gamma)))
+    action, interior = _interior_action(kg, quot, span, lbd.b_gamma)
+    for g, m in action.items():
+        if (kg.conj_vec(g, lbd.b_gamma) != lbd.b_gamma).any():
+            raise AssertionError("stabilizer does not fix the local block")
+        if gfp.coords_in_rows(inner_max, inner_max @ m.T % p, p) is None:
+            raise AssertionError("action does not preserve the radical")
+    acts = ssq.proj @ np.array(list(action.values())) @ ssq.section.T % p
+    action = dict(zip(action, acts))
+    interior = {c: ssq.project(v) for c, v in interior.items()}
     q = ssq.alg
     comps = q.simple_components()
     assert len(comps) == 1
@@ -452,11 +440,7 @@ def embed_truncate(ext: BlockExtension, data: PointedGroupData, pt: Point,
     commutes = False
     if stable:
         quot = e_data.quot
-        action = {r: _conj_matrix(kg, r, base_primed) for r in quot.reps}
-        interior = {}
-        for c in _rep_defects(quot):
-            vc = kg.mul(kg.mul(e, kg.mul(kg.vec_of(c), ext.b)), e)
-            interior[c] = base_primed.coords(vc)
+        action, interior = _interior_action(kg, quot, base_primed, e)
         v_amb = gfp.row_basis(np.array([kg.mul(r, i) for r in rows_bp]), p)
         e_primed = _end_crossed(
             base_primed.alg, quot, action, interior,
@@ -534,45 +518,27 @@ def graded_restrict(g: GradedAlgebra, degrees: list, table: GroupTable):
 def graded_tensor_diagonal(g1: GradedAlgebra, g2: GradedAlgebra,
                            match: list, table: GroupTable) -> GradedAlgebra:
     """Degreewise tensor product: component k is g1's match[k][0]
-    component tensored with g2's match[k][1] component."""
+    component tensored with g2's match[k][1] component.  An element is a
+    d1 x d2 array; the basis element e_a (x) e_b has a single 1 at (a, b)."""
     p = g1.p
-    idx1 = [g1.component_indices(a) for a, _ in match]
-    idx2 = [g2.component_indices(b) for _, b in match]
-    sizes = [len(a) * len(b) for a, b in zip(idx1, idx2)]
-    offsets = np.cumsum([0] + sizes)
-    dim = offsets[-1]
-    basis = []
-    deg = []
-    for k in range(len(match)):
-        for a in idx1[k]:
-            for b in idx2[k]:
-                basis.append((k, a, b))
-                deg.append(k)
-    pos = {t: i for i, t in enumerate(basis)}
-    eye1 = np.eye(g1.alg.dim, dtype=np.int64)
-    eye2 = np.eye(g2.alg.dim, dtype=np.int64)
-    sc = np.zeros((dim, dim, dim), dtype=np.int64)
-    for i, (k, a, b) in enumerate(basis):
-        for j, (l, c, d) in enumerate(basis):
-            kl = table.mul(k, l)
-            v1 = g1.alg.mul(eye1[a], eye1[c])
-            v2 = g2.alg.mul(eye2[b], eye2[d])
-            for a2 in idx1[kl]:
-                if not v1[a2]:
-                    continue
-                for b2 in idx2[kl]:
-                    if v2[b2]:
-                        sc[i, j, pos[(kl, a2, b2)]] = (v1[a2] * v2[b2]) % p
-    unit = np.zeros(dim, dtype=np.int64)
-    u1, u2 = g1.alg.unit % p, g2.alg.unit % p
-    ident = next(k for k in range(len(match)) if table.mul(k, k) == k
-                 and all(table.mul(k, x) == x for x in range(len(match))))
-    for a in idx1[ident]:
-        for b in idx2[ident]:
-            if u1[a] and u2[b]:
-                unit[pos[(ident, a, b)]] = (u1[a] * u2[b]) % p
-    g = GradedAlgebra(alg=Algebra(p, sc, unit, check=True), group=table,
-                      deg=np.array(deg, dtype=np.int64))
+    a1, a2 = g1.alg, g2.alg
+    pairs = [np.stack(np.meshgrid(g1.component_indices(x), g2.component_indices(y),
+                                  indexing="ij")).reshape(2, -1) for x, y in match]
+    deg = np.repeat(np.arange(len(match)), [ab.shape[1] for ab in pairs])
+    basis = np.zeros((len(deg), a1.dim, a2.dim), dtype=np.int64)
+    basis[(np.arange(len(deg)), *np.hstack(pairs))] = 1
+
+    def mul(x, y):  # (e_a (x) e_b)(e_c (x) e_d) = e_a e_c (x) e_b e_d
+        return np.einsum("...ab,...cd,acm,bdn->...mn", x, y, a1.sc, a2.sc,
+                         optimize=True) % p
+
+    sc = structure_constants(basis, basis, basis, mul, p, "the diagonal tensor")
+    unit = gfp.coords_in_rows(basis.reshape(len(deg), -1),
+                              np.outer(a1.unit, a2.unit).ravel(), p)
+    if unit is None:
+        raise AssertionError("the unit is outside the matched components")
+    g = GradedAlgebra(alg=Algebra(p, sc, unit.ravel(), check=True), group=table,
+                      deg=deg)
     g.validate()
     return g
 

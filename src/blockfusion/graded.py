@@ -20,7 +20,7 @@ from .algebra import (
     check_algebra_map,
     find_unit_in_space,
     iter_units,
-    quotient_by_section,
+    quotient_algebra,
     span_algebra,
     structure_constants,
 )
@@ -68,13 +68,10 @@ class GradedAlgebra:
             raise AssertionError("grading broken on products")
 
     def is_crossed_product(self) -> bool:
-        try:
-            return all(
-                homogeneous_unit(self, d) is not None
-                for d in range(self.group.order)
-            )
-        except Inconclusive:
-            return False
+        """Whether every component holds a unit, by exhaustive scans; a scan
+        above the cap raises Inconclusive."""
+        return all(homogeneous_unit(self, d) is not None
+                   for d in range(self.group.order))
 
 
 def graded_from_chunks(mul, unit_vec, chunks, table: GroupTable, p: int):
@@ -115,74 +112,38 @@ def graded_corner(ext, i):
 # -- homogeneous units ---------------------------------------------------------
 
 
-def homogeneous_unit(g: GradedAlgebra, d: int, preferred=None):
-    """An invertible element of the degree-d component, or None.
-
-    Tries supplied candidates first (interior group images), then an
-    exhaustive scan of the component.
-    """
+def homogeneous_unit(g: GradedAlgebra, d: int):
+    """An invertible element of the degree-d component, or None, by an
+    exhaustive scan of the component."""
     if d == 0:
         return g.alg.unit.copy()
-    if preferred is not None:
-        for cand in preferred:
-            cand = g.alg.vec(cand)
-            if g.degree_of(cand) == d and g.alg.is_unit_element(cand):
-                return cand
     return find_unit_in_space(g.alg, g.component_rows(d))
 
 
 # -- graded radical quotient ---------------------------------------------------
 
 
-def _complement_rows(sub_rows, full_rows, p):
-    """Rows of full extending sub to a basis of span(full); sub ⊆ span(full)."""
-    base = gfp.row_basis(sub_rows, p)
-    out = []
-    cur = base
-    for r in full_rows:
-        if not gfp.in_rowspace(np.vstack([cur, np.zeros((1, cur.shape[1]), dtype=np.int64)]), r, p):
-            out.append(r)
-            cur = np.vstack([cur, r])
-    return np.array(out, dtype=np.int64).reshape(-1, full_rows.shape[1])
-
-
 def graded_radical_quotient(g: GradedAlgebra):
     """A / J(A_1)A with its inherited grading; requires a crossed product.
 
     Returns (quotient GradedAlgebra, proj, section) with proj/section in
-    the coordinates of g.alg.
+    the coordinates of g.alg.  J(A_1)A is spanned by homogeneous products,
+    so the rows of its RREF are homogeneous and the section, the unit
+    vectors at the free columns, is homogeneous too.
     """
     a = g.alg
-    p = g.p
     ispan = g.identity_span()
-    rad1_inner = ispan.alg.radical_rows()
-    rad1 = (
-        np.mod(rad1_inner @ ispan.rows, p)
-        if rad1_inner.shape[0]
-        else np.zeros((0, a.dim), dtype=np.int64)
-    )
-    jd_list = []
-    sec_list = []
-    degs = []
-    for d in range(g.group.order):
-        comp = g.component_rows(d)
-        jd = gfp.row_basis(a.mul(rad1[:, None], comp[None, :]).reshape(-1, a.dim), p)
-        comp_section = _complement_rows(jd, comp, p)
-        jd_list.append(jd)
-        sec_list.append(comp_section)
-        degs.extend([d] * comp_section.shape[0])
-    j_rows = np.vstack(jd_list)
-    section = np.vstack(sec_list)
-    assert j_rows.shape[0] + section.shape[0] == a.dim, \
-        "J(A_1)A is not a graded complemented ideal"
-    q = quotient_by_section(a, j_rows, section)
-    quot = GradedAlgebra(alg=q.alg, group=g.group, deg=np.array(degs, dtype=np.int64))
+    rad1 = ispan.alg.radical_rows() @ ispan.rows % g.p
+    eye = np.eye(a.dim, dtype=np.int64)
+    q = quotient_algebra(a, a.mul(rad1[:, None], eye[None, :]).reshape(-1, a.dim))
+    free = np.nonzero(q.section)[1]
+    quot = GradedAlgebra(alg=q.alg, group=g.group, deg=g.deg[free])
     quot.validate()
-    assert quot.identity_span().alg.radical_rows().shape[0] == 0, (
-        "quotient 1-component is not semisimple"
-    )
-    assert quot.is_crossed_product(), "quotient is not a crossed product"
-    return quot, q.proj, section
+    if quot.identity_span().alg.radical_rows().shape[0]:
+        raise AssertionError("quotient 1-component is not semisimple")
+    if not quot.is_crossed_product():
+        raise AssertionError("quotient is not a crossed product")
+    return quot, q.proj, q.section
 
 
 # -- crossed products ----------------------------------------------------------
@@ -227,8 +188,10 @@ def crossed_product(balg: Algebra, quot: permgroups.QuotientSetup, action: dict,
         deg=np.repeat(np.arange(n), db),
     )
     g.validate()
-    if not g.is_crossed_product():
-        raise AssertionError("some component has no homogeneous unit")
+    # row d is 1 (x) x_d, a unit: times 1 (x) x_{d^-1} it gives i(c) (x) 1
+    for d, x in enumerate(np.kron(np.eye(n, dtype=np.int64), balg.unit)):
+        if not g.alg.is_unit_element(x):
+            raise AssertionError(f"1 (x) x_{d} is not a unit")
     return g
 
 
@@ -276,17 +239,15 @@ def factor_set(g: GradedAlgebra, units=None) -> FactorSetData:
 
 
 def _verify_cocycle(a1: Algebra, fs: FactorSetData) -> None:
-    n = fs.group.order
-    p = a1.p
-    for d in range(n):
-        for e in range(n):
-            for f in range(n):
-                de = fs.group.mul(d, e)
-                ef = fs.group.mul(e, f)
-                lhs = a1.mul(fs.alpha[d, e], fs.alpha[de, f])
-                acted = np.mod(fs.action[d] @ fs.alpha[e, f], p)
-                rhs = a1.mul(acted, fs.alpha[d, ef])
-                assert (lhs == rhs).all(), "twisted cocycle identity fails"
+    """alpha(d, e) alpha(de, f) = d(alpha(e, f)) alpha(d, ef) for all d, e, f,
+    in one broadcast comparison of (n, n, n, dim1) arrays."""
+    t, alpha = fs.group.table, fs.alpha
+    n = len(t)
+    lhs = a1.mul(alpha[:, :, None], alpha[t])
+    acted = np.einsum("dij,efj->defi", fs.action, alpha) % a1.p
+    rhs = a1.mul(acted, alpha[np.arange(n)[:, None, None], t[None]])
+    if (lhs != rhs).any():
+        raise ValueError("twisted cocycle identity fails")
 
 
 def _field_isos(a1: Algebra, a2: Algebra):

@@ -285,6 +285,13 @@ class Pipeline:
         return self._at("local", at, lambda: bl.local_block_data(
             r.kg, r.h, r.b, *at))
 
+    def local_extension(self, at) -> bl.BlockExtension:
+        """k[N_G(Q_delta)] b_delta, N_G(Q_delta) from the fusion stage."""
+        r = self.resolved()
+        return self._at("local-ext", at, lambda: bl.extended_brauer_extension(
+            r.kg, r.h, *at, self.fusion(at)[1].stabilizer,
+            self.local_block(at))[1])
+
 
 # -- the verification pipeline ---------------------------------------------------
 
@@ -497,14 +504,9 @@ def _pair_stages(ms: MoritaScenario, left: Pipeline, right: Pipeline,
     yield {"residual_dims": [int(rf_l.graded.alg.dim),
                              int(rf_r.graded.alg.dim)]}
 
-    dims = []
-    for pipe, at in ((left, at_l), (right, at_r)):
-        # k[N_G(Q_delta)] b_delta, N_G(Q_delta) from the fusion stage
-        r, stab = pipe.resolved(), pipe.fusion(at)[1].stabilizer
-        _, lext = bl.extended_brauer_extension(r.kg, r.h, *at, stab,
-                                               pipe.local_block(at))
-        dims.append([int((lext.degrees == d).sum())
-                     for d in range(lext.quot.order)])
+    dims = [[int((lext.degrees == d).sum()) for d in range(lext.quot.order)]
+            for lext in (left.local_extension(at_l),
+                         right.local_extension(at_r))]
     _require(dims[0] == dims[1], "graded local algebras differ in dimension")
     inv["local_degree_dims"] = dims[0]
     yield {"per_degree_dims": dims[0]}

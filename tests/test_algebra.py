@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+import textwrap
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -125,6 +130,36 @@ def test_submodule_and_quotient_respect_action():
     assert sub.dim + quo.dim == reg.dim
 
 
+def test_module_check_survives_python_O():
+    # python -O strips assert statements; Module.check must still refuse
+    # the regular module of kC3 with one entry of one action matrix changed
+    script = textwrap.dedent("""
+        import sys
+        from blockfusion import algebra as alg, blocks as bl, permgroups as pg
+        c3 = pg.enumerate_group((pg.parse_cycles("(0 1 2)", 3),), 3)
+        reg = alg.regular_module(bl.GroupAlgebra(c3, 3).algebra())
+        print("optimize", sys.flags.optimize)
+        reg.check()
+        print("regular passed")
+        mats = reg.mats.copy()
+        mats[1, 0, 0] = (mats[1, 0, 0] + 1) % 3
+        try:
+            alg.Module(reg.algebra, mats).check()
+        except ValueError as exc:
+            print("refused:", exc)
+    """)
+    src = os.path.dirname(os.path.dirname(alg.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == [
+        "optimize 1", "regular passed",
+        "refused: e_1 e_1 does not act as e_1 after e_1: "
+        "the action is not associative"]
+
+
 def test_nilradical_commutative():
     a = cyclic_group_algebra(3, 3)
     nil = alg.nilradical_commutative(a)
@@ -237,6 +272,23 @@ def test_quotient_algebra_projection_is_homomorphism():
             lhs = q.project(a.mul(x, y))
             rhs = q.alg.mul(q.project(x), q.project(y))
             assert (lhs == rhs).all()
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_quotient_by_section_matches_the_inverse_of_rows_and_section(p):
+    # the projection read off the RREF is the last block of the inverse of
+    # [rows; section], the map that kills the rows and fixes the section
+    @KERNEL_SETTINGS
+    @given(hnp.arrays(np.int64, st.tuples(st.integers(0, 4), st.integers(1, 5)),
+                      elements=st.integers(0, p - 1)))
+    def check(rows):
+        section, proj = alg.quotient_by_section(rows, rows.shape[1], p)
+        basis = gfp.row_basis(rows, p)
+        assert len(basis) + len(section) == rows.shape[1]
+        inv = gfp.inverse(np.vstack([basis, section]).T, p)
+        assert (proj == inv[len(basis):]).all()
+
+    check()
 
 
 def test_hom_space_of_regular_module():

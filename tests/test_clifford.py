@@ -11,7 +11,9 @@ from blockfusion import blocks as bl
 from blockfusion import clifford as cl
 from blockfusion import fusion as fu
 from blockfusion import gfp
+from blockfusion import graded as gr
 from blockfusion import permgroups as pg
+from blockfusion import workbench as wb
 
 
 @pytest.fixture(scope="module")
@@ -191,6 +193,31 @@ def test_truncation_by_a_proper_idempotent():
     assert et.base_primed.alg.dim < data.span.alg.dim
 
 
+@pytest.fixture(scope="module")
+def sc4_chain():
+    # D8 over itself at p = 2: |E| = 4, and the defect r_d r_e r_{de}^-1 of
+    # some representative pairs is not itself a representative
+    s = next(x for x in wb.catalog() if x.name == "SC4-D8-in-S4-classical")
+    r = wb.resolve_scenario(s)
+    data, pt = wb.resolve_subgroup(r, s, wb.DEFAULT_CAP_ORDER)
+    cd, e_data, fg, theta = fu.fusion_report(r.ext, data, pt, r.g)
+    ecd = cl.build_E(r.ext, data, pt, e_data)
+    fcd = cl.build_F(r.ext, data, cd, fg)
+    return r, data, pt, (e_data, cd, fg, theta, ecd, fcd)
+
+
+@pytest.mark.parametrize("which", ["b", "i", "block cut"])
+def test_truncation_with_defects_outside_the_representatives(sc4_chain, which):
+    r, data, pt, chain = sc4_chain
+    i_in = data.span.coords(pt.idem)
+    (cut,) = [c for c in al.central_idempotents(data.span.alg)
+              if (data.span.alg.mul(c, i_in) == i_in).all()]
+    e = {"b": r.b, "i": pt.idem,
+         "block cut": np.mod(cut @ data.span.rows, r.kg.p)}[which]
+    et = cl.embed_truncate(r.ext, data, pt, *chain, e)
+    assert et.diagram_commutes
+
+
 def test_diagonal_subgroup_of_a_product_scenario(s3_chain):
     s3 = s3_chain[0]
     ext, data, pt = s3_chain[4:7]
@@ -198,6 +225,22 @@ def test_diagonal_subgroup_of_a_product_scenario(s3_chain):
     assert report["common_pairs"] == 2
     assert report["isomorphic"]
     assert report["tensor_dims"] == report["diagonal_dims"]
+
+
+def test_graded_tensor_diagonal_matches_elementwise_products(s3_chain):
+    # reference: e_a (x) e_b times e_c (x) e_d is the outer product of
+    # e_a e_c and e_b e_d, read off at the basis positions (a', b')
+    g, _ = gr.graded_from_extension(s3_chain[4])
+    t = cl.graded_tensor_diagonal(g, g, [(0, 0), (1, 1)], g.group)
+    basis = [(a, b) for k in range(2) for a in g.component_indices(k)
+             for b in g.component_indices(k)]
+    want = np.zeros_like(t.alg.sc)
+    for i, (a, b) in enumerate(basis):
+        for j, (c, d) in enumerate(basis):
+            prod = np.outer(g.alg.sc[a, c], g.alg.sc[b, d]) % 3
+            want[i, j] = [prod[x, y] for x, y in basis]
+    assert t.component_dims() == [9, 9]
+    assert (t.alg.sc == want).all()
 
 
 def test_graded_map_check_survives_python_O():

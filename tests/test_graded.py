@@ -1,4 +1,10 @@
+import os
+import subprocess
+import sys
+import textwrap
+
 import numpy as np
+import pytest
 
 from blockfusion import algebra as alg
 from blockfusion import blocks as bl
@@ -13,6 +19,19 @@ def grp(degree, *cycles):
 
 S3 = grp(3, "(0 1)", "(0 1 2)")
 C3 = grp(3, "(0 1 2)")
+
+
+def crossed_by_conjugation(g, n, p):
+    """kN * G/N with G acting on kN by conjugation and N by its elements."""
+    kn = bl.GroupAlgebra(n, p)
+    action = {}
+    for x in g.elements:
+        m = np.zeros((n.order, n.order), dtype=np.int64)
+        for i, h in enumerate(n.elements):
+            m[kn.index(pg.pconj(x, h)), i] = 1
+        action[x] = m
+    interior = {c: kn.vec_of(c) for c in n.elements}
+    return gr.crossed_product(kn.algebra(), pg.quotient(g, n), action, interior)
 
 
 def sc1_graded():
@@ -129,34 +148,66 @@ def test_graded_iso_search_matches_factor_set_verdicts():
 def test_crossed_product_reconstructs_group_algebra():
     # kC3 * C2 with S3 acting by conjugation is kS3 with its C2-grading
     kg, ext, (g, _) = sc1_graded()
-    quot = pg.quotient(S3, C3)
-    kc3 = bl.GroupAlgebra(C3, 3)
-    balg = kc3.algebra()
-    action = {}
-    for x in S3.elements:
-        m = np.zeros((3, 3), dtype=np.int64)
-        for i, h in enumerate(C3.elements):
-            m[kc3.index(pg.pconj(x, h)), i] = 1
-        action[x] = m
-    interior = {c: kc3.vec_of(c) for c in C3.elements}
-    cp = gr.crossed_product(balg, quot, action, interior)
+    cp = crossed_by_conjugation(S3, C3, 3)
     assert cp.alg.dim == 6
     assert cp.component_dims() == [3, 3]
     assert gr.graded_iso_search(cp, g) is not None
 
 
 def test_crossed_product_trivial_group_is_base():
-    kc3 = bl.GroupAlgebra(C3, 3)
-    quot = pg.quotient(C3, C3)
-    action = {}
-    for x in C3.elements:
-        m = np.zeros((3, 3), dtype=np.int64)
-        for i, h in enumerate(C3.elements):
-            m[kc3.index(pg.pconj(x, h)), i] = 1
-        action[x] = m
-    interior = {c: kc3.vec_of(c) for c in C3.elements}
-    cp = gr.crossed_product(kc3.algebra(), quot, action, interior)
+    cp = crossed_by_conjugation(C3, C3, 3)
     assert cp.alg.dim == 3 and cp.group.order == 1
+
+
+def test_crossed_product_above_the_scan_cap_checks_its_own_units():
+    # kC21 * C2 inside the dihedral group of order 42 at p = 2: a scan of a
+    # component covers 2^21 elements, above the cap, so only the units
+    # 1 (x) x_d themselves can certify the crossed product
+    rotation = "(" + " ".join(map(str, range(21))) + ")"
+    reflection = "".join(f"({i} {21 - i})" for i in range(1, 11))
+    d42 = grp(21, rotation, reflection)
+    c21 = grp(21, rotation)
+    assert d42.order == 42 and 2**21 > alg.EXHAUSTIVE_CAP
+    cp = crossed_by_conjugation(d42, c21, 2)
+    assert cp.component_dims() == [21, 21]
+    with pytest.raises(alg.Inconclusive):
+        cp.is_crossed_product()
+
+
+def _run_optimized(script):
+    """Run a script under python -O; its output lines."""
+    src = os.path.dirname(os.path.dirname(gr.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run([sys.executable, "-O", "-c", textwrap.dedent(script)],
+                          env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.splitlines()
+
+
+def test_cocycle_check_survives_python_O():
+    # python -O strips assert statements; the cocycle check must still
+    # refuse a factor set whose alpha(1, 1) is no longer the unit
+    out = _run_optimized("""
+        import sys
+        from blockfusion import blocks as bl, graded as gr, permgroups as pg
+        s3 = pg.enumerate_group(
+            (pg.parse_cycles("(0 1)", 3), pg.parse_cycles("(0 1 2)", 3)), 3)
+        c3 = pg.enumerate_group((pg.parse_cycles("(0 1 2)", 3),), 3)
+        kg = bl.GroupAlgebra(s3, 3)
+        g, _ = gr.graded_from_extension(
+            bl.block_extension(kg, c3, bl.blocks(kg, c3)[0]))
+        print("optimize", sys.flags.optimize)
+        fs = gr.factor_set(g)
+        print("alpha(1, 1)", fs.alpha[0, 0].tolist())
+        fs.alpha[0, 0, 0] = 2
+        try:
+            gr._verify_cocycle(fs.component, fs)
+        except ValueError as exc:
+            print("refused:", exc)
+    """)
+    assert out == ["optimize 1", "alpha(1, 1) [1, 0, 0]",
+                   "refused: twisted cocycle identity fails"]
 
 
 def test_graded_generators_generate():

@@ -226,7 +226,7 @@ def calls(monkeypatch):
     counts = collections.Counter()
     for mod, name in ((wb, "resolve_scenario"), (fu, "fusion_report"),
                       (cl, "build_F"), (bl, "local_block_data"),
-                      (bl, "points_at")):
+                      (bl, "extended_brauer_extension"), (bl, "points_at")):
         def counted(*args, _real=getattr(mod, name), _name=name, **kwargs):
             counts[_name] += 1
             return _real(*args, **kwargs)
@@ -235,7 +235,7 @@ def calls(monkeypatch):
 
 
 STAGE_FUNCTIONS = ("resolve_scenario", "fusion_report", "build_F",
-                   "local_block_data")
+                   "local_block_data", "extended_brauer_extension")
 
 
 @pytest.mark.parametrize("name", ["SC1-S3-over-C3-identity",
@@ -262,5 +262,7 @@ def test_catalog_shares_one_pipeline_per_scenario(calls):
     # 6 distinct scenarios; SC2 is run at P and its pairs at Q
     assert calls["resolve_scenario"] == 6
     assert calls["fusion_report"] == 7
+    # once per pipeline and local pointed group that a pair compares
+    assert calls["extended_brauer_extension"] == 6
     # once per subgroup a defect search visits or a scenario or pair names
     assert calls["points_at"] == 19
