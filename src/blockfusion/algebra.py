@@ -754,7 +754,7 @@ def module_iso(m: Module, n: Module, seed: int = DEFAULT_SEED):
 
 # -- unit enumeration ---------------------------------------------------------
 
-UNIT_SCAN_CHUNK = 32  # candidates per batched inversion; bounds transient memory
+UNIT_SCAN_CHUNK = 256  # most candidates per batched inversion; bounds transient memory
 
 
 def unit_scan(a: Algebra, rows, cap: int = EXHAUSTIVE_CAP):
@@ -762,25 +762,54 @@ def unit_scan(a: Algebra, rows, cap: int = EXHAUSTIVE_CAP):
 
     Exhaustive: walks every coefficient vector of [0, p)^r in np.ndindex
     order, in chunks, and yields (units, inverses) per chunk, both in scan
-    order.  All left multiplications of a chunk come from one tensordot
-    and go through one batched Gauss-Jordan elimination, gfp.batch_solve.
+    order.  A vector splits into its high digits and its last m digits, m
+    the largest integer with p^m <= UNIT_SCAN_CHUNK (at most r).  The left
+    multiplications of all p^m low-digit vectors are tabulated once; a
+    chunk is one value of the high digits, whose left multiplication is
+    added to the whole table (the "Four Russians" step of M4RI), and the
+    chunk goes through one batched Gauss-Jordan elimination.  Over GF(2)
+    with d <= gfp.PACKED_WIDTH the table holds packed rows, the sum is XOR
+    and the elimination gfp.solve_packed_gf2; otherwise the sum is taken
+    mod p and the elimination is gfp.batch_solve.  Transient memory is of
+    order UNIT_SCAN_CHUNK * d^2 words.
     """
-    p = a.p
-    rows = np.mod(np.asarray(rows, dtype=np.int64), p).reshape(-1, a.dim)
+    p, d = a.p, a.dim
+    rows = np.mod(np.asarray(rows, dtype=np.int64), p).reshape(-1, d)
     r = rows.shape[0]
     if p**r > cap:
         raise Inconclusive(f"unit scan of size {p}^{r} exceeds cap {cap}")
     # left multiplication by each row
     lmul = np.einsum("ri,ijk->rkj", rows, a.sc) % p
-    place = p ** np.arange(r - 1, -1, -1)
-    for start in range(0, p**r, UNIT_SCAN_CHUNK):
-        index = np.arange(start, min(start + UNIT_SCAN_CHUNK, p**r))
-        coeffs = index[:, None] // place % p
+    if p == 2 and d <= gfp.PACKED_WIDTH:
+        encode, add, solve = gfp.pack_gf2, np.bitwise_xor, gfp.solve_packed_gf2
+    else:
+        def encode(x):
+            return x
+
+        def add(x, y):
+            return (x + y) % p
+
+        def solve(stack, rhs):
+            return gfp.batch_solve(stack, rhs, p)
+    high = r
+    while high > 0 and p ** (r - high + 1) <= UNIT_SCAN_CHUNK:
+        high -= 1
+    # the low-digit vectors and their left multiplications, by p-fold
+    # extension one digit at a time, in np.ndindex order
+    digits = np.arange(p)[:, None]
+    values = np.zeros((1, d), dtype=np.int64)
+    table = encode(np.zeros((1, d, d), dtype=np.int64))
+    for j in range(high, r):
+        values = ((values[:, None] + digits * rows[j]) % p).reshape(-1, d)
+        table = add(table[:, None], encode(digits[:, :, None] * lmul[j] % p))
+        table = table.reshape(-1, *table.shape[2:])
+    for h in np.ndindex(*[p] * high):
+        h = np.array(h, dtype=np.int64)
         # v is a unit iff its left multiplication L is invertible, and then
         # L x = 1 gives x = v^-1
-        is_unit, inv = gfp.batch_solve(
-            np.tensordot(coeffs, lmul, axes=1), a.unit[:, None], p)
-        yield np.mod(coeffs[is_unit] @ rows, p), inv[is_unit, :, 0]
+        offset = encode(np.tensordot(h, lmul[:high], axes=1) % p)
+        is_unit, inv = solve(add(table, offset), a.unit[:, None])
+        yield (h @ rows[:high] + values[is_unit]) % p, inv[is_unit, :, 0]
 
 
 def iter_units(a: Algebra, cap: int = EXHAUSTIVE_CAP):

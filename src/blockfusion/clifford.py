@@ -633,10 +633,14 @@ def diagonal_tensor_check(ext1: BlockExtension, data1: PointedGroupData,
         fbar1.graded, [f1.pairs.index(c) for c in common], ktable)
     rest2, _ = graded_restrict(
         fbar2.graded, [f2.pairs.index(second[c]) for c in common], ktable)
+    # component k of the tensor is rest1's component k tensored with rest2's
+    tensor_dim = sum(x * y for x, y in zip(rest1.component_dims(),
+                                          rest2.component_dims()))
+    if max(tensor_dim, restdd.alg.dim) > dim_cap:
+        raise Inconclusive(f"tensor comparison of dimension {tensor_dim} "
+                           f"exceeds the dimension cap {dim_cap}")
     tensor = graded_tensor_diagonal(
         rest1, rest2, [(k, k) for k in range(len(common))], ktable)
-    if max(tensor.alg.dim, restdd.alg.dim) > dim_cap:
-        raise Inconclusive("tensor comparison exceeds the dimension cap")
     iso = graded_iso_search(restdd, tensor)
     report = {
         "common_pairs": len(common),

@@ -150,6 +150,11 @@ def inverse(a, p: int) -> np.ndarray:
     return x
 
 
+# Over GF(2) a row of [L | rhs] packs into one 64-bit word while L and rhs
+# each have at most this many columns.
+PACKED_WIDTH = 32
+
+
 def batch_solve(stack, rhs, p: int):
     """Solve L x = rhs for every L of a stack of square matrices (n, d, d).
 
@@ -157,10 +162,10 @@ def batch_solve(stack, rhs, p: int):
     gives the inverses.  Returns (is_unit, x): a bool mask of shape (n,),
     true where L is invertible, and the int64 solutions of shape (n, d, k),
     zero where L is singular.
-    For p = 2 with d <= 32 and k <= 32 each row of [L | rhs] is packed into
-    one 64-bit word and eliminated with XOR (the M4RI idea of Albrecht, Bard
-    and Hart, ACM TOMS 2010); otherwise elimination runs on int64 entries
-    mod p, exact while p^2 < 2^63.
+    For p = 2 with d, k <= PACKED_WIDTH the stack goes through pack_gf2
+    into solve_packed_gf2, which eliminates with XOR on 64-bit words (the
+    M4RI idea of Albrecht, Bard and Hart, ACM TOMS 2010); otherwise
+    elimination runs on int64 entries mod p, exact while p^2 < 2^63.
     """
     if p * p >= 2**63:
         raise ValueError(f"p = {p} is too large for int64 elimination")
@@ -170,22 +175,42 @@ def batch_solve(stack, rhs, p: int):
     rhs = np.mod(np.asarray(rhs, dtype=np.int64), p)
     if rhs.ndim != 2 or rhs.shape[0] != m.shape[1]:
         raise ValueError("rhs must have shape (d, k)")
-    if p == 2 and max(rhs.shape) <= 32:
-        is_unit, x = _batch_solve_gf2(m, rhs)
-    else:
-        is_unit, x = _batch_solve_modp(m, rhs, p)
-    x[~is_unit] = 0
-    return is_unit, x
+    if p == 2 and max(rhs.shape) <= PACKED_WIDTH:
+        return _batch_solve_gf2(m, rhs)
+    return _batch_solve_modp(m, rhs, p)
+
+
+def pack_gf2(bits) -> np.ndarray:
+    """Pack the last axis of a 0/1 array into int64 words, entry c as bit c.
+
+    A stack of matrices (n, d, d) becomes its packed rows (n, d).  Over
+    GF(2) the packed form of a sum is the XOR of the packed summands.
+    """
+    bits = np.asarray(bits, dtype=np.int64)
+    return bits @ (1 << np.arange(bits.shape[-1], dtype=np.int64))
 
 
 def _batch_solve_gf2(m, rhs):
-    n, d, _ = m.shape
+    return solve_packed_gf2(pack_gf2(m), rhs)
+
+
+def solve_packed_gf2(rows, rhs):
+    """batch_solve over GF(2) for a stack given by its packed rows.
+
+    rows has shape (n, d), row j of the n-th matrix L packed by pack_gf2,
+    and rhs has shape (d, k), both d and k at most PACKED_WIDTH.  Returns
+    (is_unit, x) as batch_solve(L, rhs, 2) does.
+    """
+    rows = np.asarray(rows, dtype=np.int64)
+    rhs = np.asarray(rhs, dtype=np.int64) & 1
+    n, d = rows.shape
     k = rhs.shape[1]
+    if max(d, k) > PACKED_WIDTH or rhs.shape[0] != d:
+        raise ValueError(f"cannot pack a {d} x {d} system with {k} right-hand sides")
     at = np.arange(n)
     # row j of [L | rhs] as one 64-bit word: bit c holds L[j, c] and bit
     # 32 + c holds rhs[j, c]; int64 arithmetic is exact on these bits
-    rows = m @ (1 << np.arange(d, dtype=np.int64))
-    rows |= rhs @ (1 << np.arange(32, 32 + k, dtype=np.int64))
+    rows = rows | pack_gf2(rhs) << PACKED_WIDTH
     for c in range(d):
         has = (rows & (1 << c)) != 0
         # without bit c, row c takes in the first row below that has it
@@ -194,8 +219,10 @@ def _batch_solve_gf2(m, rhs):
         has[:, c] = False
         rows ^= np.where(has, rows[:, c, None], 0)
     # invertible iff the left half reduced to the identity
-    is_unit = ((rows & (2**32 - 1)) == 1 << np.arange(d)).all(axis=1)
-    return is_unit, rows[:, :, None] >> np.arange(32, 32 + k) & 1
+    is_unit = ((rows & (2**PACKED_WIDTH - 1)) == 1 << np.arange(d)).all(axis=1)
+    x = rows[:, :, None] >> np.arange(PACKED_WIDTH, PACKED_WIDTH + k) & 1
+    x[~is_unit] = 0
+    return is_unit, x
 
 
 def _batch_solve_modp(m, rhs, p: int):
@@ -216,7 +243,9 @@ def _batch_solve_modp(m, rhs, p: int):
         aug -= np.where(has, aug[:, :, c], 0)[:, :, None] * aug[:, c, None, :]
         aug %= p
     is_unit = (aug[:, :, :d] == np.eye(d, dtype=np.int64)).all(axis=(1, 2))
-    return is_unit, aug[:, :, d:]
+    x = aug[:, :, d:]
+    x[~is_unit] = 0
+    return is_unit, x
 
 
 def _inv_mod_array(x, p: int):

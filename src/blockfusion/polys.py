@@ -118,8 +118,8 @@ def squarefree_decomposition(f, p: int):
             w = y
             c = pdivmod(c, y, p)[0]
             i += 1
-        if degree(c) > 0:
-            work(c, base_mult * p)
+        if degree(c) > 0:  # what is left is a p-th power
+            work(_pth_root(c, p), base_mult * p)
 
     work(f, 1)
     return [(g, mult) for mult, g in sorted(out.items(), key=lambda kv: kv[0])]

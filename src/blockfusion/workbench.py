@@ -19,6 +19,7 @@ from . import algebra as al
 from . import blocks as bl
 from . import clifford as cl
 from . import fusion as fu
+from . import gfp
 from . import permgroups as pg
 
 SCHEMA_VERSION = 1
@@ -69,7 +70,11 @@ def scenario_from_dict(d: dict) -> Scenario:
     sel = d.get("P", "defect")
     if not (sel == "defect" or isinstance(sel, list)):
         raise ValueError("P selector must be generators or 'defect'")
-    return Scenario(name=d["name"], p=int(d["p"]), degree=int(d["degree"]),
+    p, degree = int(d["p"]), int(d["degree"])
+    gfp.FieldSpec(p)  # raises ValueError naming p
+    if degree < 1:
+        raise ValueError(f"degree must be at least 1, got {degree}")
+    return Scenario(name=d["name"], p=p, degree=degree,
                     gens_g=list(d["gens_G"]), gens_h=list(d["gens_H"]),
                     block=block, subgroup=sel, q=d.get("Q"))
 

@@ -227,6 +227,20 @@ def test_diagonal_subgroup_of_a_product_scenario(s3_chain):
     assert report["tensor_dims"] == report["diagonal_dims"]
 
 
+def test_diagonal_tensor_check_refuses_past_the_cap_before_building(
+        s3_chain, monkeypatch):
+    # the tensor's dimension is predicted from its factors' components, so
+    # a tensor above the cap is never built
+    def refuse(*args, **kwargs):
+        raise AssertionError("the tensor was built")
+
+    monkeypatch.setattr(cl, "graded_tensor_diagonal", refuse)
+    s3 = s3_chain[0]
+    ext, data, pt = s3_chain[4:7]
+    with pytest.raises(al.Inconclusive, match="exceeds the dimension cap 1"):
+        cl.diagonal_tensor_check(ext, data, pt, ext, data, pt, s3, s3, dim_cap=1)
+
+
 def test_graded_tensor_diagonal_matches_elementwise_products(s3_chain):
     # reference: e_a (x) e_b times e_c (x) e_d is the outer product of
     # e_a e_c and e_b e_d, read off at the basis positions (a', b')

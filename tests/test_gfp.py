@@ -189,6 +189,28 @@ def test_batch_solve_matches_scalar_solve(p):
     check()
 
 
+@BATCH_SETTINGS
+@given(stacks(2, st.integers(0, 32)), st.data())
+def test_packed_gf2_kernel_matches_batch_solve(m, data):
+    # also against the int64 elimination, which batch_solve does not take
+    # at these sizes
+    rhs = data.draw(hnp.arrays(np.int64, (m.shape[1], data.draw(st.integers(1, 32))),
+                               elements=st.integers(0, 1)))
+    is_unit, x = gfp.solve_packed_gf2(gfp.pack_gf2(m), rhs)
+    for want_unit, want_x in (gfp.batch_solve(m, rhs, 2),
+                              gfp._batch_solve_modp(m, rhs, 2)):
+        assert (is_unit == want_unit).all() and (x == want_x).all()
+
+
+def test_packed_gf2_kernel_refuses_past_the_word():
+    with pytest.raises(ValueError):
+        gfp.solve_packed_gf2(np.zeros((1, 33), dtype=np.int64),
+                             np.zeros((33, 1), dtype=np.int64))
+    with pytest.raises(ValueError):
+        gfp.solve_packed_gf2(np.zeros((1, 2), dtype=np.int64),
+                             np.zeros((2, 33), dtype=np.int64))
+
+
 @pytest.mark.parametrize("d, packed", [(1, True), (32, True), (33, False)])
 def test_batch_inverse_branch_at_p2(monkeypatch, d, packed):
     # over GF(2) the packed XOR branch inverts exactly when 2d <= 64

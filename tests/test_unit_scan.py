@@ -54,7 +54,33 @@ ALGEBRAS = {
     "M2 over GF(2)": matrix_algebra(2, 2),
     "M2 over GF(3)": matrix_algebra(2, 3),
     "M2 over GF(5)": matrix_algebra(2, 5),
+    # scans that cross both the low-digit table and the high digits
+    "C9 over GF(2)": cyclic_group_algebra(9, 2),  # 512 candidates, 2 chunks
+    "C6 over GF(3)": cyclic_group_algebra(6, 3),  # 729, 3 chunks of 243
+    "C5 over GF(5)": cyclic_group_algebra(5, 5),  # 3,125, 25 chunks of 125
 }
+
+
+def c33_span():
+    """kC33 over GF(2) with a 3-row span holding both units and non-units:
+    d = 33 is past gfp.PACKED_WIDTH, so its scan eliminates unpacked."""
+    rows = np.zeros((3, 33), dtype=np.int64)
+    rows[0, [0, 11]] = 1  # 1 + x^11 divides x^33 - 1, so it is a zero divisor
+    rows[1, [0, 1, 3]] = 1
+    rows[2, [2, 5, 30]] = 1
+    return cyclic_group_algebra(33, 2), rows
+
+
+SCANS = {name: (a, np.eye(a.dim, dtype=np.int64)) for name, a in ALGEBRAS.items()}
+SCANS["3-row span of C33 over GF(2)"] = c33_span()
+
+
+def chunk_count(p, r):
+    """p^(r - m) for the largest m <= r with p^m <= UNIT_SCAN_CHUNK."""
+    m = 0
+    while m < r and p ** (m + 1) <= alg.UNIT_SCAN_CHUNK:
+        m += 1
+    return p ** (r - m)
 
 
 @pytest.mark.parametrize("name", sorted(ALGEBRAS))
@@ -132,3 +158,21 @@ def test_unit_scan_yields_inverses():
     for units, invs in alg.unit_scan(a, np.eye(a.dim, dtype=np.int64)):
         for v, w in zip(units, invs):
             assert (a.mul(v, w) == a.unit).all() and (a.mul(w, v) == a.unit).all()
+
+
+@pytest.mark.parametrize("name", sorted(SCANS))
+def test_unit_scan_is_the_scalar_sequence_with_inverses(name):
+    a, rows = SCANS[name]
+    chunks = list(alg.unit_scan(a, rows))
+    assert len(chunks) == chunk_count(a.p, rows.shape[0])
+    got = [v for units, _ in chunks for v in units]
+    want = list(scalar_units(a, rows))
+    assert 0 < len(want) < a.p ** rows.shape[0] - 1
+    assert len(got) == len(want)
+    assert all((x == y).all() for x, y in zip(got, want))
+    for units, invs in chunks:
+        for v, w in zip(units, invs):
+            assert (a.mul(v, w) == a.unit).all() and (a.mul(w, v) == a.unit).all()
+    first = alg.find_unit_in_space(a, rows)
+    want_first = next(scalar_units(a, gfp.row_basis(rows, a.p)))
+    assert (first == want_first).all()

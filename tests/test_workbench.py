@@ -41,6 +41,27 @@ def test_missing_field_rejected():
         wb.scenario_from_dict(d)
 
 
+BAD_FIELDS = [("p", 4, "p must be a prime"), ("p", 1, "p must be a prime"),
+              ("p", 0, "p must be a prime"), ("degree", 0, "degree must be")]
+
+
+@pytest.mark.parametrize("key, value, message", BAD_FIELDS)
+def test_bad_field_rejected_at_ingestion(key, value, message):
+    d = wb.catalog()[0].to_dict()
+    d[key] = value
+    with pytest.raises(ValueError, match=message):
+        wb.scenario_from_dict(d)
+
+
+@pytest.mark.parametrize("side", ["left", "right"])
+@pytest.mark.parametrize("key, value, message", BAD_FIELDS)
+def test_bad_field_rejected_in_a_pair(side, key, value, message):
+    d = wb.morita_catalog()[0].to_dict()
+    d[side][key] = value
+    with pytest.raises(ValueError, match=message):
+        wb.morita_from_dict(d)
+
+
 def test_catalog_shape():
     cat = wb.catalog()
     assert len(cat) == 5
