@@ -1,9 +1,12 @@
 """Finite-dimensional associative unital algebras over GF(p).
 
-An Algebra is a basis plus structure constants.  The engine underneath
-radical / simple components is a meataxe: chop the regular module into
-composition factors, intersect their annihilators.  Idempotents are
-lifted through nilpotent ideals by p-power iteration, the move that is
+An Algebra is a basis plus structure constants.  The Jacobson radical
+comes from Ronyai's iterated trace ideals, deterministic linear algebra
+on integer lifts of the left-regular matrices that works only because
+the field is GF(p).  A meataxe (chop a module into Norton-certified
+composition factors) certifies that the quotient by that radical is
+semisimple, and serves the module-level tools.  Idempotents are lifted
+through nilpotent ideals by p-power iteration, the other move that is
 only available in characteristic p.
 """
 from __future__ import annotations
@@ -25,6 +28,16 @@ class MeataxeBudgetExceeded(RuntimeError):
 
 class Inconclusive(RuntimeError):
     """A bounded search ended without a verdict (distinct from 'absent')."""
+
+
+class VerificationError(AssertionError):
+    """A witness check failed; the message names the law that broke."""
+
+
+def verify(ok, msg: str) -> None:
+    """Raise VerificationError(msg) unless ok: a check that `python -O` keeps."""
+    if not ok:
+        raise VerificationError(msg)
 
 
 class Algebra:
@@ -122,6 +135,7 @@ class Algebra:
 
     # -- cached invariants --------------------------------------------------
     def radical_rows(self, seed: int = DEFAULT_SEED, verify: bool = True) -> np.ndarray:
+        """J(A) as RREF rows; `verify` certifies it (seed: its meataxe)."""
         if "radical" not in self._cache:
             self._cache["radical"] = _radical(self, seed, verify)
         return self._cache["radical"]
@@ -375,38 +389,87 @@ def annihilator_rows(mod: Module) -> np.ndarray:
     return gfp.row_basis(gfp.nullspace(flat, p).T, p)
 
 
-def _radical(a: Algebra, seed: int, verify: bool) -> np.ndarray:
-    """Jacobson radical: intersect annihilators of the regular module's
-    composition factors."""
-    if a.dim == 0:
-        return np.zeros((0, 0), dtype=np.int64)
-    factors = composition_factors(regular_module(a), seed)
+def _meataxe_radical(a: Algebra, seed: int) -> np.ndarray:
+    """Jacobson radical by the meataxe: intersect the annihilators of the
+    regular module's composition factors (RREF rows)."""
     rad = np.eye(a.dim, dtype=np.int64)
-    for f in factors:
+    for f in composition_factors(regular_module(a), seed):
         rad = gfp.intersect_rowspaces(rad, annihilator_rows(f), a.p)
-    if verify:
-        _verify_radical(a, rad, seed)
     return rad
 
 
+def _radical(a: Algebra, seed: int, check: bool) -> np.ndarray:
+    """Jacobson radical (RREF rows) by Ronyai's iterated trace ideals.
+
+    Over GF(p), with d = dim A and l = floor(log_p d), lift the left-regular
+    matrices to the integers and set I_-1 = A.  On I_{i-1} the map
+    g_i(x) = Tr(L(x)^(p^i)) / p^i mod p is linear, and
+    I_i = {x in I_{i-1} : g_i(x b) = 0 for every b in A} is an ideal;
+    J(A) = I_l (Ronyai, J. Symb. Comp. 1990; Cohen, Ivanyos and Wales,
+    JPAA 1997).  Each step raises the lifts of a basis of I_{i-1} to the
+    p^i-th power mod p^(i+1) in one stack, reads g_i on every product
+    r_t e_j through the coordinates of the products in that basis, and
+    takes one nullspace.  Entries stay below p^(l+1) <= p d, so the int64
+    products are exact while d (p d)^2 < 2^63; larger inputs are refused.
+    With `check`, _verify_radical certifies the result independently.
+    """
+    p, d = a.p, a.dim
+    if d == 0:
+        return np.zeros((0, 0), dtype=np.int64)
+    if d * (p * d) ** 2 >= 2**63:
+        raise ValueError(f"p = {p}, dim = {d} is too large for the int64 trace kernel")
+    lmats = a.sc.transpose(0, 2, 1)  # L(e_s)
+    eye = np.eye(d, dtype=np.int64)
+    ideal = eye
+    i = 0
+    while ideal.shape[0] and p**i <= d:
+        q = p ** (i + 1)
+        traces = np.trace(_power_mod(np.tensordot(ideal, lmats, axes=1) % q, p**i, q),
+                          axis1=1, axis2=2) % q
+        verify(not (traces % p**i).any(),
+               f"trace of a p^{i}-th power on I_{i - 1} is not divisible by p^{i}")
+        gamma = traces // p**i
+        # form[t, j] = g_i(r_t e_j), by linearity from g_i on the basis r_t
+        k = ideal.shape[0]
+        coords = gfp.coords_in_rows(ideal, a.mul(ideal[:, None], eye[None, :]).reshape(-1, d), p)
+        verify(coords is not None, f"trace ideal I_{i - 1} is not a right ideal")
+        form = (coords @ gamma % p).reshape(k, d)
+        ideal = gfp.row_basis(gfp.nullspace(form.T, p).T @ ideal % p, p)
+        i += 1
+    if check:
+        _verify_radical(a, ideal, seed)
+    return ideal
+
+
+def _power_mod(stack, n: int, q: int) -> np.ndarray:
+    """Each matrix of a stack to the n-th power mod q (n >= 1), by squaring."""
+    out = None
+    while True:
+        if n & 1:
+            out = stack if out is None else out @ stack % q
+        n >>= 1
+        if not n:
+            return out
+        stack = stack @ stack % q
+
+
 def _verify_radical(a: Algebra, rad: np.ndarray, seed: int) -> None:
+    """Certify J(A): an ideal, nilpotent, and A/J semisimple by a meataxe
+    that shares nothing with the trace kernel."""
     p = a.p
     eye = np.eye(a.dim, dtype=np.int64)
-    # two-sided ideal
     prods = np.vstack([a.mul(rad[:, None], eye[None, :]).reshape(-1, a.dim),
                        a.mul(eye[:, None], rad[None, :]).reshape(-1, a.dim)])
-    assert gfp.in_rowspace(rad, prods, p), "radical is not a two-sided ideal"
-    # nilpotent
+    verify(gfp.in_rowspace(rad, prods, p), "radical is not a two-sided ideal")
     power = rad
     for _ in range(a.dim + 1):
         if power.shape[0] == 0:
             break
         power = gfp.row_basis(a.mul(power[:, None], rad[None, :]).reshape(-1, a.dim), p)
-    assert power.shape[0] == 0, "radical is not nilpotent"
-    # semisimple quotient: its own radical must vanish
+    verify(power.shape[0] == 0, "radical is not nilpotent")
     q = quotient_algebra(a, rad)
-    qrad = _radical(q.alg, seed, verify=False)
-    assert qrad.shape[0] == 0, "quotient by radical is not semisimple"
+    verify(_meataxe_radical(q.alg, seed).shape[0] == 0,
+           "quotient by radical is not semisimple")
 
 
 # -- commutative tooling ------------------------------------------------------
@@ -462,15 +525,16 @@ def split_commutative_semisimple(z: Algebra):
                     piece = z.mul(piece, (scale * ((w - c2 * e) % p)) % p)
                 refined.append(piece % p)
         idems = [e for e in refined if e.any()]
-    assert len(idems) == target, "splitting did not reach the fixed-space dimension"
+    verify(len(idems) == target, "splitting did not reach the fixed-space dimension")
     total = np.zeros(z.dim, dtype=np.int64)
     for e in idems:
-        assert z.is_idempotent(e)
+        verify(z.is_idempotent(e), "a split piece is not idempotent")
         total = (total + e) % p
-    assert (total == z.unit).all()
+    verify((total == z.unit).all(), "split idempotents do not sum to the unit")
     for i in range(len(idems)):
         for j in range(i + 1, len(idems)):
-            assert not z.mul(idems[i], idems[j]).any()
+            verify(not z.mul(idems[i], idems[j]).any(),
+                   f"split idempotents {i} and {j} are not orthogonal")
     return idems
 
 
@@ -492,11 +556,11 @@ def lift_idempotent(a: Algebra, ebar, nil_rows=None) -> np.ndarray:
     else:
         raise ValueError("p-power iteration did not stabilize; ideal not nilpotent?")
     if nil_rows is not None and nil_rows.shape[0] >= 0:
-        assert gfp.in_rowspace(
+        verify(gfp.in_rowspace(
             np.vstack([nil_rows, np.zeros((1, a.dim), dtype=np.int64)]),
             (f - start) % a.p,
             a.p,
-        ), "lift moved the idempotent outside the coset mod N"
+        ), "lift moved the idempotent outside the coset mod N")
     return f
 
 
@@ -617,7 +681,9 @@ def _simple_components(a: Algebra, seed: int):
             np.array([s.mul(b, fbar) for b in np.eye(s.dim, dtype=np.int64)]), s.p
         )
         n = col_dim // end_deg
-        assert n * n * end_deg == ideal.shape[0], "component dimension bookkeeping"
+        verify(n * n * end_deg == ideal.shape[0],
+               f"simple component {k} has dimension {ideal.shape[0]}, "
+               f"not n^2 [F:k] = {n * n * end_deg}")
         comps.append(
             SimpleComponent(
                 index=k,
@@ -636,7 +702,8 @@ def primitive_idempotent_in(a: Algebra, comp: SimpleComponent, seed: int = DEFAU
     ssq = a.semisimple_quotient(seed)
     lift0 = ssq.lift(comp.primitive_bar)
     e = lift_idempotent(a, lift0, a.radical_rows(seed))
-    assert (ssq.project(e) == comp.primitive_bar % a.p).all()
+    verify((ssq.project(e) == comp.primitive_bar % a.p).all(),
+           "lifted idempotent does not project to the primitive idempotent")
     return e
 
 
@@ -697,7 +764,7 @@ def primitive_summands(a: Algebra, e, seed: int = DEFAULT_SEED):
     total = np.zeros(a.dim, dtype=np.int64)
     for f in out:
         total = (total + f) % a.p
-    assert (total == e).all()
+    verify((total == e).all(), "primitive summands do not sum to the idempotent")
     return out
 
 
@@ -846,8 +913,8 @@ def primitive_idempotents(z: SpanAlgebra, mul, unit) -> list:
     out.sort(key=lambda v: v.tolist())
     e = np.array(out, dtype=np.int64)
     prods = mul(e[:, None], e[None, :])
-    if (prods != e[:, None] * np.eye(len(out), dtype=np.int64)[:, :, None]).any():
-        raise AssertionError("idempotents are not idempotent and pairwise orthogonal")
-    if (e.sum(axis=0) % p != np.mod(unit, p)).any():
-        raise AssertionError("idempotents do not sum to the unit")
+    verify((prods == e[:, None] * np.eye(len(out), dtype=np.int64)[:, :, None]).all(),
+           "idempotents are not idempotent and pairwise orthogonal")
+    verify((e.sum(axis=0) % p == np.mod(unit, p)).all(),
+           "idempotents do not sum to the unit")
     return out

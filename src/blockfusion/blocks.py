@@ -21,6 +21,7 @@ from .algebra import (
     primitive_summands,
     same_point,
     span_algebra,
+    verify,
 )
 from .permgroups import PermGroup, pconj, pinv, pmul
 
@@ -158,7 +159,8 @@ def invariant_blocks(kg: GroupAlgebra, sub: PermGroup):
         for i in orbit:
             total = (total + blist[i]) % kg.p
         for s in kg.grp.elements:
-            assert (kg.conj_vec(s, total) == total).all()
+            verify((kg.conj_vec(s, total) == total).all(),
+                   "a G-orbit sum of blocks is not G-invariant")
         out.append(total)
         remaining = [i for i in remaining if i not in orbit]
     out.sort(key=lambda v: v.tolist())
@@ -202,10 +204,10 @@ def block_extension(kg: GroupAlgebra, sub: PermGroup, b) -> BlockExtension:
     p = kg.p
     b = np.mod(np.asarray(b, dtype=np.int64).ravel(), p)
     for s in kg.grp.generators:
-        assert (kg.conj_vec(s, b) == b).all(), "idempotent is not G-invariant"
+        verify((kg.conj_vec(s, b) == b).all(), "idempotent is not G-invariant")
     for h in sub.elements:
         hv = kg.vec_of(h)
-        assert (kg.mul(hv, b) == kg.mul(b, hv)).all(), "idempotent not central in kH"
+        verify((kg.mul(hv, b) == kg.mul(b, hv)).all(), "idempotent not central in kH")
     quot = permgroups.quotient(kg.grp, sub)
     row_chunks = []
     degs = []
@@ -218,7 +220,7 @@ def block_extension(kg: GroupAlgebra, sub: PermGroup, b) -> BlockExtension:
         row_chunks.append(chunk)
         degs.extend([d] * chunk.shape[0])
         dims.append(chunk.shape[0])
-    assert len(set(dims)) == 1, "graded components have unequal dimensions"
+    verify(len(set(dims)) == 1, "graded components have unequal dimensions")
     ext = BlockExtension(
         kg=kg,
         sub=sub,
@@ -237,8 +239,10 @@ def _verify_crossed(ext: BlockExtension) -> None:
     for d, rep in enumerate(ext.quot.reps):
         u = kg.mul(kg.vec_of(rep), ext.b)
         uinv = kg.mul(kg.vec_of(pinv(rep)), ext.b)
-        assert (kg.mul(u, uinv) == ext.b).all() and (kg.mul(uinv, u) == ext.b).all()
-        assert gfp.in_rowspace(ext.component_rows(d), u, p)
+        verify((kg.mul(u, uinv) == ext.b).all() and (kg.mul(uinv, u) == ext.b).all(),
+               f"g b times g^-1 b is not b for the representative g of component {d}")
+        verify(gfp.in_rowspace(ext.component_rows(d), u, p),
+               f"g b lies outside component {d}, g its representative")
 
 
 # -- fixed points, traces, and the Brauer map ---------------------------------
@@ -252,7 +256,7 @@ def orbit_sums(kg: GroupAlgebra, sub: PermGroup, P: PermGroup) -> np.ndarray:
         if h in seen:
             continue
         orbit = {pconj(u, h) for u in P.elements}
-        assert orbit <= set(sub.elements), "P does not normalize the subgroup"
+        verify(orbit <= set(sub.elements), "P does not normalize the subgroup")
         seen |= orbit
         rows.append(kg.sum_over(orbit))
     return gfp.row_basis(np.array(rows), kg.p)
@@ -267,7 +271,7 @@ def fixed_subalgebra(kg: GroupAlgebra, sub: PermGroup, b, P: PermGroup) -> SpanA
 
 def relative_trace(kg: GroupAlgebra, P: PermGroup, Q: PermGroup, x) -> np.ndarray:
     """tr^P_Q(x) = sum over u in [P/Q] of u x u^(-1)."""
-    assert Q.is_subgroup_of(P)
+    verify(Q.is_subgroup_of(P), "relative trace from a group that is not a subgroup")
     qset = Q.element_set()
     reps = []
     seen = set()
@@ -307,7 +311,7 @@ def brauer(kg: GroupAlgebra, sub: PermGroup, b, P: PermGroup) -> BrauerData:
     if brb.any():
         rows = np.array([kg.mul(kg.vec_of(g), brb) for g in c.elements])
         target = kg.span(rows, brb)
-        assert (kg.mul(brb, brb) == brb).all()
+        verify((kg.mul(brb, brb) == brb).all(), "Br_P(b) is not idempotent")
     return BrauerData(kg=kg, centralizer=c, mask=mask, brb=brb, target=target)
 
 
@@ -318,7 +322,7 @@ def verify_brauer_hom(kg, sub, b, P, br: BrauerData) -> None:
         for y in bp.rows:
             lhs = br.apply(kg.mul(x, y))
             rhs = kg.mul(br.apply(x), br.apply(y))
-            assert (lhs == rhs).all(), "Brauer map is not multiplicative"
+            verify((lhs == rhs).all(), "Brauer map is not multiplicative")
     if P.order == 1:
         return
     maximals = [
@@ -332,7 +336,7 @@ def verify_brauer_hom(kg, sub, b, P, br: BrauerData) -> None:
         bq = fixed_subalgebra(kg, sub, b, q)
         for x in bq.rows:
             tr = relative_trace(kg, P, q, x)
-            assert not br.apply(tr).any(), "Brauer map misses a relative trace"
+            verify(not br.apply(tr).any(), "Brauer map misses a relative trace")
 
 
 # -- points and pointed groups -------------------------------------------------
@@ -459,7 +463,7 @@ class LocalBlockData:
 
 def local_block_data(kg: GroupAlgebra, sub: PermGroup, b,
                      data: PointedGroupData, pt: Point) -> LocalBlockData:
-    assert pt.local, "only local points determine a block of B(P)"
+    verify(pt.local, "only local points determine a block of B(P)")
     br = data.br
     c = br.centralizer
     bri = br.apply(pt.idem)
@@ -468,7 +472,7 @@ def local_block_data(kg: GroupAlgebra, sub: PermGroup, b,
         blk = kg.mul(blk, br.brb)
         if blk.any() and kg.mul(blk, bri).any():
             cands.append(blk)
-    assert len(cands) == 1, "Br(i) must land in a single block of B(P)"
+    verify(len(cands) == 1, "Br(i) must land in a single block of B(P)")
     b_gamma = cands[0]
     rows = np.array([kg.mul(kg.vec_of(g), b_gamma) for g in c.elements])
     span = kg.span(rows, b_gamma)
@@ -480,7 +484,7 @@ def local_block_data(kg: GroupAlgebra, sub: PermGroup, b,
     xbar = ssq.project(span.coords(kg.mul(bri, b_gamma)))
     hits = [cp for cp in comps
             if ssq.alg.mul(cp.central_idempotent, xbar).any()]
-    assert len(hits) == 1, "Br(i) must hit a single simple component"
+    verify(len(hits) == 1, "Br(i) must hit a single simple component")
     chunks = [rad_inner] if rad_inner.shape[0] else []
     for cp in comps:
         if cp.index == hits[0].index:

@@ -74,9 +74,26 @@ def scenario_from_dict(d: dict) -> Scenario:
     gfp.FieldSpec(p)  # raises ValueError naming p
     if degree < 1:
         raise ValueError(f"degree must be at least 1, got {degree}")
+    for key, gens in (("gens_G", d["gens_G"]), ("gens_H", d["gens_H"]),
+                      ("P", [] if sel == "defect" else sel), ("Q", d.get("Q") or [])):
+        _check_generators(key, gens, degree)
     return Scenario(name=d["name"], p=p, degree=degree,
                     gens_g=list(d["gens_G"]), gens_h=list(d["gens_H"]),
                     block=block, subgroup=sel, q=d.get("Q"))
+
+
+def _check_generators(key: str, gens, degree: int) -> None:
+    """Parse each generator of one field at the stated degree; a bad one
+    raises ValueError naming the field."""
+    if not isinstance(gens, list):
+        raise ValueError(f"{key} must be a list of cycle strings")
+    for g in gens:
+        if not isinstance(g, str):
+            raise ValueError(f"{key}: generator {g!r} is not a cycle string")
+        try:
+            pg.parse_cycles(g, degree)
+        except ValueError as ex:
+            raise ValueError(f"{key}: {ex}") from None
 
 
 @dataclass
@@ -315,12 +332,6 @@ STAGE_OF_COMMAND = {
 }
 
 
-def _require(ok, msg: str) -> None:
-    """A check that `python -O` keeps."""
-    if not ok:
-        raise AssertionError(msg)
-
-
 def _run_stages(report: Report, names, witnesses) -> Report:
     """Record one check per stage name.  `witnesses` is a generator that
     does the work of each stage in turn and then yields its witness.  A
@@ -368,14 +379,14 @@ def _scenario_stages(pipe: Pipeline, inv: dict):
     r = pipe.resolved()
     kg, bs = r.kg, np.array(r.all_blocks)
     diag = np.eye(len(bs), dtype=np.int64)[:, :, None]
-    _require((kg.mul(bs[:, None], bs) == diag * bs[:, None]).all(),
-             "the blocks are not orthogonal idempotents")
+    al.verify((kg.mul(bs[:, None], bs) == diag * bs[:, None]).all(),
+              "the blocks are not orthogonal idempotents")
     # commuting with the generators of H is commuting with kH
     hv = np.array([kg.vec_of(h) for h in r.h.generators])[:, None]
-    _require((kg.mul(hv, bs) == kg.mul(bs, hv)).all(),
-             "a block idempotent is not central in kH")
-    _require((bs.sum(axis=0) % kg.p == kg.unit).all(),
-             "the block idempotents do not sum to 1")
+    al.verify((kg.mul(hv, bs) == kg.mul(bs, hv)).all(),
+              "a block idempotent is not central in kH")
+    al.verify((bs.sum(axis=0) % kg.p == kg.unit).all(),
+              "the block idempotents do not sum to 1")
     dims = sorted(bl.block_ideal_dim(kg, r.h, x) for x in r.all_blocks)
     inv.update(block_dims=dims, n_blocks=len(bs),
                n_invariant_blocks=len(r.invariant))
@@ -412,14 +423,14 @@ def _scenario_stages(pipe: Pipeline, inv: dict):
 
     re, rf = cl.residual(ecd), pipe.residual_f(at)
     gm = [fcd.pairs.index(theta.pair_of_rep[rep]) for rep in e_data.quot.reps]
-    _require(cl.residuals_match(re, rf, group_map=gm),
-             "residual extensions are not equivalent")
+    al.verify(cl.residuals_match(re, rf, group_map=gm),
+              "residual extensions are not equivalent")
     inv["residual_dim"] = int(re.graded.alg.dim)
     yield {"degree_map": gm,
            "residual_dims": [int(re.graded.alg.dim), int(rf.graded.alg.dim)]}
 
     lbd = pipe.local_block(at)
-    _require(cl.residuals_match(
+    al.verify(cl.residuals_match(
         re, cl.local_residual(ext, data, pt, e_data, lbd)),
         "residual does not match the local construction")
     yield {"local_block_dim": int(lbd.block_span.alg.dim),
@@ -465,12 +476,12 @@ def _pair_stages(ms: MoritaScenario, left: Pipeline, right: Pipeline,
     else:
         perm = pg.parse_cycles(ms.identification, ms.left.degree)
     rl, rr = left.resolved(), right.resolved()
-    _require(sorted(_relabeled(perm, rl.g.elements)) == sorted(rr.g.elements),
-             "identification does not map G onto G'")
-    _require(sorted(_relabeled(perm, rl.h.elements)) == sorted(rr.h.elements),
-             "identification does not map H onto H'")
-    _require((_transport_vec(rl.kg, rr.kg, perm, rl.b) == rr.b).all(),
-             "identification does not carry b to b'")
+    al.verify(sorted(_relabeled(perm, rl.g.elements)) == sorted(rr.g.elements),
+              "identification does not map G onto G'")
+    al.verify(sorted(_relabeled(perm, rl.h.elements)) == sorted(rr.h.elements),
+              "identification does not map H onto H'")
+    al.verify((_transport_vec(rl.kg, rr.kg, perm, rl.b) == rr.b).all(),
+              "identification does not carry b to b'")
     # the pointed subgroup on the left; its image on the right lists the
     # relabeled elements in the left's order
     at_l = left.pointed(at_q=True)
@@ -480,39 +491,39 @@ def _pair_stages(ms: MoritaScenario, left: Pipeline, right: Pipeline,
     it = _transport_vec(rl.kg, rr.kg, perm, at_l[1].idem)
     matches = [x for x in data_r.points if al.same_point(
         data_r.span.alg, data_r.span.coords(it), data_r.span.coords(x.idem))]
-    _require(len(matches) == 1,
-             "identification does not map the point to a point")
-    _require(matches[0].local, "transported point is not local")
+    al.verify(len(matches) == 1,
+              "identification does not map the point to a point")
+    al.verify(matches[0].local, "transported point is not local")
     at_r = (data_r, matches[0])
     yield {"relabeling": list(perm), "Q_order": int(q.order)}
 
     fg_l, fg_r = left.fusion(at_l)[2], right.fusion(at_r)[2]
-    _require(fg_l.order == fg_r.order, "fusion groups differ in order")
+    al.verify(fg_l.order == fg_r.order, "fusion groups differ in order")
     # transport each pair (phi, gbar) through the relabeling; phi, a
     # permutation of positions in the element list, stays as it is
     quot_l, quot_r = rl.ext.quot, rr.ext.quot
     pair_map = [fg_r.pairs.index(
         (phi, quot_r.omega_of(pg.pconj(perm, quot_l.reps[gbar]))))
         for phi, gbar in fg_l.pairs]
-    _require(sorted(pair_map) == list(range(fg_r.order)),
-             "the pair map is not a bijection of F onto F'")
+    al.verify(sorted(pair_map) == list(range(fg_r.order)),
+              "the pair map is not a bijection of F onto F'")
     pm = np.array(pair_map)
-    _require((pm[fg_l.table.table] ==
-              fg_r.table.table[np.ix_(pm, pm)]).all(),
-             "the pair map does not respect the multiplication tables")
+    al.verify((pm[fg_l.table.table] ==
+               fg_r.table.table[np.ix_(pm, pm)]).all(),
+              "the pair map does not respect the multiplication tables")
     inv["|F|"] = int(fg_l.order)
     yield {"|F|": int(fg_l.order), "pair_map": pair_map}
 
     rf_l, rf_r = left.residual_f(at_l), right.residual_f(at_r)
-    _require(cl.residuals_match(rf_l, rf_r, group_map=pair_map),
-             "residual extensions are not equivalent")
+    al.verify(cl.residuals_match(rf_l, rf_r, group_map=pair_map),
+              "residual extensions are not equivalent")
     yield {"residual_dims": [int(rf_l.graded.alg.dim),
                              int(rf_r.graded.alg.dim)]}
 
     dims = [[int((lext.degrees == d).sum()) for d in range(lext.quot.order)]
             for lext in (left.local_extension(at_l),
                          right.local_extension(at_r))]
-    _require(dims[0] == dims[1], "graded local algebras differ in dimension")
+    al.verify(dims[0] == dims[1], "graded local algebras differ in dimension")
     inv["local_degree_dims"] = dims[0]
     yield {"per_degree_dims": dims[0]}
 

@@ -518,3 +518,175 @@ def test_submodule_restrict_matches_per_matrix_solves_and_refuses():
     # two group elements span no left ideal of kS3
     with pytest.raises(ValueError, match="do not span a submodule"):
         alg.submodule_restrict(reg, np.eye(6, dtype=np.int64)[:2])
+
+
+# -- the trace-ideal radical against the meataxe and brute force ---------------
+
+RADICAL_GROUPS = {
+    "S3": (small_group(3, "(0 1)", "(0 1 2)"), (2, 3)),
+    "A4": (small_group(4, "(0 1 2)", "(1 2 3)"), (2, 3)),
+    "D8": (small_group(4, "(0 1 2 3)", "(0 2)"), (2,)),
+    "S4": (small_group(4, "(0 1)", "(0 1 2 3)"), (2, 3)),
+    "C9": (small_group(9, "(0 1 2 3 4 5 6 7 8)"), (3,)),
+    "D10": (small_group(5, "(0 1 2 3 4)", "(1 4)(2 3)"), (2, 5)),
+    "C7": (small_group(7, "(0 1 2 3 4 5 6)"), (7,)),
+    "S3xC3": (small_group(6, "(0 1)", "(0 1 2)", "(3 4 5)"), (3,)),
+}
+RADICAL_SETTINGS = settings(max_examples=25, deadline=None)
+
+
+def meataxe_oracle(a):
+    return alg._meataxe_radical(a, alg.DEFAULT_SEED)
+
+
+@pytest.mark.parametrize("name, p", [(name, p) for name, (_, ps) in RADICAL_GROUPS.items()
+                                     for p in ps])
+def test_radical_matches_meataxe_on_group_algebras(name, p):
+    a = bl.GroupAlgebra(RADICAL_GROUPS[name][0], p).algebra()
+    assert np.array_equal(a.radical_rows(), meataxe_oracle(a))
+
+
+def matrix_subalgebra(gens, n, p):
+    """The subalgebra of M_n(GF(p)) generated by 1 and `gens` (n x n arrays),
+    on the RREF basis of its span, each element flattened to n^2 entries."""
+    def mul(x, y):
+        shape = np.broadcast_shapes(x.shape, y.shape)[:-1]
+        return (x.reshape(x.shape[:-1] + (n, n)) @ y.reshape(y.shape[:-1] + (n, n))
+                % p).reshape(shape + (n * n,))
+
+    eye = np.eye(n, dtype=np.int64).ravel()
+    span = gfp.row_basis(np.vstack([eye] + [np.asarray(g).ravel() for g in gens]), p)
+    while True:
+        prods = mul(span[:, None], span[None, :]).reshape(-1, n * n)
+        grown = gfp.row_basis(np.vstack([span, prods]), p)
+        if grown.shape[0] == span.shape[0]:
+            break
+        span = grown
+    sc = alg.structure_constants(span, span, span, mul, p)
+    return alg.Algebra(p, sc, gfp.coords_in_rows(span, eye, p).ravel())
+
+
+@st.composite
+def matrix_subalgebras(draw, max_size=None):
+    """A subalgebra of M_n(GF(p)), n <= 3, generated by one or two random
+    block upper-triangular matrices, so that its radical is often nonzero."""
+    p = draw(st.sampled_from([2, 3, 5, 7]))
+    n = draw(st.integers(1, 3))
+    cuts = sorted(draw(st.sets(st.integers(1, n - 1))) if n > 1 else set())
+    block = np.searchsorted(cuts, np.arange(n), side="right")
+    mask = block[:, None] <= block[None, :]
+    gens = [draw(hnp.arrays(np.int64, (n, n), elements=st.integers(0, p - 1))) * mask
+            for _ in range(draw(st.integers(1, 2)))]
+    return matrix_subalgebra(gens, n, p)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+@pytest.mark.parametrize("n", [2, 3])
+def test_radical_of_upper_triangular_matrices_is_strictly_upper(p, n):
+    units = np.eye(n * n, dtype=np.int64).reshape(-1, n, n)
+    a = matrix_subalgebra([e for e in units if not np.tril(e, -1).any()], n, p)
+    assert a.dim == n * (n + 1) // 2
+    rad = a.radical_rows()
+    assert np.array_equal(rad, meataxe_oracle(a))
+    assert rad.shape[0] == n * (n - 1) // 2
+
+
+@RADICAL_SETTINGS
+@given(matrix_subalgebras())
+def test_radical_matches_meataxe_on_matrix_subalgebras(a):
+    assert np.array_equal(a.radical_rows(), meataxe_oracle(a))
+
+
+def brute_radical(a):
+    """J(A) by enumeration of A x A: the x for which a x is nilpotent for
+    every a.  J(A) is the largest nilpotent ideal, and for a
+    finite-dimensional algebra it is exactly this set."""
+    p, d = a.p, a.dim
+    elems = np.array(list(np.ndindex(*[p] * d)), dtype=np.int64).reshape(p**d, d)
+    prods = a.mul(elems[:, None], elems[None, :])  # [s, t] = elems[s] elems[t]
+    power = prods
+    for _ in range(d - 1):
+        power = a.mul(power, prods)
+    members = elems[~power.any(axis=-1).any(axis=0)]
+    rows = gfp.row_basis(members, p)
+    assert len(members) == p ** rows.shape[0]  # a subspace
+    return rows
+
+
+SMALL_GROUP_ALGEBRAS = [(small_group(n, "(" + " ".join(map(str, range(n))) + ")"), 2)
+                        for n in range(2, 7)] + [
+    (small_group(3, "(0 1)", "(0 1 2)"), 2), (small_group(3, "(0 1 2)"), 3),
+    (small_group(2, "(0 1)"), 3), (small_group(2, "(0 1)"), 5), (small_group(2, "(0 1)"), 7)]
+
+
+@pytest.mark.parametrize("grp, p", SMALL_GROUP_ALGEBRAS)
+def test_radical_matches_brute_force_on_small_group_algebras(grp, p):
+    a = bl.GroupAlgebra(grp, p).algebra()
+    assert p ** a.dim <= 64
+    assert np.array_equal(a.radical_rows(), brute_radical(a))
+
+
+@RADICAL_SETTINGS
+@given(matrix_subalgebras())
+def test_radical_matches_brute_force_on_matrix_subalgebras(a):
+    assume(a.p ** a.dim <= 64)
+    assert np.array_equal(a.radical_rows(), brute_radical(a))
+
+
+@pytest.mark.parametrize("name, p", [("S4", 2), ("A4", 3), ("S3xC3", 3)])
+def test_radical_does_not_depend_on_the_seed(name, p):
+    grp = RADICAL_GROUPS[name][0]
+    rads = [bl.GroupAlgebra(grp, p).algebra().radical_rows(seed) for seed in (0, 1, 7)]
+    assert all(np.array_equal(r, rads[0]) for r in rads)
+
+
+def test_radical_refuses_int64_overflow():
+    # d (p d)^2 >= 2^63: the lifted products would not be exact
+    a = cyclic_group_algebra(2, 3037000493)
+    with pytest.raises(ValueError, match="too large"):
+        a.radical_rows()
+
+
+def wrong_radicals():
+    """(algebra, rows, law) triples: a wrong radical and the law it breaks."""
+    s3 = bl.GroupAlgebra(RADICAL_GROUPS["S3"][0], 3).algebra()
+    c3 = cyclic_group_algebra(3, 3)  # local, so J + k1 is all of it
+    out = []
+    for a in (s3, c3):
+        j = a.radical_rows()
+        j2 = gfp.row_basis(a.mul(j[:, None], j[None, :]).reshape(-1, a.dim), 3)
+        out += [(a, j[:-1], "two-sided ideal"),
+                (a, gfp.row_basis(np.vstack([j, a.unit]), 3),
+                 "two-sided ideal" if a is s3 else "nilpotent"),
+                (a, j2, "semisimple")]
+    return out
+
+
+@pytest.mark.parametrize("k", range(6))
+def test_verify_radical_names_the_broken_law(k):
+    a, rows, law = wrong_radicals()[k]
+    with pytest.raises(alg.VerificationError, match=law):
+        alg._verify_radical(a, rows, alg.DEFAULT_SEED)
+
+
+def test_verify_radical_survives_python_O():
+    script = textwrap.dedent("""
+        import sys
+        sys.path.insert(0, sys.argv[1])
+        import test_algebra as t
+        from blockfusion import algebra as alg
+        print("optimize", sys.flags.optimize)
+        for a, rows, law in t.wrong_radicals():
+            try:
+                alg._verify_radical(a, rows, alg.DEFAULT_SEED)
+                print("passed")
+            except alg.VerificationError as exc:
+                print(law in str(exc))
+    """)
+    src = os.path.dirname(os.path.dirname(alg.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run([sys.executable, "-O", "-c", script, os.path.dirname(__file__)],
+                          env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["optimize 1"] + ["True"] * 6

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -222,3 +224,86 @@ def test_batch_inverse_branch_at_p2(monkeypatch, d, packed):
     is_unit, inv = gfp.batch_solve(eye[None], eye, 2)
     assert is_unit.all() and (inv[0] == np.eye(d)).all()
     assert bool(calls) == packed
+
+
+# -- the scalar routines against enumeration of GF(p)^n, p in {2, 3}, n <= 3 ---
+
+
+BRUTE_SETTINGS = settings(max_examples=60, deadline=None)
+
+
+@st.composite
+def small_systems(draw):
+    """(p, a): a matrix over GF(p) with at most 3 rows and 1 to 3 columns."""
+    p = draw(st.sampled_from([2, 3]))
+    shape = (draw(st.integers(0, 3)), draw(st.integers(1, 3)))
+    return p, draw(hnp.arrays(np.int64, shape, elements=st.integers(0, p - 1)))
+
+
+def grid(p, n):
+    """Every vector of GF(p)^n, one per row."""
+    return np.array(list(itertools.product(range(p), repeat=n)),
+                    dtype=np.int64).reshape(p**n, n)
+
+
+def span_set(rows, p, n):
+    """The row span, enumerated: every combination of the rows."""
+    rows = np.asarray(rows, dtype=np.int64).reshape(-1, n)
+    return {tuple(v) for v in grid(p, rows.shape[0]) @ rows % p}
+
+
+def assert_independent(rows, p, n):
+    assert len(span_set(rows, p, n)) == p ** len(rows)
+
+
+@BRUTE_SETTINGS
+@given(small_systems())
+def test_rref_is_reduced_and_spans_the_rows(system):
+    p, a = system
+    n = a.shape[1]
+    r, pivots = gfp.rref(a, p)
+    assert r.shape == a.shape
+    assert span_set(r, p, n) == span_set(a, p, n)
+    assert list(pivots) == sorted(pivots)
+    k = len(pivots)
+    assert not r[k:].any()
+    for row, c in enumerate(pivots):
+        assert not r[row, :c].any() and r[row, c] == 1
+        assert (r[:, c] == np.eye(len(r), dtype=np.int64)[row]).all()
+    assert k == len(gfp.row_basis(a, p)) == gfp.rank(a, p)
+
+
+@BRUTE_SETTINGS
+@given(small_systems())
+def test_row_basis_is_an_independent_spanning_set(system):
+    p, a = system
+    n = a.shape[1]
+    b = gfp.row_basis(a, p)
+    assert_independent(b, p, n)
+    assert span_set(b, p, n) == span_set(a, p, n)
+
+
+@BRUTE_SETTINGS
+@given(small_systems())
+def test_nullspace_is_every_solution_of_ax_0(system):
+    p, a = system
+    n = a.shape[1]
+    kernel = {tuple(x) for x in grid(p, n) if not (a @ x % p).any()}
+    basis = gfp.nullspace(a, p).T
+    assert_independent(basis, p, n)
+    assert span_set(basis, p, n) == kernel
+
+
+@BRUTE_SETTINGS
+@given(small_systems(), st.data())
+def test_solve_finds_a_solution_iff_one_exists(system, data):
+    p, a = system
+    m, n = a.shape
+    b = data.draw(hnp.arrays(np.int64, (m, 1), elements=st.integers(0, p - 1)))
+    solutions = [x for x in grid(p, n) if (a @ x % p == b[:, 0]).all()]
+    x = gfp.solve(a, b, p)
+    if not solutions:
+        assert x is None
+    else:
+        assert x is not None and x.shape == (n, 1)
+        assert (a @ x % p == b).all()

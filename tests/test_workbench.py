@@ -62,6 +62,44 @@ def test_bad_field_rejected_in_a_pair(side, key, value, message):
         wb.morita_from_dict(d)
 
 
+def _with_generator(d, key, gen):
+    """A copy of a scenario dict whose field `key` carries one more generator."""
+    d = dict(d)
+    gens = d.get(key)
+    d[key] = (gens if isinstance(gens, list) else []) + [gen]
+    return d
+
+
+# SC2 (S4 over A4) has degree 4 and an explicit P and Q; (0 5) names point 5
+BAD_GENERATORS = [(key, gen) for key in ("gens_G", "gens_H", "P", "Q")
+                  for gen in ("(0 5)", "(0 1)(1 2)", "0 1", 7)]
+
+
+@pytest.mark.parametrize("key, gen", BAD_GENERATORS)
+def test_bad_generator_rejected_at_ingestion(key, gen):
+    d = wb.catalog()[2].to_dict()
+    assert d["degree"] == 4 and isinstance(d["P"], list) and d["Q"]
+    with pytest.raises(ValueError, match=f"^{key}: "):
+        wb.scenario_from_dict(_with_generator(d, key, gen))
+
+
+def test_out_of_degree_generator_rejected_at_degree_three():
+    d = dict(wb.catalog()[1].to_dict(), gens_G=["(0 5)"])
+    assert d["degree"] == 3
+    with pytest.raises(ValueError, match="gens_G: point 5 out of range for degree 3"):
+        wb.scenario_from_dict(d)
+
+
+@pytest.mark.parametrize("side", ["left", "right"])
+@pytest.mark.parametrize("key", ["gens_G", "gens_H", "P", "Q"])
+def test_bad_generator_rejected_in_a_pair(side, key):
+    d = next(m for m in wb.morita_catalog()
+             if m.name == "SC2-S4-over-A4-identity").to_dict()
+    d[side] = _with_generator(d[side], key, "(0 5)")
+    with pytest.raises(ValueError, match=f"^{key}: point 5 out of range"):
+        wb.morita_from_dict(d)
+
+
 def test_catalog_shape():
     cat = wb.catalog()
     assert len(cat) == 5
