@@ -112,12 +112,8 @@ class Algebra:
         return (self.sc == self.sc.transpose(1, 0, 2)).all()
 
     def center_rows(self) -> np.ndarray:
-        mats = [
-            (self.left_mult(e) - self.right_mult(e)) % self.p
-            for e in np.eye(self.dim, dtype=np.int64)
-        ]
-        stacked = np.vstack(mats) if mats else np.zeros((0, self.dim), dtype=np.int64)
-        return gfp.row_basis(gfp.nullspace(stacked, self.p).T, self.p)
+        eye = np.eye(self.dim, dtype=np.int64)
+        return intertwiner_rows(self, eye, eye, eye)
 
     # -- substructures ----------------------------------------------------
     def subalgebra(self, rows, unit_vec=None) -> "SpanAlgebra":
@@ -199,6 +195,24 @@ def check_algebra_map(m, a: Algebra, b: Algebra) -> bool:
     # image of e_i e_j against the product of the images
     lhs = np.tensordot(a.sc, img, axes=1) % p
     return bool((lhs == b.mul(img[:, None], img[None, :])).all())
+
+
+def intertwiner_rows(a: Algebra, rows, xs, ys) -> np.ndarray:
+    """RREF rows of {v in span(rows) : v x_k = y_k v for every k}.
+
+    The one place this system is formed: one nullspace of the stacked
+    maps R(x_k) - L(y_k), restricted to the span."""
+    p, d = a.p, a.dim
+    rows = np.mod(np.asarray(rows, dtype=np.int64), p).reshape(len(rows), d)
+    xs = np.mod(np.asarray(xs, dtype=np.int64), p).reshape(len(xs), d)
+    ys = np.mod(np.asarray(ys, dtype=np.int64), p).reshape(len(ys), d)
+    if len(xs) and len(rows):
+        # v -> v x_k - y_k v on coordinate columns, for every k
+        maps = (np.einsum("nj,ijk->nki", xs, a.sc)
+                - np.einsum("ni,ijk->nkj", ys, a.sc))
+        system = (maps @ rows.T).reshape(-1, len(rows)) % p
+        rows = gfp.nullspace(system, p).T @ rows % p
+    return gfp.row_basis(rows, p)
 
 
 def span_algebra(rows, mul, unit_vec, p: int) -> SpanAlgebra:
@@ -793,29 +807,44 @@ def module_iso(m: Module, n: Module, seed: int = DEFAULT_SEED):
     Raises Inconclusive when the search space exceeds the deterministic
     fallback caps.
     """
-    p = m.algebra.p
     if m.dim != n.dim:
         return None
     if m.dim == 0:
         return np.zeros((0, 0), dtype=np.int64)
     homs = hom_space(m, n)
-    if not homs:
+    c = invertible_combination(homs, m.algebra.p, seed)
+    return None if c is None else np.tensordot(c, homs, axes=1) % m.algebra.p
+
+
+def invertible_combination(mats, p: int, seed: int = DEFAULT_SEED):
+    """Coefficients c with sum_k c_k mats[k] invertible, or None if proven
+    that none exists.
+
+    Tries each matrix, then 64 seeded random combinations, then every
+    combination of at most 6 matrices within EXHAUSTIVE_CAP; raises
+    Inconclusive beyond that.
+    """
+    n = len(mats)
+    if n == 0:
         return None
-    for h in homs:
-        if gfp.is_invertible(h, p):
-            return h
+
+    def invertible(c):
+        return gfp.is_invertible(np.tensordot(c, mats, axes=1) % p, p)
+
+    for c in np.eye(n, dtype=np.int64):
+        if invertible(c):
+            return c
     rng = np.random.default_rng(seed)
     for _ in range(64):
-        coeffs = rng.integers(0, p, size=len(homs))
-        h = sum(int(c) * b for c, b in zip(coeffs, homs)) % p
-        if gfp.is_invertible(h, p):
-            return h
-    if len(homs) <= 6 and p ** len(homs) <= EXHAUSTIVE_CAP:
-        for idx in np.ndindex(*([p] * len(homs))):
-            h = sum(int(c) * b for c, b in zip(idx, homs)) % p
-            if gfp.is_invertible(h, p):
-                return h
-        return None  # exhaustive: proven non-isomorphic
+        c = rng.integers(0, p, size=n)
+        if invertible(c):
+            return c
+    if n <= 6 and p**n <= EXHAUSTIVE_CAP:
+        for c in np.ndindex(*([p] * n)):
+            c = np.array(c, dtype=np.int64)
+            if invertible(c):
+                return c
+        return None  # exhaustive: no invertible combination
     raise Inconclusive("hom space too large for the deterministic fallback")
 
 

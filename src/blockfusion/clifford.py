@@ -17,7 +17,7 @@ Brauer construction.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -29,9 +29,11 @@ from .algebra import (
     SpanAlgebra,
     check_algebra_map,
     hom_space,
-    module_iso,
+    invertible_combination,
     primitive_summands,
     structure_constants,
+    VerificationError,
+    verify,
 )
 from .blocks import (
     BlockExtension,
@@ -71,11 +73,9 @@ class CliffordExtensionData:
     pair group (corner side), with the data needed to map between them."""
 
     graded: GradedAlgebra
-    kind: str  # "end" | "corner" | "end-bar" | "corner-bar" | "end-bar-local"
     factor_data: FactorSetData | None = None
     # endomorphism-side extras
     quot: permgroups.QuotientSetup | None = None
-    over: GradedAlgebra | None = None  # the crossed product acted through
     hom_bases: list | None = None  # per degree, matrices on the module basis
     v_rows: np.ndarray | None = None  # module basis, coefficient-algebra coords
     v_ambient: np.ndarray | None = None  # same rows in ambient kG coords
@@ -84,9 +84,6 @@ class CliffordExtensionData:
     pairs: list | None = None
     corner: CornerData | None = None
     chunk_rows: list | None = None  # per pair, basis rows in corner coords
-    # residual bookkeeping
-    proj: np.ndarray | None = None
-    section: np.ndarray | None = None
 
     @property
     def dim(self) -> int:
@@ -115,13 +112,16 @@ def _interior_action(kg: GroupAlgebra, quot: permgroups.QuotientSetup,
 
 
 def _end_crossed(balg: Algebra, quot: permgroups.QuotientSetup, action: dict,
-                 interior: dict, v_rows, kind: str,
-                 base: SpanAlgebra | None = None,
+                 interior: dict, v_rows, base: SpanAlgebra | None = None,
                  v_ambient=None) -> CliffordExtensionData:
-    """Opposite endomorphism algebra of (balg * E) (x)_balg V, degreewise."""
+    """Opposite endomorphism algebra of (balg * E) (x)_balg V, degreewise.
+
+    Degree d holds Hom(V, V twisted by d); an isomorphism among those
+    homs, placed in degree d, is a unit, so every component holds one."""
     p = balg.p
     n = quot.order
-    assert quot.reps[0] == permgroups.identity_perm(len(quot.reps[0]))
+    verify(quot.reps[0] == permgroups.identity_perm(len(quot.reps[0])),
+           "the first coset representative is not the identity")
     over = crossed_product(balg, quot, action, interior)
     v_rows = gfp.row_basis(v_rows, p)
     nv = v_rows.shape[0]
@@ -137,15 +137,16 @@ def _end_crossed(balg: Algebra, quot: permgroups.QuotientSetup, action: dict,
         return np.tensordot(coeff, mats_v, axes=1) % p
 
     hom_bases = []
+    isos = []  # per degree, the coefficients of a module isomorphism
     for d in range(n):
         mats_w = np.array([left_on_v(sigma_inv[d][:, k]) for k in range(balg.dim)])
-        wmod = Module(balg, mats_w)
-        homs = hom_space(vmod, wmod)
-        if module_iso(vmod, wmod) is None:
+        homs = hom_space(vmod, Module(balg, mats_w))
+        isos.append(invertible_combination(homs, p))
+        if isos[-1] is None:
             raise ValueError("module is not invariant under the grading action")
         hom_bases.append(homs)
     dims = [len(h) for h in hom_bases]
-    assert all(x == dims[0] for x in dims), "hom components of unequal size"
+    verify(all(x == dims[0] for x in dims), "hom components of unequal size")
 
     # the induced module: basis (f, j) for u_f (x) v_j
     dim_m = n * nv
@@ -171,8 +172,7 @@ def _end_crossed(balg: Algebra, quot: permgroups.QuotientSetup, action: dict,
 
     fulls = [np.array([full_endo(d, t) for t in hom_bases[d]]) for d in range(n)]
     for m in np.concatenate(fulls):  # commuting with the crossed-product action
-        if ((m @ act_m - act_m @ m) % p).any():
-            raise AssertionError("endomorphism is not linear")
+        verify(not ((m @ act_m - act_m @ m) % p).any(), "endomorphism is not linear")
     deg = np.repeat(np.arange(n), dims[0])
     dim = n * dims[0]
     # an endomorphism is fixed by its values on the generating block 1 (x) V
@@ -192,15 +192,19 @@ def _end_crossed(balg: Algebra, quot: permgroups.QuotientSetup, action: dict,
                 fulls[di], fulls[dj], gens[dij], compose, p, f"the degree-{dij} homs")
     uc = gfp.coords_in_rows(gens[0].reshape(dims[0], -1),
                             np.eye(dim_m, nv, dtype=np.int64).ravel(), p)
-    assert uc is not None, "identity map is missing from the degree-1 homs"
+    verify(uc is not None, "identity map is missing from the degree-1 homs")
     unit = np.zeros(dim, dtype=np.int64)
     unit[blk[0]] = uc.ravel()
     g = GradedAlgebra(alg=Algebra(p, sc, unit, check=True), group=quot.group, deg=deg)
     g.validate()
-    assert g.is_crossed_product()
+    for d, c in enumerate(isos):  # the crossed-product certificate
+        x = np.zeros(dim, dtype=np.int64)
+        x[blk[d]] = c
+        verify(g.alg.is_unit_element(x),
+               f"the degree-{d} module isomorphism is not a unit")
     return CliffordExtensionData(
-        graded=g, kind=kind, quot=quot, over=over, hom_bases=hom_bases,
-        v_rows=v_rows, v_ambient=v_ambient, base=base,
+        graded=g, quot=quot, hom_bases=hom_bases, v_rows=v_rows,
+        v_ambient=v_ambient, base=base,
     )
 
 
@@ -213,7 +217,7 @@ def build_E(ext: BlockExtension, data: PointedGroupData, pt: Point,
     v_amb = gfp.row_basis(kg.mul(bp.rows, pt.idem), kg.p)
     v_inner = bp.coords(v_amb)
     return _end_crossed(bp.alg, e_data.quot, action, interior, v_inner,
-                        kind="end", base=bp, v_ambient=v_amb)
+                        base=bp, v_ambient=v_amb)
 
 
 def build_F(ext: BlockExtension, data: PointedGroupData, cd: CornerData,
@@ -225,30 +229,16 @@ def build_F(ext: BlockExtension, data: PointedGroupData, cd: CornerData,
     kg = ext.kg
     p = kg.p
     alg = cd.graded.alg
-    chunks = []
-    for phi, gbar in fg.pairs:
-        comp = cd.graded.component_rows(gbar)
-        constraints = []
-        for k, u in enumerate(cd.P.elements):
-            pu = cd.P.elements[phi[k]]
-            m = (alg.right_mult(cd.p_images[u])
-                 - alg.left_mult(cd.p_images[pu])) % p
-            constraints.append((m @ comp.T) % p)
-        system = np.vstack(constraints)
-        sols = gfp.nullspace(system, p).T
-        rows = np.mod(sols @ comp, p) if sols.shape[0] else \
-            np.zeros((0, alg.dim), dtype=np.int64)
-        chunks.append(gfp.row_basis(rows, p))
+    chunks = [cd.intertwiners(phi, gbar) for phi, gbar in fg.pairs]
     dims = [c.shape[0] for c in chunks]
-    if any(d != dims[0] for d in dims):
-        raise AssertionError("pair components of unequal size")
+    verify(all(d == dims[0] for d in dims), "pair components of unequal size")
     # the identity-pair component is i B^P i
     ident = fg.pairs.index((tuple(range(cd.P.order)), 0))
     ibpi = gfp.row_basis(cd.span.coords(
         kg.mul(kg.mul(cd.idem, data.span.rows), cd.idem)), p)
-    if (chunks[ident].shape != ibpi.shape
-            or gfp.rank(np.vstack([chunks[ident], ibpi]), p) != ibpi.shape[0]):
-        raise AssertionError("the identity-pair component is not i B^P i")
+    verify(chunks[ident].shape == ibpi.shape
+           and gfp.rank(np.vstack([chunks[ident], ibpi]), p) == ibpi.shape[0],
+           "the identity-pair component is not i B^P i")
     dim = len(chunks) * dims[0]
     blk = [slice(k * dims[0], (k + 1) * dims[0]) for k in range(len(chunks))]
     sc = np.zeros((dim, dim, dim), dtype=np.int64)
@@ -260,10 +250,9 @@ def build_F(ext: BlockExtension, data: PointedGroupData, cd: CornerData,
                 sc[blk[k], blk[l], blk[kl]] = structure_constants(
                     chunks[k], chunks[l], chunks[kl], alg.mul, p)
             except ValueError as exc:
-                raise AssertionError("product left its pair component") from exc
+                raise VerificationError("product left its pair component") from exc
     uc = gfp.coords_in_rows(chunks[ident], alg.unit % p, p)
-    if uc is None:
-        raise AssertionError("the unit is missing from the identity-pair component")
+    verify(uc is not None, "the unit is missing from the identity-pair component")
     unit = np.zeros(dim, dtype=np.int64)
     unit[blk[ident]] = uc.ravel()
     deg = np.repeat(np.arange(len(chunks)), dims[0])
@@ -273,14 +262,12 @@ def build_F(ext: BlockExtension, data: PointedGroupData, cd: CornerData,
     # the fusion witnesses are homogeneous units, one per pair
     for k, pair in enumerate(fg.pairs):
         w = gfp.coords_in_rows(chunks[k], fg.witnesses[pair], p)
-        if w is None:
-            raise AssertionError("fusion witness escapes its component")
+        verify(w is not None, "fusion witness escapes its component")
         v = np.zeros(dim, dtype=np.int64)
         v[blk[k]] = w.ravel()
-        if not g.alg.is_unit_element(v):
-            raise AssertionError("fusion witness is not invertible")
+        verify(g.alg.is_unit_element(v), "fusion witness is not invertible")
     return CliffordExtensionData(
-        graded=g, kind="corner", pairs=fg.pairs, corner=cd, chunk_rows=chunks,
+        graded=g, pairs=fg.pairs, corner=cd, chunk_rows=chunks,
     )
 
 
@@ -297,43 +284,38 @@ def psi_iso(ext: BlockExtension, pt: Point, ecd: CliffordExtensionData,
     kg = ext.kg
     p = kg.p
     quot = ecd.quot
+    verify(fcd.pairs == theta.fusion.pairs,
+           "the corner side is graded by pairs other than Theta's image")
     ci = gfp.coords_in_rows(ecd.v_ambient, pt.idem, p)
-    if ci is None:
-        raise AssertionError("the point idempotent is outside B^P i")
+    verify(ci is not None, "the point idempotent is outside B^P i")
     ci = ci.ravel()
-    pair_index = {pair: k for k, pair in enumerate(fcd.pairs)}
     dims = [c.shape[0] for c in fcd.chunk_rows]
     offsets = np.cumsum([0] + dims)
     rows = []
     for d in range(quot.order):
         g = quot.reps[d]
-        target = pair_index[theta.pair_of_rep[g]]
+        target = theta.degree_map[d]
         for t in ecd.hom_bases[d]:
             w_amb = np.mod((t @ ci) @ ecd.v_ambient, p)
             amb = kg.mul(kg.vec_of(g), w_amb)
             corner_coords = fcd.corner.span.coords(amb)
             c = gfp.coords_in_rows(fcd.chunk_rows[target], corner_coords, p)
-            if c is None:
-                raise AssertionError("image misses the matching pair component")
+            verify(c is not None, "image misses the matching pair component")
             fc = np.zeros(fcd.dim, dtype=np.int64)
             fc[offsets[target]:offsets[target + 1]] = c.ravel()
             rows.append(fc)
     psi = np.array(rows, dtype=np.int64)
-    if not gfp.is_invertible(psi, p):
-        raise AssertionError("the comparison map is not bijective")
-    if not check_algebra_map(psi.T, ecd.graded.alg, fcd.graded.alg):
-        raise AssertionError("the comparison map is not a unital algebra map")
+    verify(gfp.is_invertible(psi, p), "the comparison map is not bijective")
+    verify(check_algebra_map(psi.T, ecd.graded.alg, fcd.graded.alg),
+           "the comparison map is not a unital algebra map")
     return psi
 
 
 def residual(cd: CliffordExtensionData) -> CliffordExtensionData:
     """The quotient by the graded radical, with its factor set."""
-    quo, proj, section = graded_radical_quotient(cd.graded)
-    fs = factor_set(quo)
+    quo, _, _ = graded_radical_quotient(cd.graded)
     return CliffordExtensionData(
-        graded=quo, kind=cd.kind + "-bar", factor_data=fs, quot=cd.quot,
-        pairs=cd.pairs, proj=proj, section=section,
-    )
+        graded=quo, factor_data=factor_set(quo), quot=cd.quot, pairs=cd.pairs)
 
 
 def local_residual(ext: BlockExtension, data: PointedGroupData, pt: Point,
@@ -350,20 +332,20 @@ def local_residual(ext: BlockExtension, data: PointedGroupData, pt: Point,
     ssq = span.alg.quotient_by_ideal(inner_max)
     action, interior = _interior_action(kg, quot, span, lbd.b_gamma)
     for g, m in action.items():
-        if (kg.conj_vec(g, lbd.b_gamma) != lbd.b_gamma).any():
-            raise AssertionError("stabilizer does not fix the local block")
-        if gfp.coords_in_rows(inner_max, inner_max @ m.T % p, p) is None:
-            raise AssertionError("action does not preserve the radical")
+        verify((kg.conj_vec(g, lbd.b_gamma) == lbd.b_gamma).all(),
+               "stabilizer does not fix the local block")
+        verify(gfp.coords_in_rows(inner_max, inner_max @ m.T % p, p) is not None,
+               "action does not preserve the radical")
     acts = ssq.proj @ np.array(list(action.values())) @ ssq.section.T % p
     action = dict(zip(action, acts))
     interior = {c: ssq.project(v) for c, v in interior.items()}
     q = ssq.alg
     comps = q.simple_components()
-    assert len(comps) == 1
+    verify(len(comps) == 1, "the local quotient is not simple")
     f = comps[0].primitive_bar
     v_rows = gfp.row_basis(
         np.array([q.mul(e, f) for e in np.eye(q.dim, dtype=np.int64)]), p)
-    out = _end_crossed(q, quot, action, interior, v_rows, kind="end-bar-local")
+    out = _end_crossed(q, quot, action, interior, v_rows)
     out.factor_data = factor_set(out.graded)
     return out
 
@@ -414,9 +396,9 @@ def embed_truncate(ext: BlockExtension, data: PointedGroupData, pt: Point,
     bp = data.span
     e = np.mod(np.asarray(e, dtype=np.int64).ravel(), p)
     bp.coords(e)  # must lie in B^P
-    assert (kg.mul(e, e) == e).all(), "truncating element is not idempotent"
-    assert (kg.mul(e, i) == i).all() and (kg.mul(i, e) == i).all(), \
-        "idempotent does not dominate the point"
+    verify((kg.mul(e, e) == e).all(), "truncating element is not idempotent")
+    verify((kg.mul(e, i) == i).all() and (kg.mul(i, e) == i).all(),
+           "idempotent does not dominate the point")
     # the corner of eAe at i is iAi, degree by degree
     for d in range(ext.quot.order):
         rows = np.array([kg.mul(kg.mul(e, r), e) for r in ext.component_rows(d)])
@@ -424,8 +406,9 @@ def embed_truncate(ext: BlockExtension, data: PointedGroupData, pt: Point,
             np.array([kg.mul(kg.mul(i, r), i) for r in rows]), p)
         full = gfp.row_basis(np.array(
             [kg.mul(kg.mul(i, r), i) for r in ext.component_rows(d)]), p)
-        assert cut.shape == full.shape
-        assert gfp.rank(np.vstack([cut, full]), p) == full.shape[0]
+        verify(cut.shape == full.shape
+               and gfp.rank(np.vstack([cut, full]), p) == full.shape[0],
+               f"the degree-{d} corner of eAe at i is not that of A")
     rows_bp = gfp.row_basis(
         np.array([kg.mul(kg.mul(e, r), e) for r in bp.rows]), p)
     base_primed = kg.span(rows_bp, e)
@@ -445,7 +428,7 @@ def embed_truncate(ext: BlockExtension, data: PointedGroupData, pt: Point,
         e_primed = _end_crossed(
             base_primed.alg, quot, action, interior,
             np.array([base_primed.coords(r) for r in v_amb]),
-            kind="end", base=base_primed, v_ambient=v_amb)
+            base=base_primed, v_ambient=v_amb)
         e_map = _truncate_hom_map(kg, ecd, e_primed, e)
         _check_graded_map(ecd.graded, e_primed.graded, e_map)
         psi = psi_iso(ext, pt, ecd, fcd, theta)
@@ -453,7 +436,7 @@ def embed_truncate(ext: BlockExtension, data: PointedGroupData, pt: Point,
         lhs = np.mod(e_map @ psi_primed, p)
         rhs = np.mod(psi @ f_map, p)
         commutes = (lhs == rhs).all()
-        assert commutes, "truncation does not commute with the comparison maps"
+        verify(commutes, "truncation does not commute with the comparison maps")
     return EmbedTruncation(
         e=e, base_primed=base_primed, f_primed=f_primed, e_primed=e_primed,
         e_map=e_map, f_map=f_map, diagram_commutes=bool(commutes),
@@ -472,15 +455,15 @@ def _truncate_hom_map(kg: GroupAlgebra, ecd: CliffordExtensionData,
             cols = []
             for r in e_primed.v_ambient:
                 c = gfp.coords_in_rows(ecd.v_ambient, r, p)
-                assert c is not None  # e B^P i inside B^P i
+                verify(c is not None, "e B^P i is not inside B^P i")
                 img = np.mod((t @ c.ravel()) @ ecd.v_ambient, p)
                 img = kg.mul(e, img)
                 c2 = gfp.coords_in_rows(e_primed.v_ambient, img, p)
-                assert c2 is not None
+                verify(c2 is not None, "a cut hom leaves e B^P i")
                 cols.append(c2.ravel())
             tp = np.array(cols, dtype=np.int64).T
             coords = gfp.coords_in_rows(flat_primed, tp.ravel(), p)
-            assert coords is not None, "cut hom left the primed hom span"
+            verify(coords is not None, "cut hom left the primed hom span")
             out = np.zeros(e_primed.dim, dtype=np.int64)
             idx = np.nonzero(e_primed.graded.deg == d)[0]
             out[idx] = coords.ravel()
@@ -493,12 +476,11 @@ def _check_graded_map(g1: GradedAlgebra, g2: GradedAlgebra, m) -> None:
     degree-preserving algebra iso."""
     p = g1.p
     m = np.mod(np.asarray(m, dtype=np.int64), p)
-    if not gfp.is_invertible(m, p):
-        raise AssertionError("map is not invertible")
-    if ((m != 0) & (g1.deg[:, None] != g2.deg[None, :])).any():
-        raise AssertionError("map breaks the grading")
-    if not check_algebra_map(m.T, g1.alg, g2.alg):
-        raise AssertionError("map is not a unital algebra map")
+    verify(gfp.is_invertible(m, p), "map is not invertible")
+    verify(not ((m != 0) & (g1.deg[:, None] != g2.deg[None, :])).any(),
+           "map breaks the grading")
+    verify(check_algebra_map(m.T, g1.alg, g2.alg),
+           "map is not a unital algebra map")
 
 
 # -- diagonal tensor comparison --------------------------------------------------
@@ -535,8 +517,7 @@ def graded_tensor_diagonal(g1: GradedAlgebra, g2: GradedAlgebra,
     sc = structure_constants(basis, basis, basis, mul, p, "the diagonal tensor")
     unit = gfp.coords_in_rows(basis.reshape(len(deg), -1),
                               np.outer(a1.unit, a2.unit).ravel(), p)
-    if unit is None:
-        raise AssertionError("the unit is outside the matched components")
+    verify(unit is not None, "the unit is outside the matched components")
     g = GradedAlgebra(alg=Algebra(p, sc, unit.ravel(), check=True), group=table,
                       deg=deg)
     g.validate()
@@ -558,8 +539,8 @@ def diagonal_tensor_check(ext1: BlockExtension, data1: PointedGroupData,
     """
     kg1, kg2 = ext1.kg, ext2.kg
     p = kg1.p
-    assert kg2.p == p
-    assert data1.P.elements == data2.P.elements, "factors must share P"
+    verify(kg2.p == p, "factors must share p")
+    verify(data1.P.elements == data2.P.elements, "factors must share P")
     n1, n2 = within1.degree, within2.degree
     if gbar_map is None:
         gbar_map = {d: d for d in range(ext2.quot.order)}
@@ -590,17 +571,18 @@ def diagonal_tensor_check(ext1: BlockExtension, data1: PointedGroupData,
         for b in np.nonzero(pt2.idem)[0]:
             g = _shifted_perm(kg1.grp.elements[a], kg2.grp.elements[b], n1, n2)
             idd[kgdd.index(g)] = (pt1.idem[a] * pt2.idem[b]) % p
-    assert (kgdd.mul(idd, idd) == idd).all()
+    verify((kgdd.mul(idd, idd) == idd).all(), "i (x) i' is not idempotent")
     summands = primitive_summands(datadd.span.alg, datadd.span.coords(idd))
     target = None
     for s in summands:
         amb = datadd.span.lift(s)
         if datadd.br.apply(amb).any():
             ptdd = datadd.point_of(amb)
-            assert target is None or target is ptdd, \
-                "summands with nonzero Brauer image fall in different points"
+            verify(target is None or target is ptdd,
+                   "summands with nonzero Brauer image fall in different points")
             target = ptdd
-    assert target is not None and target.local
+    verify(target is not None and target.local,
+           "i (x) i' has no local point of the diagonal")
     # fusion data on all three scenarios
     cd1, e1, f1, th1 = fusion_report(ext1, data1, pt1, within1)
     cd2, e2, f2, th2 = fusion_report(ext2, data2, pt2, within2)
@@ -648,5 +630,5 @@ def diagonal_tensor_check(ext1: BlockExtension, data1: PointedGroupData,
         "diagonal_dims": restdd.component_dims(),
         "isomorphic": iso is not None,
     }
-    assert iso is not None, "diagonal tensor comparison failed"
+    verify(iso is not None, "diagonal tensor comparison failed")
     return report

@@ -9,15 +9,15 @@ i a1^(-1) g.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import gfp, permgroups
-from .algebra import find_unit_in_space, unit_scan
+from . import permgroups
+from .algebra import find_unit_in_space, intertwiner_rows, unit_scan, verify
 from .blocks import GroupAlgebra, PointedGroupData, Point, stabilizer_of_point
 from .graded import GradedAlgebra, graded_corner
-from .permgroups import GroupTable, PermGroup, aut_compose, pconj, pinv, pmul
+from .permgroups import GroupTable, PermGroup, aut_compose, pconj
 
 Pair = tuple  # (phi: index map on P.elements, gbar: int)
 
@@ -38,7 +38,7 @@ def aut_gbar(quot: permgroups.QuotientSetup, P: PermGroup):
                     break
             if ok:
                 out.append((phi, gbar))
-    _check_pair_subgroup(out, table)
+    pair_table(out, table)
     return out
 
 
@@ -49,7 +49,7 @@ def int_gbar(quot: permgroups.QuotientSetup, P: PermGroup):
         inner.add(tuple(P.index(pconj(v, u)) for u in P.elements))
     full = aut_gbar(quot, P)
     out = [(phi, g) for phi, g in full if phi in inner]
-    _check_pair_subgroup(out, quot.group)
+    pair_table(out, quot.group)
     # normality in aut_gbar
     oset = set(out)
     for phi, g in full:
@@ -60,33 +60,29 @@ def int_gbar(quot: permgroups.QuotientSetup, P: PermGroup):
                 aut_compose(aut_compose(phi, psi), iphi),
                 quot.group.mul(quot.group.mul(g, h), ig),
             )
-            assert conj in oset, "interior pairs are not normal"
+            verify(conj in oset, "interior pairs are not normal in Aut^Gbar(P)")
     # v -> (c_v, omega(v)) is a homomorphism into the interior pairs
     for v in P.elements:
         cv = tuple(P.index(pconj(v, u)) for u in P.elements)
-        assert (cv, quot.omega_of(v)) in oset
+        verify((cv, quot.omega_of(v)) in oset,
+               "conjugation by an element of P is not an interior pair")
     return out
 
 
-def _check_pair_subgroup(pairs, table: GroupTable) -> None:
-    pset = set(pairs)
-    n = len(next(iter(pset))[0]) if pset else 0
-    assert (tuple(range(n)), 0) in pset or not pset
-    for p1, g1 in pairs:
-        for p2, g2 in pairs:
-            assert (aut_compose(p1, p2), table.mul(g1, g2)) in pset, (
-                "pair set is not closed under composition"
-            )
-
-
 def pair_table(pairs, table: GroupTable) -> GroupTable:
+    """The multiplication table of a pair group, sorted; the closure check.
+
+    A finite nonempty set of pairs closed under products is a subgroup,
+    so closure is the whole subgroup test."""
     pairs = sorted(pairs)
     index = {pr: k for k, pr in enumerate(pairs)}
     n = len(pairs)
     t = np.zeros((n, n), dtype=np.int64)
     for i, (p1, g1) in enumerate(pairs):
         for j, (p2, g2) in enumerate(pairs):
-            t[i, j] = index[(aut_compose(p1, p2), table.mul(g1, g2))]
+            k = index.get((aut_compose(p1, p2), table.mul(g1, g2)))
+            verify(k is not None, "pair set is not closed under composition")
+            t[i, j] = k
     return GroupTable(t, tuple(pairs))
 
 
@@ -102,6 +98,20 @@ class CornerData:
     P: PermGroup
     idem: np.ndarray  # i, ambient coords
     p_images: dict  # u in P -> coords of u*i in the corner
+    _spaces: dict = field(default_factory=dict, repr=False)  # pair -> W rows
+
+    def intertwiners(self, phi, gbar: int) -> np.ndarray:
+        """RREF rows of W(phi, gbar) = {a in (iAi)_gbar : a(ui) = (phi(u)i)a
+        for u in P}, built once per pair.  P's generators suffice: i
+        commutes with P, so u -> ui is multiplicative."""
+        key = (phi, gbar)
+        if key not in self._spaces:
+            gens = self.P.generators
+            self._spaces[key] = intertwiner_rows(
+                self.graded.alg, self.graded.component_rows(gbar),
+                [self.p_images[u] for u in gens],
+                [self.p_images[self.P.elements[phi[self.P.index(u)]]] for u in gens])
+        return self._spaces[key]
 
 
 def corner_data(ext, data: PointedGroupData, pt: Point) -> CornerData:
@@ -135,26 +145,7 @@ class FusionGroup:
 
 def _pair_witness(cd: CornerData, phi, gbar: int):
     """A homogeneous invertible a in degree gbar with a(ui) = (phi(u)i)a."""
-    g = cd.graded
-    a = g.alg
-    comp = g.component_rows(gbar)
-    if comp.shape[0] == 0:
-        return None
-    mats = []
-    for u in cd.P.generators:
-        pu = cd.P.elements[phi[cd.P.index(u)]]
-        left = a.right_mult(cd.p_images[u])  # a -> a*(ui)
-        right = a.left_mult(cd.p_images[pu])  # a -> (phi(u)i)*a
-        mats.append(np.mod((left - right) @ comp.T, a.p))
-    if mats:
-        system = np.vstack(mats)
-        ker = gfp.nullspace(system, a.p)
-        sol_rows = np.mod(ker.T @ comp, a.p)
-    else:
-        sol_rows = comp
-    if sol_rows.shape[0] == 0:
-        return None
-    return find_unit_in_space(a, sol_rows)
+    return find_unit_in_space(cd.graded.alg, cd.intertwiners(phi, gbar))
 
 
 def fusion_F_direct(ext, cd: CornerData) -> FusionGroup:
@@ -214,7 +205,7 @@ def fusion_E(kg: GroupAlgebra, sub: PermGroup, data: PointedGroupData,
              pt: Point, within: PermGroup) -> EFusionData:
     n = stabilizer_of_point(kg, sub, data, pt, within)
     c = permgroups.centralizer(sub, data.P)
-    assert c.is_subgroup_of(n)
+    verify(c.is_subgroup_of(n), "C_H(P) is not inside N_G(P_gamma)")
     return EFusionData(stabilizer=n, centralizer=c, quot=permgroups.quotient(n, c))
 
 
@@ -223,9 +214,8 @@ def fusion_E(kg: GroupAlgebra, sub: PermGroup, data: PointedGroupData,
 
 @dataclass
 class ThetaData:
-    e_data: EFusionData
     pair_of_rep: dict  # coset rep g -> (phi, gbar)
-    witness_of_rep: dict  # coset rep g -> corner coords of i a1^(-1) g
+    degree_map: list  # index in E -> index of its pair in F
     fusion: FusionGroup  # the image, as a pair group
 
 
@@ -233,66 +223,51 @@ def theta_check(ext, data: PointedGroupData, pt: Point, cd: CornerData,
                 e_data: EFusionData) -> ThetaData:
     """The isomorphism E -> F, g -> conjugation by i a1^(-1) g."""
     kg = ext.kg
-    p = kg.p
     bp = data.span
     inner = bp.alg
+    corner = cd.graded.alg
     icoords = bp.coords(pt.idem)
+    images = np.array([cd.p_images[u] for u in cd.P.elements])
     pair_of = {}
-    wit_of = {}
+    witnesses = {}
     for g in e_data.quot.reps:
-        gi = kg.conj_vec(g, pt.idem)
-        gic = bp.coords(gi)
         # a1 in (B^P)^x with a1 i = (gi) a1
-        m = (inner.right_mult(icoords) - inner.left_mult(gic)) % p
-        sol = gfp.nullspace(m, p).T
-        a1 = find_unit_in_space(inner, np.mod(sol, p))
-        assert a1 is not None, "point witness a1 must exist for g in N_G(P_gamma)"
-        a1_amb = bp.lift(a1)
+        gic = bp.coords(kg.conj_vec(g, pt.idem))
+        a1 = find_unit_in_space(inner, intertwiner_rows(
+            inner, np.eye(inner.dim, dtype=np.int64), [icoords], [gic]))
+        verify(a1 is not None, "point witness a1 must exist for g in N_G(P_gamma)")
         a1inv_amb = bp.lift(inner.inverse_element(a1))
-        c_amb = kg.mul(kg.mul(pt.idem, a1inv_amb), kg.vec_of(g))
-        c = cd.span.coords(c_amb)
-        assert cd.graded.alg.is_unit_element(c), "Theta witness not invertible"
+        c = cd.span.coords(kg.mul(kg.mul(pt.idem, a1inv_amb), kg.vec_of(g)))
+        verify(corner.is_unit_element(c), "Theta witness is not invertible")
         gbar = cd.graded.degree_of(c)
-        assert gbar is not None and gbar == ext.quot.omega_of(g)
+        verify(gbar == ext.quot.omega_of(g),
+               "Theta witness is not homogeneous of degree omega(g)")
         phi = tuple(cd.P.index(pconj(g, u)) for u in cd.P.elements)
         # the witness must realize phi by conjugation in the corner
-        cinv = cd.graded.alg.inverse_element(c)
-        for u in cd.P.elements:
-            conj = cd.graded.alg.mul(cd.graded.alg.mul(c, cd.p_images[u]), cinv)
-            pu = cd.P.elements[phi[cd.P.index(u)]]
-            assert (conj == cd.p_images[pu]).all(), "Theta witness wrong action"
+        conj = corner.mul(corner.mul(c, images), corner.inverse_element(c))
+        verify((conj == images[list(phi)]).all(),
+               "Theta witness does not act on Pi as g does")
         pair_of[g] = (phi, gbar)
-        wit_of[g] = c
-    pairs = sorted(set(pair_of.values()))
-    assert len(pairs) == len(pair_of), "Theta is not injective on E"
-    # homomorphism on coset representatives
-    et = e_data.quot.group
-    for i, g1 in enumerate(e_data.quot.reps):
-        for j, g2 in enumerate(e_data.quot.reps):
-            g12 = e_data.quot.reps[et.mul(i, j)]
-            p1, d1 = pair_of[g1]
-            p2, d2 = pair_of[g2]
-            want = (aut_compose(p1, p2), ext.quot.group.mul(d1, d2))
-            assert pair_of[g12] == want, "Theta is not multiplicative"
-    fg = FusionGroup(pairs, pair_table(pairs, ext.quot.group),
-                     {pair_of[g]: wit_of[g] for g in pair_of})
-    return ThetaData(e_data=e_data, pair_of_rep=pair_of, witness_of_rep=wit_of,
-                     fusion=fg)
+        witnesses[(phi, gbar)] = c
+    verify(len(witnesses) == len(pair_of), "Theta is not injective on E")
+    pairs = sorted(witnesses)
+    fg = FusionGroup(pairs, pair_table(pairs, ext.quot.group), witnesses)
+    degree_map = [pairs.index(pair_of[g]) for g in e_data.quot.reps]
+    verify(permgroups.is_table_hom(degree_map, e_data.quot.group, fg.table),
+           "Theta is not multiplicative")
+    return ThetaData(pair_of_rep=pair_of, degree_map=degree_map, fusion=fg)
 
 
 def fusion_report(ext, data: PointedGroupData, pt: Point, within: PermGroup):
-    """Compute E, F both ways, Theta; raise AssertionError unless all three
-    agree (explicitly, so that python -O keeps the comparison)."""
+    """Compute E, F both ways, Theta; raise VerificationError unless all
+    three agree."""
     cd = corner_data(ext, data, pt)
     f_direct = fusion_F_direct(ext, cd)
     f_norm = fusion_F_normalizer(ext, cd)
-    if f_direct.pairs != f_norm.pairs:
-        raise AssertionError("direct and normalizer F disagree")
+    verify(f_direct.pairs == f_norm.pairs, "direct and normalizer F disagree")
     e_data = fusion_E(ext.kg, ext.sub, data, pt, within)
     theta = theta_check(ext, data, pt, cd, e_data)
-    if theta.fusion.pairs != f_direct.pairs:
-        raise AssertionError("Theta image differs from F")
-    if e_data.quot.order != f_direct.order:
-        raise AssertionError(
-            f"|E| = {e_data.quot.order} differs from |F| = {f_direct.order}")
+    verify(theta.fusion.pairs == f_direct.pairs, "Theta image differs from F")
+    verify(e_data.quot.order == f_direct.order,
+           f"|E| = {e_data.quot.order} differs from |F| = {f_direct.order}")
     return cd, e_data, f_direct, theta

@@ -23,6 +23,7 @@ from .algebra import (
     quotient_algebra,
     span_algebra,
     structure_constants,
+    verify,
 )
 from .permgroups import GroupTable
 
@@ -60,12 +61,11 @@ class GradedAlgebra:
 
     def validate(self) -> None:
         self.group.validate()
-        if self.degree_of(self.alg.unit) != 0:
-            raise AssertionError("unit is not in degree 1")
+        verify(self.degree_of(self.alg.unit) == 0, "unit is not in degree 1")
         # e_i e_j may only have support in degree deg(i) deg(j)
         want = self.group.table[self.deg[:, None], self.deg[None, :]]
-        if ((self.alg.sc != 0) & (self.deg != want[:, :, None])).any():
-            raise AssertionError("grading broken on products")
+        verify(not ((self.alg.sc != 0) & (self.deg != want[:, :, None])).any(),
+               "grading broken on products")
 
     def is_crossed_product(self) -> bool:
         """Whether every component holds a unit, by exhaustive scans; a scan
@@ -84,10 +84,10 @@ def graded_from_chunks(mul, unit_vec, chunks, table: GroupTable, p: int):
         rows.append(rb)
         degs.extend([d] * rb.shape[0])
     stacked = np.vstack(rows)
-    assert gfp.rank(stacked, p) == stacked.shape[0], "chunks were not independent"
+    verify(gfp.rank(stacked, p) == stacked.shape[0], "chunks were not independent")
     sc = structure_constants(stacked, stacked, stacked, mul, p)
     ucoords = gfp.coords_in_rows(stacked, unit_vec, p)
-    assert ucoords is not None, "unit does not lie in the span"
+    verify(ucoords is not None, "unit does not lie in the span")
     span = SpanAlgebra(Algebra(p, sc, ucoords.ravel(), check=False), stacked)
     deg = np.array(degs, dtype=np.int64)
     g = GradedAlgebra(alg=span.alg, group=table, deg=deg)
@@ -139,10 +139,9 @@ def graded_radical_quotient(g: GradedAlgebra):
     free = np.nonzero(q.section)[1]
     quot = GradedAlgebra(alg=q.alg, group=g.group, deg=g.deg[free])
     quot.validate()
-    if quot.identity_span().alg.radical_rows().shape[0]:
-        raise AssertionError("quotient 1-component is not semisimple")
-    if not quot.is_crossed_product():
-        raise AssertionError("quotient is not a crossed product")
+    verify(not quot.identity_span().alg.radical_rows().shape[0],
+           "quotient 1-component is not semisimple")
+    verify(quot.is_crossed_product(), "quotient is not a crossed product")
     return quot, q.proj, q.section
 
 
@@ -160,14 +159,13 @@ def crossed_product(balg: Algebra, quot: permgroups.QuotientSetup, action: dict,
     eye = np.eye(db, dtype=np.int64)
     # compatibility: acting by c equals conjugation by interior(c)
     for c, ic in interior.items():
-        if not balg.is_unit_element(ic):
-            raise AssertionError("interior image is not a unit")
+        verify(balg.is_unit_element(ic), "interior image is not a unit")
         conj = balg.mul(balg.mul(ic, eye), balg.inverse_element(ic))
-        if (np.mod(action[c], p) != conj.T).any():
-            raise AssertionError("interior map incompatible with the action")
+        verify((np.mod(action[c], p) == conj.T).all(),
+               "interior map incompatible with the action")
     for x, m in action.items():
-        if not check_algebra_map(m, balg, balg):
-            raise AssertionError(f"action of {x} is not by algebra automorphisms")
+        verify(check_algebra_map(m, balg, balg),
+               f"action of {x} is not by algebra automorphisms")
     dim = db * n
     sc = np.zeros((dim, dim, dim), dtype=np.int64)
     for d in range(n):
@@ -190,8 +188,7 @@ def crossed_product(balg: Algebra, quot: permgroups.QuotientSetup, action: dict,
     g.validate()
     # row d is 1 (x) x_d, a unit: times 1 (x) x_{d^-1} it gives i(c) (x) 1
     for d, x in enumerate(np.kron(np.eye(n, dtype=np.int64), balg.unit)):
-        if not g.alg.is_unit_element(x):
-            raise AssertionError(f"1 (x) x_{d} is not a unit")
+        verify(g.alg.is_unit_element(x), f"1 (x) x_{d} is not a unit")
     return g
 
 
@@ -220,7 +217,7 @@ def factor_set(g: GradedAlgebra, units=None) -> FactorSetData:
                 raise ValueError(f"no homogeneous unit in degree {d}")
             units.append(u)
     units = np.array([a.vec(u) for u in units])
-    assert (units[0] == a.unit).all(), "degree-1 unit must be the unit"
+    verify((units[0] == a.unit).all(), "degree-1 unit must be the unit")
     d1 = ispan.rows.shape[0]
     alpha = np.zeros((n, n, d1), dtype=np.int64)
     action = np.zeros((n, d1, d1), dtype=np.int64)
@@ -381,7 +378,7 @@ def graded_generators(g: GradedAlgebra):
         span = closure(np.vstack([span, eye[k]]))
         if span.shape[0] == a.dim:
             break
-    assert span.shape[0] == a.dim
+    verify(span.shape[0] == a.dim, "the greedy generators do not generate")
     return gens
 
 

@@ -11,6 +11,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .algebra import verify
+
 Perm = tuple  # images of 0..n-1
 
 DEFAULT_ORDER_CAP = 5000
@@ -240,6 +242,12 @@ class GroupTable:
         self.identity  # raises if absent
 
 
+def is_table_hom(m, t1: GroupTable, t2: GroupTable) -> bool:
+    """Whether the index map m: t1 -> t2 respects the multiplication tables."""
+    m = np.asarray(m, dtype=np.int64)
+    return bool((m[t1.table] == t2.table[np.ix_(m, m)]).all())
+
+
 @dataclass(frozen=True)
 class QuotientSetup:
     """G, a normal subgroup H, coset representatives and omega: G -> G/H."""
@@ -355,7 +363,7 @@ def aut_group(p_grp: PermGroup, order_cap: int = 64):
                     if w not in span:
                         span[w] = wy + (k,)
                         changed = True
-    assert len(span) == n
+    verify(len(span) == n, "the elements of P do not form a group")
     orders = {}
     for x in elements:
         orders.setdefault(perm_order(x), []).append(x)
@@ -394,8 +402,7 @@ def aut_group(p_grp: PermGroup, order_cap: int = 64):
             images.pop()
 
     rec(0, [])
-    ident = tuple(range(n))
-    assert ident in seen
+    verify(tuple(range(n)) in seen, "the identity is not among the automorphisms")
     return auts
 
 

@@ -422,11 +422,10 @@ def _scenario_stages(pipe: Pipeline, inv: dict):
            "psi": [_ints(row) for row in psi]}
 
     re, rf = cl.residual(ecd), pipe.residual_f(at)
-    gm = [fcd.pairs.index(theta.pair_of_rep[rep]) for rep in e_data.quot.reps]
-    al.verify(cl.residuals_match(re, rf, group_map=gm),
+    al.verify(cl.residuals_match(re, rf, group_map=theta.degree_map),
               "residual extensions are not equivalent")
     inv["residual_dim"] = int(re.graded.alg.dim)
-    yield {"degree_map": gm,
+    yield {"degree_map": theta.degree_map,
            "residual_dims": [int(re.graded.alg.dim), int(rf.graded.alg.dim)]}
 
     lbd = pipe.local_block(at)
@@ -507,9 +506,7 @@ def _pair_stages(ms: MoritaScenario, left: Pipeline, right: Pipeline,
         for phi, gbar in fg_l.pairs]
     al.verify(sorted(pair_map) == list(range(fg_r.order)),
               "the pair map is not a bijection of F onto F'")
-    pm = np.array(pair_map)
-    al.verify((pm[fg_l.table.table] ==
-               fg_r.table.table[np.ix_(pm, pm)]).all(),
+    al.verify(pg.is_table_hom(pair_map, fg_l.table, fg_r.table),
               "the pair map does not respect the multiplication tables")
     inv["|F|"] = int(fg_l.order)
     yield {"|F|": int(fg_l.order), "pair_map": pair_map}

@@ -690,3 +690,65 @@ def test_verify_radical_survives_python_O():
                           env=env, capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines() == ["optimize 1"] + ["True"] * 6
+
+
+# -- intertwiner spaces against brute force -------------------------------------
+
+INTERTWINER_ALGEBRAS = {
+    (name, p): make(p) for p in (2, 3) for name, make in (
+        ("kS3", lambda p: bl.GroupAlgebra(SMALL_GROUPS[1], p).algebra()),
+        ("kC4", lambda p: cyclic_group_algebra(4, p)),
+        ("M2", lambda p: matrix_algebra(2, p)))}
+
+
+def enumerate_span(rows, p):
+    """Every element of the row span, with repeats when rows are dependent."""
+    r, d = rows.shape
+    coeffs = np.array(list(np.ndindex(*[p] * r)), dtype=np.int64).reshape(p**r, r)
+    return coeffs @ rows % p
+
+
+@st.composite
+def intertwiner_systems(draw):
+    """(algebra, rows, xs, ys): a span of dimension <= 4 and up to two
+    conditions v x = y v, with y = x (a centralizer) or y drawn freely."""
+    a = INTERTWINER_ALGEBRAS[draw(st.sampled_from(sorted(INTERTWINER_ALGEBRAS)))]
+    vecs = st.integers(0, a.p - 1)
+    rows = draw(hnp.arrays(np.int64, (draw(st.integers(0, 4)), a.dim), elements=vecs))
+    xs = draw(hnp.arrays(np.int64, (draw(st.integers(0, 2)), a.dim), elements=vecs))
+    ys = xs.copy() if draw(st.booleans()) else draw(
+        hnp.arrays(np.int64, xs.shape, elements=vecs))
+    return a, rows, xs, ys
+
+
+@settings(max_examples=80, deadline=None)
+@given(intertwiner_systems())
+def test_intertwiner_rows_match_brute_force(system):
+    a, rows, xs, ys = system
+    p = a.p
+    got = alg.intertwiner_rows(a, rows, xs, ys)
+    assert np.array_equal(got, gfp.row_basis(got, p))  # RREF rows
+    want = {tuple(v) for v in enumerate_span(rows, p)
+            if all((a.mul(v, x) == a.mul(y, v)).all() for x, y in zip(xs, ys))}
+    assert {tuple(v) for v in enumerate_span(got, p)} == want
+
+
+@pytest.mark.parametrize("key", sorted(INTERTWINER_ALGEBRAS))
+def test_center_rows_match_brute_force(key):
+    a = INTERTWINER_ALGEBRAS[key]
+    eye = np.eye(a.dim, dtype=np.int64)
+    everything = enumerate_span(eye, a.p)
+    commuting = a.mul(everything[:, None], eye[None]) == a.mul(eye[None], everything[:, None])
+    want = {tuple(v) for v in everything[commuting.all(axis=(1, 2))]}
+    assert {tuple(v) for v in enumerate_span(a.center_rows(), a.p)} == want
+
+
+def test_invertible_combination_is_none_only_without_an_invertible_element():
+    # the matrices [[x, y], [0, 0]] hold no invertible one
+    assert alg.invertible_combination([np.array([[1, 0], [0, 0]]),
+                                       np.array([[0, 1], [0, 0]])], 2) is None
+    assert alg.invertible_combination([], 2) is None
+    # e_11 and e_22 are singular, their sum is not
+    c = alg.invertible_combination([np.array([[1, 0], [0, 0]]),
+                                    np.array([[0, 0], [0, 1]])], 2)
+    assert c.tolist() == [1, 1]

@@ -299,3 +299,52 @@ def test_graded_map_check_survives_python_O():
         "optimize 1", "degrees [0, 0, 0, 1, 1, 1] unit [1, 0, 0, 0, 0, 0]",
         "invertible True", "multiplicative False", "identity passed",
         "refused: map is not a unital algebra map"]
+
+
+def test_comparison_and_truncation_checks_survive_python_O():
+    # python -O strips assert statements; psi_iso must still refuse a
+    # degree map with two targets swapped and a Theta over other pairs,
+    # and embed_truncate an element that is not idempotent
+    script = textwrap.dedent("""
+        import dataclasses, sys
+        from blockfusion import blocks as bl, clifford as cl, fusion as fu
+        from blockfusion import permgroups as pg
+        s3 = pg.enumerate_group(
+            (pg.parse_cycles("(0 1)", 3), pg.parse_cycles("(0 1 2)", 3)), 3)
+        c3 = pg.enumerate_group((pg.parse_cycles("(0 1 2)", 3),), 3)
+        kg = bl.GroupAlgebra(s3, 3)
+        b = bl.blocks(kg, c3)[0]
+        ext = bl.block_extension(kg, c3, b)
+        data = bl.points_at(kg, c3, b, c3)
+        (pt,) = data.points
+        cd, e_data, fg, theta = fu.fusion_report(ext, data, pt, s3)
+        ecd = cl.build_E(ext, data, pt, e_data)
+        fcd = cl.build_F(ext, data, cd, fg)
+        print("optimize", sys.flags.optimize)
+        cl.psi_iso(ext, pt, ecd, fcd, theta)
+        print("clean run passed", theta.degree_map)
+        swapped = dataclasses.replace(theta, degree_map=theta.degree_map[::-1])
+        other = dataclasses.replace(theta, fusion=dataclasses.replace(
+            theta.fusion, pairs=theta.fusion.pairs[::-1]))
+        for check in (
+                lambda: cl.psi_iso(ext, pt, ecd, fcd, swapped),
+                lambda: cl.psi_iso(ext, pt, ecd, fcd, other),
+                lambda: cl.embed_truncate(ext, data, pt, e_data, cd, fg, theta,
+                                          ecd, fcd, 2 * b % 3)):
+            try:
+                check()
+                print("passed")
+            except AssertionError as exc:
+                print("refused:", exc)
+    """)
+    src = os.path.dirname(os.path.dirname(cl.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == [
+        "optimize 1", "clean run passed [0, 1]",
+        "refused: image misses the matching pair component",
+        "refused: the corner side is graded by pairs other than Theta's image",
+        "refused: truncating element is not idempotent"]

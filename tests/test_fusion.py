@@ -6,9 +6,13 @@ import textwrap
 import numpy as np
 import pytest
 
+from blockfusion import algebra as al
 from blockfusion import blocks as bl
+from blockfusion import clifford as cl
 from blockfusion import fusion as fu
+from blockfusion import gfp
 from blockfusion import permgroups as pg
+from blockfusion import workbench as wb
 
 
 def s3_over_c3():
@@ -175,3 +179,135 @@ def test_oracle_comparison_survives_python_O():
     lines = proc.stdout.splitlines()
     assert lines == ["optimize 1", "clean run passed",
                      "refused: direct and normalizer F disagree"]
+
+
+def test_pair_table_refuses_a_set_that_is_not_closed():
+    s3, c3, kg, b, ext = s3_over_c3()
+    pairs = sorted(fu.aut_gbar(ext.quot, c3))
+    ident = (tuple(range(c3.order)), 0)
+    open_set = [pr for pr in pairs if pr != ident]  # loses the identity
+    with pytest.raises(al.VerificationError,
+                       match="pair set is not closed under composition"):
+        fu.pair_table(open_set, ext.quot.group)
+
+
+def reference_intertwiners(cd, phi, gbar):
+    """W(phi, gbar) from the conditions at every element of P."""
+    a = cd.graded.alg
+    p = a.p
+    comp = cd.graded.component_rows(gbar)
+    system = np.vstack([
+        (a.right_mult(cd.p_images[u])
+         - a.left_mult(cd.p_images[cd.P.elements[phi[k]]])) @ comp.T % p
+        for k, u in enumerate(cd.P.elements)])
+    return gfp.row_basis(gfp.nullspace(system, p).T @ comp % p, p)
+
+
+@pytest.fixture(scope="module")
+def catalog_corners():
+    """(scenario name, Pipeline, (data, point)) at P and, where given, at Q."""
+    out = []
+    for s in wb.catalog():
+        pipe = wb.Pipeline(s)
+        for at_q in ((False, True) if s.q is not None else (False,)):
+            out.append((s.name, pipe, pipe.pointed(at_q=at_q)))
+    return out
+
+
+def test_intertwiners_from_generators_equal_those_from_all_of_P(catalog_corners):
+    checked = 0
+    for name, pipe, at in catalog_corners:
+        cd, _, fg, _ = pipe.fusion(at)
+        fcd = pipe.clifford_f(at)
+        # build_F's components are the reference spaces over all of P
+        assert len(fcd.chunk_rows) == len(fg.pairs)
+        for (phi, gbar), chunk in zip(fg.pairs, fcd.chunk_rows):
+            assert np.array_equal(chunk, reference_intertwiners(cd, phi, gbar)), name
+        # and so is every candidate pair's space, unit or not
+        for phi, gbar in fu.aut_gbar(pipe.resolved().ext.quot, cd.P):
+            assert np.array_equal(cd.intertwiners(phi, gbar),
+                                  reference_intertwiners(cd, phi, gbar)), name
+            checked += 1
+    assert checked == 1 + 4 + 12 + 2 + 2 + 8  # SC0, SC1, SC2 at P and Q, SC3, SC4
+
+
+def test_each_intertwiner_space_is_built_once_and_reused(monkeypatch):
+    sc2 = next(s for s in wb.catalog() if s.name.startswith("SC2"))
+    pipe = wb.Pipeline(sc2)
+    ext, at = pipe.resolved().ext, pipe.pointed()
+    calls = []
+    real = fu.intertwiner_rows
+    monkeypatch.setattr(fu, "intertwiner_rows",
+                        lambda *args: calls.append(args) or real(*args))
+    cd = fu.corner_data(ext, *at)
+    fg = fu.fusion_F_direct(ext, cd)
+    assert len(calls) == len(fu.aut_gbar(ext.quot, cd.P)) == 12
+    cl.build_F(ext, at[0], cd, fg)
+    assert len(calls) == 12
+
+
+def test_normalizer_oracle_builds_no_intertwiner_space(monkeypatch):
+    s3, c3, kg, b, ext = s3_over_c3()
+    data = bl.points_at(kg, c3, b, c3)
+    cd = fu.corner_data(ext, data, data.points[0])
+
+    def refuse(*args):
+        raise RuntimeError("the oracle must stay independent")
+
+    monkeypatch.setattr(fu, "intertwiner_rows", refuse)
+    monkeypatch.setattr(al, "intertwiner_rows", refuse)
+    monkeypatch.setattr(fu.CornerData, "intertwiners", refuse)
+    assert fu.fusion_F_normalizer(ext, cd).order == 2
+
+
+def test_theta_degree_map_indexes_the_pairs_of_each_representative(catalog_corners):
+    for name, pipe, at in catalog_corners:
+        _, e_data, fg, theta = pipe.fusion(at)
+        assert theta.fusion.pairs == fg.pairs
+        assert theta.degree_map == [fg.pairs.index(theta.pair_of_rep[g])
+                                    for g in e_data.quot.reps], name
+
+
+def test_theta_checks_survive_python_O():
+    # python -O strips assert statements; Theta must still refuse a
+    # representative set that repeats a coset, and a broken E table
+    script = textwrap.dedent("""
+        import dataclasses, sys
+        import numpy as np
+        from blockfusion import blocks as bl, fusion as fu, permgroups as pg
+        s3 = pg.enumerate_group(
+            (pg.parse_cycles("(0 1)", 3), pg.parse_cycles("(0 1 2)", 3)), 3)
+        c3 = pg.enumerate_group((pg.parse_cycles("(0 1 2)", 3),), 3)
+        kg = bl.GroupAlgebra(s3, 3)
+        b = bl.blocks(kg, c3)[0]
+        ext = bl.block_extension(kg, c3, b)
+        data = bl.points_at(kg, c3, b, c3)
+        (pt,) = data.points
+        print("optimize", sys.flags.optimize)
+        cd, e_data, f, theta = fu.fusion_report(ext, data, pt, s3)
+        print("clean run passed", theta.degree_map)
+        quot = e_data.quot
+        tampered = [
+            # (0 1 2) lies in the coset of the identity
+            dataclasses.replace(quot, reps=(quot.reps[0], c3.elements[1])),
+            dataclasses.replace(quot, group=pg.GroupTable(
+                np.array([[0, 1], [1, 1]]), quot.group.labels)),
+        ]
+        for q in tampered:
+            try:
+                fu.theta_check(ext, data, pt, cd,
+                               dataclasses.replace(e_data, quot=q))
+                print("passed")
+            except AssertionError as exc:
+                print("refused:", exc)
+    """)
+    src = os.path.dirname(os.path.dirname(fu.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == [
+        "optimize 1", "clean run passed [0, 1]",
+        "refused: Theta is not injective on E",
+        "refused: Theta is not multiplicative"]

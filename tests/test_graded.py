@@ -210,6 +210,39 @@ def test_cocycle_check_survives_python_O():
                    "refused: twisted cocycle identity fails"]
 
 
+def test_graded_checks_survive_python_O():
+    # python -O strips assert statements; the grading law and the factor
+    # set's choice of units must still be checked
+    out = _run_optimized("""
+        import sys
+        import numpy as np
+        from blockfusion import blocks as bl, graded as gr, permgroups as pg
+        s3 = pg.enumerate_group(
+            (pg.parse_cycles("(0 1)", 3), pg.parse_cycles("(0 1 2)", 3)), 3)
+        c3 = pg.enumerate_group((pg.parse_cycles("(0 1 2)", 3),), 3)
+        kg = bl.GroupAlgebra(s3, 3)
+        g, _ = gr.graded_from_extension(
+            bl.block_extension(kg, c3, bl.blocks(kg, c3)[0]))
+        print("optimize", sys.flags.optimize)
+        g.validate()
+        print("degrees", g.deg.tolist())
+        deg = g.deg.copy()
+        deg[[2, 3]] = deg[[3, 2]]  # one basis element in each degree swapped
+        units = [gr.homogeneous_unit(g, d) for d in range(2)]
+        units[0] = 2 * units[0] % 3
+        for check in (gr.GradedAlgebra(g.alg, g.group, deg).validate,
+                      lambda: gr.factor_set(g, units)):
+            try:
+                check()
+                print("passed")
+            except AssertionError as exc:
+                print("refused:", exc)
+    """)
+    assert out == ["optimize 1", "degrees [0, 0, 0, 1, 1, 1]",
+                   "refused: grading broken on products",
+                   "refused: degree-1 unit must be the unit"]
+
+
 def test_graded_generators_generate():
     _, _, (g, _) = sc1_graded()
     gens = gr.graded_generators(g)

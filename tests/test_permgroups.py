@@ -1,3 +1,9 @@
+import os
+import subprocess
+import sys
+import textwrap
+
+import numpy as np
 import pytest
 
 from blockfusion import permgroups as pg
@@ -137,3 +143,46 @@ def test_aut_group_d8():
     )
     assert d8.order == 8
     assert len(pg.aut_group(d8)) == 8
+
+
+def test_is_table_hom_refuses_a_map_with_two_images_swapped():
+    s3 = pg.enumerate_group(S3_GENS, 3)
+    t = np.array([[s3.index(pg.pmul(x, y)) for y in s3.elements] for x in s3.elements])
+    table = pg.GroupTable(t, s3.elements)
+    ident = list(range(s3.order))
+    assert pg.is_table_hom(ident, table, table)
+    # conjugation by (0 1) is an automorphism, so a homomorphism
+    conj = [s3.index(pg.pconj(S3_GENS[0], x)) for x in s3.elements]
+    assert conj != ident and pg.is_table_hom(conj, table, table)
+    swapped = list(conj)
+    j, k = s3.index(S3_GENS[0]), s3.index(S3_GENS[1])
+    swapped[j], swapped[k] = swapped[k], swapped[j]
+    assert not pg.is_table_hom(swapped, table, table)
+
+
+def test_aut_group_check_survives_python_O():
+    # python -O strips assert statements; aut_group must still refuse an
+    # element list that is not a group (S3 with one element dropped)
+    script = textwrap.dedent("""
+        import sys
+        from blockfusion import permgroups as pg
+        s3 = pg.enumerate_group(
+            (pg.parse_cycles("(0 1)", 3), pg.parse_cycles("(0 1 2)", 3)), 3)
+        print("optimize", sys.flags.optimize)
+        print("automorphisms", len(pg.aut_group(s3)))
+        broken = pg.PermGroup(3, s3.generators, s3.elements[:-1])
+        try:
+            pg.aut_group(broken)
+            print("passed")
+        except AssertionError as exc:
+            print("refused:", exc)
+    """)
+    src = os.path.dirname(os.path.dirname(pg.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == [
+        "optimize 1", "automorphisms 6",
+        "refused: the elements of P do not form a group"]
