@@ -11,6 +11,8 @@ only available in characteristic p.
 """
 from __future__ import annotations
 
+import contextlib
+import contextvars
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -40,6 +42,30 @@ def verify(ok, msg: str) -> None:
         raise VerificationError(msg)
 
 
+# (p, sc, unit) -> the derived invariants of every Algebra with that content,
+# while a `shared_invariants` block is open; None outside one
+_SHARED = contextvars.ContextVar("shared_invariants", default=None)
+
+
+@contextlib.contextmanager
+def shared_invariants():
+    """Within the block, Algebras with equal (p, sc, unit) share one cache
+    of derived invariants (radical, semisimple quotient, simple
+    components); the table is dropped when the block exits."""
+    token = _SHARED.set({})
+    try:
+        yield
+    finally:
+        _SHARED.reset(token)
+
+
+def _frozen(*arrays):
+    """Mark arrays read-only, so that an in-place edit of a shared cached
+    value raises instead of changing it for its other holders."""
+    for x in arrays:
+        x.flags.writeable = False
+
+
 class Algebra:
     """Associative unital GF(p)-algebra given by structure constants.
 
@@ -53,7 +79,7 @@ class Algebra:
         self.dim = self.sc.shape[0]
         if self.sc.shape != (self.dim, self.dim, self.dim) or len(self.unit) != self.dim:
             raise ValueError("malformed structure constants")
-        self._cache: dict = {}
+        self._invariants = None
         if check and self.dim:
             self._check_axioms()
 
@@ -121,8 +147,11 @@ class Algebra:
         return span_algebra(rows, self.mul, unit_vec, self.p)
 
     def corner(self, e) -> "SpanAlgebra":
-        """The corner eAe, a unital algebra with unit e."""
+        """The corner eAe, a unital algebra with unit e.  At e = 1 it is A
+        itself on the identity rows, which span_algebra would only rebuild."""
         e = self.vec(e)
+        if (e == self.unit).all():
+            return SpanAlgebra(self, np.eye(self.dim, dtype=np.int64))
         rows = self.mul(self.mul(e, np.eye(self.dim, dtype=np.int64)), e)
         return span_algebra(rows, self.mul, e, self.p)
 
@@ -130,21 +159,47 @@ class Algebra:
         return quotient_algebra(self, ideal_rows)
 
     # -- cached invariants --------------------------------------------------
-    def radical_rows(self, seed: int = DEFAULT_SEED, verify: bool = True) -> np.ndarray:
-        """J(A) as RREF rows; `verify` certifies it (seed: its meataxe)."""
+    @property
+    def _cache(self) -> dict:
+        """The derived invariants, shared by content inside a
+        `shared_invariants` block; keyed on the first lookup."""
+        if self._invariants is None:
+            table = _SHARED.get()
+            if table is None:
+                self._invariants = {}
+            else:
+                key = (self.p, self.sc.tobytes(), self.unit.tobytes())
+                self._invariants = table.setdefault(key, {})
+        return self._invariants
+
+    def radical_rows(self, seed: int = DEFAULT_SEED) -> np.ndarray:
+        """J(A) as read-only RREF rows, certified by _verify_radical.  The
+        rows do not depend on the seed, which only drives the meataxe of
+        the certificate, so they are cached once."""
         if "radical" not in self._cache:
-            self._cache["radical"] = _radical(self, seed, verify)
+            rows = _radical(self, seed)
+            _frozen(rows)
+            self._cache["radical"] = rows
         return self._cache["radical"]
 
     def semisimple_quotient(self, seed: int = DEFAULT_SEED) -> "QuotientAlgebra":
+        """A/J(A), with read-only arrays; like the radical, seed-free."""
         if "ssq" not in self._cache:
-            self._cache["ssq"] = self.quotient_by_ideal(self.radical_rows(seed))
+            q = self.quotient_by_ideal(self.radical_rows(seed))
+            _frozen(q.proj, q.section, q.alg.sc, q.alg.unit)
+            self._cache["ssq"] = q
         return self._cache["ssq"]
 
     def simple_components(self, seed: int = DEFAULT_SEED):
-        if "components" not in self._cache:
-            self._cache["components"] = _simple_components(self, seed)
-        return self._cache["components"]
+        """The simple components of A/J(A), cached per seed (the seed
+        picks each component's primitive idempotent)."""
+        key = ("components", seed)
+        if key not in self._cache:
+            comps = _simple_components(self, seed)
+            for c in comps:
+                _frozen(c.central_idempotent, c.primitive_bar)
+            self._cache[key] = comps
+        return self._cache[key]
 
 
 @dataclass
@@ -412,7 +467,7 @@ def _meataxe_radical(a: Algebra, seed: int) -> np.ndarray:
     return rad
 
 
-def _radical(a: Algebra, seed: int, check: bool) -> np.ndarray:
+def _radical(a: Algebra, seed: int) -> np.ndarray:
     """Jacobson radical (RREF rows) by Ronyai's iterated trace ideals.
 
     Over GF(p), with d = dim A and l = floor(log_p d), lift the left-regular
@@ -425,7 +480,7 @@ def _radical(a: Algebra, seed: int, check: bool) -> np.ndarray:
     r_t e_j through the coordinates of the products in that basis, and
     takes one nullspace.  Entries stay below p^(l+1) <= p d, so the int64
     products are exact while d (p d)^2 < 2^63; larger inputs are refused.
-    With `check`, _verify_radical certifies the result independently.
+    _verify_radical certifies the result independently.
     """
     p, d = a.p, a.dim
     if d == 0:
@@ -450,8 +505,7 @@ def _radical(a: Algebra, seed: int, check: bool) -> np.ndarray:
         form = (coords @ gamma % p).reshape(k, d)
         ideal = gfp.row_basis(gfp.nullspace(form.T, p).T @ ideal % p, p)
         i += 1
-    if check:
-        _verify_radical(a, ideal, seed)
+    _verify_radical(a, ideal, seed)
     return ideal
 
 
@@ -569,12 +623,9 @@ def lift_idempotent(a: Algebra, ebar, nil_rows=None) -> np.ndarray:
         f = a.power(f, a.p)
     else:
         raise ValueError("p-power iteration did not stabilize; ideal not nilpotent?")
-    if nil_rows is not None and nil_rows.shape[0] >= 0:
-        verify(gfp.in_rowspace(
-            np.vstack([nil_rows, np.zeros((1, a.dim), dtype=np.int64)]),
-            (f - start) % a.p,
-            a.p,
-        ), "lift moved the idempotent outside the coset mod N")
+    if nil_rows is not None:
+        verify(gfp.in_rowspace(nil_rows, (f - start) % a.p, a.p),
+               "lift moved the idempotent outside the coset mod N")
     return f
 
 

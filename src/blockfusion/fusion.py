@@ -42,33 +42,6 @@ def aut_gbar(quot: permgroups.QuotientSetup, P: PermGroup):
     return out
 
 
-def int_gbar(quot: permgroups.QuotientSetup, P: PermGroup):
-    """The interior pairs: phi inner on P, same degree compatibility."""
-    inner = set()
-    for v in P.elements:
-        inner.add(tuple(P.index(pconj(v, u)) for u in P.elements))
-    full = aut_gbar(quot, P)
-    out = [(phi, g) for phi, g in full if phi in inner]
-    pair_table(out, quot.group)
-    # normality in aut_gbar
-    oset = set(out)
-    for phi, g in full:
-        iphi = permgroups.aut_inverse(phi)
-        ig = quot.group.inv(g)
-        for psi, h in out:
-            conj = (
-                aut_compose(aut_compose(phi, psi), iphi),
-                quot.group.mul(quot.group.mul(g, h), ig),
-            )
-            verify(conj in oset, "interior pairs are not normal in Aut^Gbar(P)")
-    # v -> (c_v, omega(v)) is a homomorphism into the interior pairs
-    for v in P.elements:
-        cv = tuple(P.index(pconj(v, u)) for u in P.elements)
-        verify((cv, quot.omega_of(v)) in oset,
-               "conjugation by an element of P is not an interior pair")
-    return out
-
-
 def pair_table(pairs, table: GroupTable) -> GroupTable:
     """The multiplication table of a pair group, sorted; the closure check.
 

@@ -106,16 +106,39 @@ def row_basis(a, p: int) -> np.ndarray:
     return r[: len(pivots)]
 
 
+def _rref_pivots(m):
+    """The pivot columns of m if m is in RREF with no zero rows, else None:
+    the first nonzero columns of the rows increase, and there the rows
+    read as the identity matrix."""
+    if not m.size:
+        return None if m.shape[0] else np.zeros(0, dtype=np.int64)
+    pivots = (m != 0).argmax(axis=1)
+    sub = m[:, pivots]
+    if ((pivots[1:] <= pivots[:-1]).any() or (sub.diagonal() != 1).any()
+            or np.count_nonzero(sub) != len(pivots)):
+        return None
+    return pivots
+
+
 def coords_in_rows(basis, v, p: int):
     """Express vector(s) v as combinations of the rows of `basis`.
 
     v may be a vector or a matrix of stacked row vectors; returns the
-    coefficient rows, or None if some v is outside the span.
+    coefficient rows, or None if some v is outside the span.  Over a
+    basis in RREF the coordinates of v are its entries at the pivot
+    columns, and v lies in the span iff they give v back.  Any other
+    basis is eliminated, as is one too long for the int64 product.
     """
     basis = asmat(basis, p)
     v = asmat(v, p)
-    x = solve(basis.T, v.T, p)
-    return None if x is None else x.T
+    pivots = _rref_pivots(basis)
+    if pivots is None or len(pivots) * (p - 1) ** 2 >= 2**63:
+        x = solve(basis.T, v.T, p)
+        return None if x is None else x.T
+    if v.shape[1] != basis.shape[1]:
+        raise ValueError("vectors and basis rows differ in length")
+    coords = v[:, pivots]
+    return coords if (coords @ basis % p == v).all() else None
 
 
 def in_rowspace(basis, v, p: int) -> bool:

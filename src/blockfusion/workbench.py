@@ -363,8 +363,10 @@ def run_scenario(s: Scenario, seed: int = 0,
                  cap_order: int = DEFAULT_CAP_ORDER,
                  through: str = "local-residual") -> Report:
     """Execute the pipeline on one scenario, recording a witnessed check
-    per stage; a failing stage is recorded and the rest are skipped."""
-    return _run_scenario(Pipeline(s, cap_order), seed, through)
+    per stage; a failing stage is recorded and the rest are skipped.
+    Algebras of equal content share their invariants during the call."""
+    with al.shared_invariants():
+        return _run_scenario(Pipeline(s, cap_order), seed, through)
 
 
 def _run_scenario(pipe: Pipeline, seed: int,
@@ -457,7 +459,8 @@ def verify_morita(ms: MoritaScenario, seed: int = 0,
     residual extensions, and matching graded local algebra dimensions."""
     left = Pipeline(ms.left, cap_order)
     right = left if ms.right == ms.left else Pipeline(ms.right, cap_order)
-    return _verify_morita(ms, seed, left, right)
+    with al.shared_invariants():
+        return _verify_morita(ms, seed, left, right)
 
 
 def _verify_morita(ms: MoritaScenario, seed: int, left: Pipeline,
@@ -571,15 +574,17 @@ def morita_catalog() -> list:
 
 def run_catalog(seed: int = 0, cap_order: int = DEFAULT_CAP_ORDER) -> list:
     """Every built-in scenario, then every pair, with one Pipeline per
-    distinct scenario shared between them."""
+    distinct scenario and one table of algebra invariants shared between
+    them."""
     pipes = {}
 
     def pipe(s):
         return pipes.setdefault(repr(s), Pipeline(s, cap_order))
 
-    reports = [_run_scenario(pipe(s), seed) for s in catalog()]
-    reports += [_verify_morita(ms, seed, pipe(ms.left), pipe(ms.right))
-                for ms in morita_catalog()]
+    with al.shared_invariants():
+        reports = [_run_scenario(pipe(s), seed) for s in catalog()]
+        reports += [_verify_morita(ms, seed, pipe(ms.left), pipe(ms.right))
+                    for ms in morita_catalog()]
     return reports
 
 

@@ -752,3 +752,88 @@ def test_invertible_combination_is_none_only_without_an_invertible_element():
     c = alg.invertible_combination([np.array([[1, 0], [0, 0]]),
                                     np.array([[0, 0], [0, 1]])], 2)
     assert c.tolist() == [1, 1]
+
+
+# -- derived invariants, shared by content within a block -----------------------
+
+
+def count_calls(monkeypatch, name):
+    """Record the algebra each call of algebra.<name> gets."""
+    seen = []
+    orig = getattr(alg, name)
+
+    def recording(a, *args):
+        seen.append(a)
+        return orig(a, *args)
+
+    monkeypatch.setattr(alg, name, recording)
+    return seen
+
+
+def s3_mod_3():
+    return bl.GroupAlgebra(RADICAL_GROUPS["S3"][0], 3).algebra()
+
+
+def test_invariants_are_shared_by_content_inside_a_block(monkeypatch):
+    radicals = count_calls(monkeypatch, "_radical")
+    components = count_calls(monkeypatch, "_simple_components")
+    with alg.shared_invariants():
+        a, b = s3_mod_3(), s3_mod_3()
+        assert a is not b
+        assert a.radical_rows() is b.radical_rows()
+        assert a.semisimple_quotient() is b.semisimple_quotient()
+        assert a.simple_components() is b.simple_components()
+    assert (len(radicals), len(components)) == (1, 1)
+    # outside a block every algebra derives its own
+    c, d = s3_mod_3(), s3_mod_3()
+    assert np.array_equal(c.radical_rows(), d.radical_rows())
+    assert len(radicals) == 3
+
+
+def test_the_shared_table_is_dropped_when_the_block_exits(monkeypatch):
+    radicals = count_calls(monkeypatch, "_radical")
+    with alg.shared_invariants():
+        first = s3_mod_3().radical_rows()
+    assert alg._SHARED.get() is None
+    with alg.shared_invariants():
+        again = s3_mod_3().radical_rows()
+    assert len(radicals) == 2 and again is not first
+    assert np.array_equal(again, first)
+
+
+def test_simple_components_are_cached_per_seed(monkeypatch):
+    components = count_calls(monkeypatch, "_simple_components")
+    a = matrix_algebra(2, 3)
+    by_seed = {seed: a.simple_components(seed) for seed in (1, 2)}
+    assert a.simple_components(1) is by_seed[1]
+    assert a.simple_components(2) is by_seed[2]
+    assert len(components) == 2
+    for seed, comps in by_seed.items():
+        fresh = matrix_algebra(2, 3).simple_components(seed)
+        assert [c.primitive_bar.tolist() for c in comps] == \
+            [c.primitive_bar.tolist() for c in fresh]
+
+
+def test_cached_invariants_are_read_only():
+    a = s3_mod_3()
+    q = a.semisimple_quotient()
+    comp = a.simple_components()[0]
+    arrays = [a.radical_rows(), q.proj, q.section, q.alg.sc, q.alg.unit,
+              comp.central_idempotent, comp.primitive_bar]
+    for x in arrays:
+        with pytest.raises(ValueError, match="read-only"):
+            x[...] = 0
+        with pytest.raises(ValueError, match="read-only"):
+            x += 1
+    assert a.radical_rows().any()
+
+
+@pytest.mark.parametrize("a", [matrix_algebra(2, 3), s3_mod_3(),
+                               cyclic_group_algebra(4, 2)])
+def test_corner_at_the_unit_is_the_algebra_on_the_identity_rows(a):
+    corner = a.corner(a.unit)
+    built = alg.span_algebra(np.eye(a.dim, dtype=np.int64), a.mul, a.unit, a.p)
+    assert corner.alg is a
+    assert np.array_equal(corner.rows, built.rows)
+    assert np.array_equal(corner.alg.sc, built.alg.sc)
+    assert np.array_equal(corner.alg.unit, built.alg.unit)

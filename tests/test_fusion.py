@@ -35,13 +35,6 @@ def test_aut_gbar_splits_for_central_quotient():
     assert degrees == [0, 0, 1, 1]
 
 
-def test_int_gbar_abelian_p_gives_identity_times_gbar():
-    s3, c3, kg, b, ext = s3_over_c3()
-    pairs = fu.int_gbar(ext.quot, c3)
-    ident = tuple(range(c3.order))
-    assert sorted(pairs) == [(ident, 0), (ident, 1)]
-
-
 def test_pair_table_is_a_group():
     s3, c3, kg, b, ext = s3_over_c3()
     pairs = fu.aut_gbar(ext.quot, c3)

@@ -1,8 +1,9 @@
 import itertools
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -307,3 +308,80 @@ def test_solve_finds_a_solution_iff_one_exists(system, data):
     else:
         assert x is not None and x.shape == (n, 1)
         assert (a @ x % p == b).all()
+
+
+# -- coordinates over an RREF basis are read off its pivot columns -------------
+
+
+@st.composite
+def spans_and_vectors(draw):
+    """(p, basis, v): an RREF basis of at most 4 rows in GF(p)^n, p in
+    {2, 3, 5}, n <= 5, and up to 24 vectors: combinations of the basis,
+    zero vectors and arbitrary vectors, which may lie outside the span."""
+    p = draw(st.sampled_from([2, 3, 5]))
+    n = draw(st.integers(1, 5))
+    a = draw(hnp.arrays(np.int64, (draw(st.integers(0, 4)), n),
+                        elements=st.integers(0, p - 1)))
+    basis = gfp.row_basis(a, p)
+    k = draw(st.integers(0, 8))
+    inside = draw(hnp.arrays(np.int64, (k, len(basis)),
+                             elements=st.integers(0, p - 1))) @ basis % p
+    anywhere = draw(hnp.arrays(np.int64, (draw(st.integers(0, 8)), n),
+                               elements=st.integers(0, p - 1)))
+    zeros = np.zeros((draw(st.integers(0, 8)), n), dtype=np.int64)
+    order = draw(st.permutations(range(k + len(anywhere) + len(zeros))))
+    v = np.vstack([inside, anywhere, zeros])[list(order)]
+    return p, basis, v
+
+
+def eliminated_coords(basis, v, p):
+    """The coordinates by elimination of [basis.T | v.T], or None."""
+    x = gfp.solve(basis.T, v.T, p)
+    return None if x is None else x.T
+
+
+@BRUTE_SETTINGS
+@given(spans_and_vectors())
+def test_coords_over_an_rref_basis_are_read_off_the_pivots(case):
+    p, basis, v = case
+    expected = eliminated_coords(basis, v, p)
+    with mock.patch.object(gfp, "solve", wraps=gfp.solve) as solve:
+        got = gfp.coords_in_rows(basis, v, p)
+        inside = gfp.in_rowspace(basis, v, p)
+    assert not solve.called
+    assert inside == (expected is not None)
+    if expected is None:
+        assert got is None
+    else:
+        assert got.shape == (len(v), len(basis))
+        assert (got == expected).all()
+
+
+@BRUTE_SETTINGS
+@given(spans_and_vectors(), st.data())
+def test_coords_over_a_basis_not_in_rref_still_eliminate(case, data):
+    p, basis, v = case
+    r = len(basis)
+    # mix the rows by an invertible matrix, or append a zero row
+    mix = data.draw(hnp.arrays(np.int64, (r, r), elements=st.integers(0, p - 1)))
+    if gfp.is_invertible(mix, p):
+        other = mix @ basis % p
+    else:
+        other = np.vstack([basis, np.zeros((1, basis.shape[1]), dtype=np.int64)])
+    assume(not (len(other) == r and (other == basis).all()))
+    with mock.patch.object(gfp, "solve", wraps=gfp.solve) as solve:
+        got = gfp.coords_in_rows(other, v, p)
+    assert solve.called
+    if eliminated_coords(basis, v, p) is None:
+        assert got is None
+    else:
+        assert got is not None and (got @ other % p == v).all()
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_coords_over_the_empty_basis(p):
+    empty = np.zeros((0, 3), dtype=np.int64)
+    got = gfp.coords_in_rows(empty, np.zeros((4, 3), dtype=np.int64), p)
+    assert got.shape == (4, 0)
+    assert gfp.coords_in_rows(empty, [[0, 0, 0], [0, 1, 0]], p) is None
+    assert gfp.in_rowspace(empty, [0, 0, 0], p)

@@ -325,3 +325,39 @@ def test_catalog_shares_one_pipeline_per_scenario(calls):
     assert calls["extended_brauer_extension"] == 6
     # once per subgroup a defect search visits or a scenario or pair names
     assert calls["points_at"] == 19
+
+
+def record_radicals(monkeypatch):
+    """The content (p, sc, unit) of every algebra whose radical is derived."""
+    seen = []
+    orig = al._radical
+
+    def recording(a, *args):
+        seen.append((a.p, a.sc.tobytes(), a.unit.tobytes()))
+        return orig(a, *args)
+
+    monkeypatch.setattr(al, "_radical", recording)
+    return seen
+
+
+def test_run_scenario_derives_each_radical_once(monkeypatch):
+    # conjugate subgroups give equal B^P, and a corner at the unit is the
+    # algebra itself: 25 radicals of 8 distinct algebras without sharing
+    seen = record_radicals(monkeypatch)
+    s = next(s for s in wb.catalog() if s.name == "SC4-D8-in-S4-classical")
+    assert wb.run_scenario(s).passed()
+    assert len(seen) == len(set(seen)) == 8
+
+
+def test_a_second_call_recomputes(monkeypatch):
+    seen = record_radicals(monkeypatch)
+    s = wb.catalog()[1]
+    ms = wb.MoritaScenario(name="pair", left=s, right=s)
+    first = wb.emit(wb.run_scenario(s))
+    n = len(seen)
+    assert n and al._SHARED.get() is None
+    assert wb.emit(wb.run_scenario(s)) == first
+    assert len(seen) == 2 * n
+    # a pair call is a call of its own: it shares nothing with the ones before
+    assert wb.verify_morita(ms).passed()
+    assert set(seen[2 * n:]) <= set(seen[:n]) and len(seen) > 2 * n
