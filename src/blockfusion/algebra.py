@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import contextlib
 import contextvars
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -643,10 +643,6 @@ class SimpleComponent:
     end_field_degree: int  # [F : GF(p)]
     primitive_bar: np.ndarray  # a rank-one idempotent, quotient coordinates
 
-    @property
-    def simple_module_dim(self) -> int:
-        return self.matrix_size * self.end_field_degree
-
 
 def _find_splitting_idempotent(s: Algebra, rng):
     """A proper idempotent of a semisimple algebra, or None (division algebra)."""
@@ -789,14 +785,6 @@ def component_profile(a: Algebra, e, seed: int = DEFAULT_SEED):
     return hits[0], col_dim
 
 
-def is_primitive(a: Algebra, e, seed: int = DEFAULT_SEED) -> bool:
-    idx, col = component_profile(a, e, seed)
-    if idx is None:
-        return False
-    comp = a.simple_components(seed)[idx]
-    return col == comp.simple_module_dim
-
-
 def same_point(a: Algebra, e, f, seed: int = DEFAULT_SEED) -> bool:
     """Conjugacy of primitive idempotents: same component, same rank."""
     ie, ce = component_profile(a, e, seed)
@@ -820,7 +808,6 @@ def primitive_summands(a: Algebra, e, seed: int = DEFAULT_SEED):
         if len(comps) == 1 and comps[0].matrix_size == 1:
             out.append(rest)
             break
-        rng = np.random.default_rng(seed)
         fbar = comps[0].primitive_bar
         f_in_c = lift_idempotent(c, c.semisimple_quotient(seed).lift(fbar), c.radical_rows(seed))
         f = corner.lift(f_in_c)
@@ -850,21 +837,6 @@ def hom_space(m: Module, n: Module):
     system = np.vstack(rows)
     ker = gfp.nullspace(system, p)
     return [ker[:, k].reshape(n.dim, m.dim, order="F") for k in range(ker.shape[1])]
-
-
-def module_iso(m: Module, n: Module, seed: int = DEFAULT_SEED):
-    """An invertible intertwiner, or None if proven non-isomorphic.
-
-    Raises Inconclusive when the search space exceeds the deterministic
-    fallback caps.
-    """
-    if m.dim != n.dim:
-        return None
-    if m.dim == 0:
-        return np.zeros((0, 0), dtype=np.int64)
-    homs = hom_space(m, n)
-    c = invertible_combination(homs, m.algebra.p, seed)
-    return None if c is None else np.tensordot(c, homs, axes=1) % m.algebra.p
 
 
 def invertible_combination(mats, p: int, seed: int = DEFAULT_SEED):

@@ -33,28 +33,23 @@ class GroupAlgebra:
         self.grp = grp
         self.p = int(p)
         self.n = grp.order
-        elems = grp.elements
-        idx = {g: i for i, g in enumerate(elems)}
-        self.mtable = np.array(
-            [[idx[pmul(a, b)] for b in elems] for a in elems], dtype=np.int64
-        )
-        self.inv_idx = np.array([idx[pinv(g)] for g in elems], dtype=np.int64)
-        self._index = idx
+        self.mtable = grp.mult_table()
+        verify((self.mtable >= 0).all(), "the elements of G do not form a group")
         self._conj_cache: dict = {}
         self._alg: Algebra | None = None
 
     def index(self, g) -> int:
-        return self._index[g]
+        return self.grp.index(g)
 
     def vec_of(self, g) -> np.ndarray:
         v = np.zeros(self.n, dtype=np.int64)
-        v[self._index[g]] = 1
+        v[self.grp.index(g)] = 1
         return v
 
     def sum_over(self, elements) -> np.ndarray:
         v = np.zeros(self.n, dtype=np.int64)
         for g in elements:
-            v[self._index[g]] += 1
+            v[self.grp.index(g)] += 1
         return v % self.p
 
     def mul(self, x, y) -> np.ndarray:
@@ -76,7 +71,7 @@ class GroupAlgebra:
         """Index array c with c[i] = index of s * g_i * s^(-1)."""
         if s not in self._conj_cache:
             self._conj_cache[s] = np.array(
-                [self._index[pconj(s, g)] for g in self.grp.elements], dtype=np.int64
+                [self.grp.index(pconj(s, g)) for g in self.grp.elements], dtype=np.int64
             )
         return self._conj_cache[s]
 
@@ -188,26 +183,14 @@ class BlockExtension:
     def component_rows(self, dbar: int) -> np.ndarray:
         return self.rows[self.degrees == dbar]
 
-    def degree_of(self, v) -> int | None:
-        """Degree of a homogeneous vector; None if not homogeneous."""
-        hits = [
-            d
-            for d in range(self.quot.group.order)
-            if gfp.in_rowspace(self.component_rows(d), v, self.kg.p)
-        ]
-        if np.asarray(v).any():
-            return hits[0] if len(hits) == 1 else None
-        return 0
-
 
 def block_extension(kg: GroupAlgebra, sub: PermGroup, b) -> BlockExtension:
     p = kg.p
     b = np.mod(np.asarray(b, dtype=np.int64).ravel(), p)
     for s in kg.grp.generators:
         verify((kg.conj_vec(s, b) == b).all(), "idempotent is not G-invariant")
-    for h in sub.elements:
-        hv = kg.vec_of(h)
-        verify((kg.mul(hv, b) == kg.mul(b, hv)).all(), "idempotent not central in kH")
+    hv = np.array([kg.vec_of(h) for h in sub.elements])
+    verify((kg.mul(hv, b) == kg.mul(b, hv)).all(), "idempotent not central in kH")
     quot = permgroups.quotient(kg.grp, sub)
     row_chunks = []
     degs = []
@@ -298,7 +281,8 @@ class BrauerData:
     target: SpanAlgebra | None  # B(P) = k[C_H(P)] * Br(b); None when Br(b)=0
 
     def apply(self, v) -> np.ndarray:
-        return np.mod(np.asarray(v, dtype=np.int64).ravel() * self.mask, self.kg.p)
+        """Br_P of a vector, or of each vector in a stack."""
+        return np.mod(np.asarray(v, dtype=np.int64) * self.mask, self.kg.p)
 
 
 def brauer(kg: GroupAlgebra, sub: PermGroup, b, P: PermGroup) -> BrauerData:
@@ -318,11 +302,9 @@ def brauer(kg: GroupAlgebra, sub: PermGroup, b, P: PermGroup) -> BrauerData:
 def verify_brauer_hom(kg, sub, b, P, br: BrauerData) -> None:
     """Multiplicativity on B^P and vanishing on proper relative traces."""
     bp = fixed_subalgebra(kg, sub, b, P)
-    for x in bp.rows:
-        for y in bp.rows:
-            lhs = br.apply(kg.mul(x, y))
-            rhs = kg.mul(br.apply(x), br.apply(y))
-            verify((lhs == rhs).all(), "Brauer map is not multiplicative")
+    x, y = bp.rows[:, None], bp.rows[None, :]  # every pair of B^P rows
+    verify((br.apply(kg.mul(x, y)) == kg.mul(br.apply(x), br.apply(y))).all(),
+           "Brauer map is not multiplicative")
     if P.order == 1:
         return
     maximals = [

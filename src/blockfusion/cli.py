@@ -64,23 +64,20 @@ def main(argv=None) -> int:
                                   cap_order=args.cap_order)
         _write(wb.emit(report, args.format), args.out)
         return 0 if report.passed() else 1
-    if args.cmd == "catalog":
-        if args.run_all:
-            reports = wb.run_catalog(seed=args.seed,
-                                     cap_order=args.cap_order)
-            _write(wb.emit_many(reports, args.format), args.out)
-            return 0 if all(r.passed() for r in reports) else 1
-        names = [s.name for s in wb.catalog()]
-        names += [ms.name for ms in wb.morita_catalog()]
-        if args.format == "json":
-            payload = {"schema": wb.SCHEMA_VERSION, "catalog": names}
-            _write((json.dumps(payload, sort_keys=True,
-                               separators=(",", ":")) + "\n").encode(),
-                   args.out)
-        else:
-            _write(("\n".join(names) + "\n").encode(), args.out)
-        return 0
-    raise AssertionError("unreachable")
+    # the remaining subcommand is catalog
+    if args.run_all:
+        reports = wb.run_catalog(seed=args.seed, cap_order=args.cap_order)
+        _write(wb.emit_many(reports, args.format), args.out)
+        return 0 if all(r.passed() for r in reports) else 1
+    names = [s.name for s in wb.catalog()]
+    names += [ms.name for ms in wb.morita_catalog()]
+    if args.format == "json":
+        payload = {"schema": wb.SCHEMA_VERSION, "catalog": names}
+        _write((json.dumps(payload, sort_keys=True,
+                           separators=(",", ":")) + "\n").encode(), args.out)
+    else:
+        _write(("\n".join(names) + "\n").encode(), args.out)
+    return 0
 
 
 if __name__ == "__main__":

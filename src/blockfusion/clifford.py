@@ -133,13 +133,13 @@ def _end_crossed(balg: Algebra, quot: permgroups.QuotientSetup, action: dict,
     vmod.check()
     sigma_inv = {d: gfp.inverse(action[quot.reps[d]], p) for d in range(n)}
 
-    def left_on_v(coeff):
+    def left_on_v(coeff):  # one coefficient vector, or a stack of them
         return np.tensordot(coeff, mats_v, axes=1) % p
 
     hom_bases = []
     isos = []  # per degree, the coefficients of a module isomorphism
     for d in range(n):
-        mats_w = np.array([left_on_v(sigma_inv[d][:, k]) for k in range(balg.dim)])
+        mats_w = left_on_v(sigma_inv[d].T)  # e_k acts as sigma_d^-1(e_k)
         homs = hom_space(vmod, Module(balg, mats_w))
         isos.append(invertible_combination(homs, p))
         if isos[-1] is None:
@@ -155,10 +155,9 @@ def _end_crossed(balg: Algebra, quot: permgroups.QuotientSetup, action: dict,
         for f in range(n):
             df = quot.group.mul(d, f)
             c = pmul(pmul(quot.reps[d], quot.reps[f]), pinv(quot.reps[df]))
-            for k in range(balg.dim):
-                coeff = (sigma_inv[df] @ balg.mul(eye_b[k], interior[c])) % p
-                act_m[d * balg.dim + k,
-                      df * nv:(df + 1) * nv, f * nv:(f + 1) * nv] = left_on_v(coeff)
+            coeffs = balg.mul(eye_b, interior[c]) @ sigma_inv[df].T % p
+            act_m[d * balg.dim:(d + 1) * balg.dim,
+                  df * nv:(df + 1) * nv, f * nv:(f + 1) * nv] = left_on_v(coeffs)
     Module(over.alg, act_m).check()
 
     def full_endo(d, t):

@@ -24,21 +24,14 @@ Pair = tuple  # (phi: index map on P.elements, gbar: int)
 
 def aut_gbar(quot: permgroups.QuotientSetup, P: PermGroup):
     """All pairs (phi, gbar) with omega(phi(u)) = gbar omega(u) gbar^-1."""
-    table = quot.group
-    out = []
-    for phi in permgroups.aut_group(P):
-        for gbar in range(table.order):
-            gi = table.inv(gbar)
-            ok = True
-            for k, u in enumerate(P.elements):
-                lhs = quot.omega_of(P.elements[phi[k]])
-                rhs = table.mul(table.mul(gbar, quot.omega_of(u)), gi)
-                if lhs != rhs:
-                    ok = False
-                    break
-            if ok:
-                out.append((phi, gbar))
-    pair_table(out, table)
+    t = quot.group.table
+    w = np.array([quot.omega_of(u) for u in P.elements])
+    inv = np.array([quot.group.inv(g) for g in range(len(t))])
+    # conj[gbar, k] = gbar omega(u_k) gbar^-1
+    conj = t[t[:, w], inv[:, None]]
+    out = [(phi, int(gbar)) for phi in permgroups.aut_group(P)
+           for gbar in np.flatnonzero((conj == w[list(phi)]).all(axis=1))]
+    pair_table(out, quot.group)
     return out
 
 

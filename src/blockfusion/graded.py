@@ -94,12 +94,6 @@ def graded_from_chunks(mul, unit_vec, chunks, table: GroupTable, p: int):
     return g, span
 
 
-def graded_from_extension(ext):
-    """Graded view of a block extension A = kG*b (small dims only)."""
-    chunks = [ext.component_rows(d) for d in range(ext.quot.group.order)]
-    return graded_from_chunks(ext.kg.mul, ext.b, chunks, ext.quot.group, ext.kg.p)
-
-
 def graded_corner(ext, i):
     """The corner iAi of a block extension, graded by the same group."""
     kg = ext.kg
@@ -219,17 +213,13 @@ def factor_set(g: GradedAlgebra, units=None) -> FactorSetData:
     units = np.array([a.vec(u) for u in units])
     verify((units[0] == a.unit).all(), "degree-1 unit must be the unit")
     d1 = ispan.rows.shape[0]
-    alpha = np.zeros((n, n, d1), dtype=np.int64)
-    action = np.zeros((n, d1, d1), dtype=np.int64)
-    for d in range(n):
-        uinv = a.inverse_element(units[d])
-        for k in range(d1):
-            conj = a.mul(a.mul(units[d], ispan.rows[k]), uinv)
-            action[d, :, k] = ispan.coords(conj)
-        for e in range(n):
-            de = g.group.mul(d, e)
-            val = a.mul(a.mul(units[d], units[e]), a.inverse_element(units[de]))
-            alpha[d, e] = ispan.coords(val)
+    uinv = np.array([a.inverse_element(u) for u in units])
+    # action[d][:, k] = coords of u_d e_k u_d^-1; alpha[d, e] of u_d u_e u_de^-1
+    conj = a.mul(a.mul(units[:, None], ispan.rows[None]), uinv[:, None])
+    action = ispan.coords(conj.reshape(-1, a.dim)).reshape(n, d1, d1)
+    action = action.transpose(0, 2, 1)
+    vals = a.mul(a.mul(units[:, None], units[None]), uinv[g.group.table])
+    alpha = ispan.coords(vals.reshape(-1, a.dim)).reshape(n, n, d1)
     fs = FactorSetData(g.group, units, alpha, action, ispan.alg)
     _verify_cocycle(ispan.alg, fs)
     return fs

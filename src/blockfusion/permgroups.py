@@ -6,6 +6,7 @@ groups and quotients are carried as explicit multiplication tables.
 """
 from __future__ import annotations
 
+import itertools
 import re
 from dataclasses import dataclass, field
 
@@ -127,11 +128,13 @@ class PermGroup:
     def conjugate(self, g: Perm) -> "PermGroup":
         return from_elements([pconj(g, x) for x in self.elements], self.degree)
 
-    def is_p_group(self, p: int) -> bool:
-        n = self.order
-        while n % p == 0:
-            n //= p
-        return n == 1
+    def mult_table(self) -> np.ndarray:
+        """t[i, j] = index of elements[i] * elements[j], or -1 where that
+        product lies outside the element list."""
+        e = np.array(self.elements, dtype=np.int64).reshape(self.order, self.degree)
+        # a[e] holds a∘b for every element b, one row of the table at a time
+        return np.array([[self._index.get(tuple(ab), -1) for ab in a[e].tolist()]
+                         for a in e], dtype=np.int64)
 
 
 def enumerate_group(gens, degree: int, cap: int = DEFAULT_ORDER_CAP) -> PermGroup:
@@ -189,10 +192,6 @@ def centralizer(g: PermGroup, s: PermGroup) -> PermGroup:
     return from_elements(members, g.degree)
 
 
-def center(g: PermGroup) -> PermGroup:
-    return centralizer(g, g)
-
-
 @dataclass(frozen=True)
 class GroupTable:
     """An abstract finite group: elements 0..n-1 with a multiplication table.
@@ -210,35 +209,35 @@ class GroupTable:
 
     @property
     def identity(self) -> int:
-        n = self.order
-        for i in range(n):
-            if all(self.table[i, j] == j and self.table[j, i] == j for j in range(n)):
-                return i
-        raise ValueError("no identity element; not a group table")
+        """The first i whose row and column are both 0..n-1."""
+        ar = np.arange(self.order)
+        hits = np.flatnonzero((self.table == ar).all(axis=1)
+                              & (self.table.T == ar).all(axis=1))
+        if not len(hits):
+            raise ValueError("no identity element; not a group table")
+        return int(hits[0])
 
     def mul(self, i: int, j: int) -> int:
         return int(self.table[i, j])
 
     def inv(self, i: int) -> int:
-        e = self.identity
-        for j in range(self.order):
-            if self.table[i, j] == e:
-                return j
-        raise ValueError("no inverse; not a group table")
+        hits = np.flatnonzero(self.table[i] == self.identity)
+        if not len(hits):
+            raise ValueError("no inverse; not a group table")
+        return int(hits[0])
 
     def validate(self) -> None:
         n = self.order
         t = self.table
         if t.shape != (n, n) or len(self.labels) != n:
             raise ValueError("malformed group table")
-        for i in range(n):
-            if sorted(t[i]) != list(range(n)) or sorted(t[:, i]) != list(range(n)):
-                raise ValueError("table rows/columns are not permutations")
-        for i in range(n):
-            for j in range(n):
-                for k in range(n):
-                    if t[t[i, j], k] != t[i, t[j, k]]:
-                        raise ValueError("table is not associative")
+        ar = np.arange(n)
+        if not ((np.sort(t, axis=1) == ar).all()
+                and (np.sort(t, axis=0) == ar[:, None]).all()):
+            raise ValueError("table rows/columns are not permutations")
+        # t[t][i, j, k] = (ij)k and t[:, t][i, j, k] = i(jk)
+        if (t[t] != t[:, t]).any():
+            raise ValueError("table is not associative")
         self.identity  # raises if absent
 
 
@@ -338,81 +337,48 @@ def aut_group(p_grp: PermGroup, order_cap: int = 64):
     """All automorphisms of a p-group of order <= order_cap.
 
     Automorphisms are returned as index maps on p_grp.elements (tuples),
-    found by brute force over generator-image tuples.
+    found by brute force over generator-image tuples: each tuple extends
+    along a spanning tree of right multiplications by the generators, and
+    the map it gives is kept when it is a bijective table homomorphism.
     """
     if p_grp.order > order_cap:
         raise CapExceeded(f"aut_group order cap {order_cap} exceeded")
-    elements = p_grp.elements
-    n = len(elements)
-    # greedy small generating set, and a word for every element
-    gens = []
-    span = {elements[0]: ()}  # element -> word in generator indices
-    for x in elements:
-        if x in span:
+    n = p_grp.order
+    t = p_grp.mult_table()
+    verify((t >= 0).all(), "the elements of P do not form a group")
+    table = GroupTable(t, p_grp.elements)
+    root = table.identity
+    rows = t.tolist()
+    # greedy generating set; each step (z, y, k) reaches z = y * gens[k]
+    gens, steps, reached = [], [], {root}
+    for x in range(n):
+        if x in reached:
             continue
         gens.append(x)
-        gi = len(gens) - 1
-        # regrow the span closure with words
-        changed = True
-        span[x] = (gi,)
-        while changed:
-            changed = False
-            for y, wy in list(span.items()):
-                for k, z in enumerate(gens):
-                    w = pmul(y, z)
-                    if w not in span:
-                        span[w] = wy + (k,)
-                        changed = True
-    verify(len(span) == n, "the elements of P do not form a group")
-    orders = {}
-    for x in elements:
-        orders.setdefault(perm_order(x), []).append(x)
-    gen_orders = [perm_order(x) for x in gens]
-
-    def build(images):
-        mapping = {}
-        for y, w in span.items():
-            img = identity_perm(p_grp.degree)
-            for k in w:
-                img = pmul(img, images[k])
-            if img not in p_grp:
-                return None
-            mapping[y] = img
-        if len(set(mapping.values())) != n:
-            return None
-        for a in elements:
-            for b in elements:
-                if mapping[pmul(a, b)] != pmul(mapping[a], mapping[b]):
-                    return None
-        return tuple(p_grp.index(mapping[x]) for x in elements)
-
+        steps, reached, frontier = [], {root}, [root]
+        while frontier:
+            nxt = []
+            for y in frontier:
+                for k, g in enumerate(gens):
+                    z = rows[y][g]
+                    if z not in reached:
+                        reached.add(z)
+                        steps.append((z, y, k))
+                        nxt.append(z)
+            frontier = nxt
+    orders = [perm_order(x) for x in p_grp.elements]
+    cands = [[y for y in range(n) if orders[y] == orders[g]] for g in gens]
     auts = []
-    seen = set()
-
-    def rec(k, images):
-        if k == len(gens):
-            m = build(tuple(images))
-            if m is not None and m not in seen:
-                seen.add(m)
-                auts.append(m)
-            return
-        for cand in orders.get(gen_orders[k], []):
-            images.append(cand)
-            rec(k + 1, images)
-            images.pop()
-
-    rec(0, [])
-    verify(tuple(range(n)) in seen, "the identity is not among the automorphisms")
+    for images in itertools.product(*cands):
+        m = [root] * n
+        for z, y, k in steps:
+            m[z] = rows[m[y]][images[k]]
+        if len(set(m)) == n and is_table_hom(m, table, table):
+            auts.append(tuple(m))
+    verify(tuple(range(n)) in auts, "the identity is not among the automorphisms")
     return auts
 
 
 def aut_compose(a, b):
     """Automorphism composition a∘b as index maps."""
     return tuple(a[i] for i in b)
-
-
-def aut_inverse(a):
-    out = [0] * len(a)
-    for i, j in enumerate(a):
-        out[j] = i
-    return tuple(out)

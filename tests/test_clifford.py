@@ -244,7 +244,7 @@ def test_diagonal_tensor_check_refuses_past_the_cap_before_building(
 def test_graded_tensor_diagonal_matches_elementwise_products(s3_chain):
     # reference: e_a (x) e_b times e_c (x) e_d is the outer product of
     # e_a e_c and e_b e_d, read off at the basis positions (a', b')
-    g, _ = gr.graded_from_extension(s3_chain[4])
+    g, _ = gr.graded_corner(s3_chain[4], s3_chain[4].b)
     t = cl.graded_tensor_diagonal(g, g, [(0, 0), (1, 1)], g.group)
     basis = [(a, b) for k in range(2) for a in g.component_indices(k)
              for b in g.component_indices(k)]
@@ -270,8 +270,8 @@ def test_graded_map_check_survives_python_O():
             (pg.parse_cycles("(0 1)", 3), pg.parse_cycles("(0 1 2)", 3)), 3)
         c3 = pg.enumerate_group((pg.parse_cycles("(0 1 2)", 3),), 3)
         kg = bl.GroupAlgebra(s3, 3)
-        g, _ = gr.graded_from_extension(
-            bl.block_extension(kg, c3, bl.blocks(kg, c3)[0]))
+        ext = bl.block_extension(kg, c3, bl.blocks(kg, c3)[0])
+        g, _ = gr.graded_corner(ext, ext.b)
         a = g.alg
         m = np.eye(6, dtype=np.int64)
         m[3, 4] = 1

@@ -9,7 +9,8 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 
 
-@pytest.mark.parametrize("demo", ["walkthrough_s3.py", "corner_overlap_s4.py"])
+@pytest.mark.parametrize("demo", ["walkthrough_s3.py", "corner_overlap_s4.py",
+                                  "run_catalog.py"])
 def test_demo_runs(demo):
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (str(ROOT / "src"), os.environ.get("PYTHONPATH")) if p))

@@ -25,6 +25,22 @@ def s3_over_c3():
     return s3, c3, kg, b, ext
 
 
+def test_aut_gbar_matches_its_loop_definition():
+    # S4 / V4 is S3, so conjugation in the quotient needs the true inverse
+    s4 = pg.enumerate_group([pg.parse_cycles("(0 1)", 4),
+                             pg.parse_cycles("(0 1 2 3)", 4)], 4)
+    v4 = pg.enumerate_group([pg.parse_cycles("(0 1)(2 3)", 4),
+                             pg.parse_cycles("(0 2)(1 3)", 4)], 4)
+    quot = pg.quotient(s4, v4)
+    t = quot.group
+    for P in pg.p_subgroups(s4, 2):
+        want = [(phi, g) for phi in pg.aut_group(P) for g in range(t.order)
+                if all(quot.omega_of(P.elements[phi[k]])
+                       == t.mul(t.mul(g, quot.omega_of(u)), t.inv(g))
+                       for k, u in enumerate(P.elements))]
+        assert fu.aut_gbar(quot, P) == want
+
+
 def test_aut_gbar_splits_for_central_quotient():
     # P = C3 inside H, Gbar = C2: every (phi, gbar) is compatible,
     # so the pair group is Aut(C3) x Gbar of order 4

@@ -8,6 +8,7 @@ import pytest
 
 from blockfusion import algebra as alg
 from blockfusion import blocks as bl
+from blockfusion import gfp
 from blockfusion import graded as gr
 from blockfusion import permgroups as pg
 
@@ -38,7 +39,7 @@ def sc1_graded():
     kg = bl.GroupAlgebra(S3, 3)
     b = bl.blocks(kg, C3)[0]
     ext = bl.block_extension(kg, C3, b)
-    return kg, ext, gr.graded_from_extension(ext)
+    return kg, ext, gr.graded_corner(ext, ext.b)
 
 
 def twisted_c2_over_gf3(alpha_ss):
@@ -71,9 +72,9 @@ def test_degree_of():
 
 
 def test_graded_corner_of_full_unit_is_whole():
-    kg, ext, (g, _) = sc1_graded()
-    gc, _ = gr.graded_corner(ext, ext.b)
-    assert gc.component_dims() == g.component_dims()
+    kg, ext, (g, span) = sc1_graded()
+    assert g.component_dims() == [len(ext.component_rows(d)) for d in range(2)]
+    assert (gfp.row_basis(span.rows, 3) == gfp.row_basis(ext.rows, 3)).all()
 
 
 def test_homogeneous_unit():
@@ -119,6 +120,27 @@ def test_factor_set_extracts_twist():
     t = twisted_c2_over_gf3(2)
     fs = gr.factor_set(t, units=[np.array([1, 0]), np.array([0, 1])])
     assert (fs.alpha[1, 1] == np.array([2])).all()
+
+
+def test_factor_set_matches_its_loop_definition():
+    # A4 acts on kV4 by 3-cycles, so the action matrices are not symmetric
+    a4 = grp(4, "(0 1 2)", "(1 2 3)")
+    v4 = grp(4, "(0 1)(2 3)", "(0 2)(1 3)")
+    for g in (sc1_graded()[2][0], crossed_by_conjugation(a4, v4, 2),
+              crossed_by_conjugation(S3, C3, 2)):
+        a, n = g.alg, g.group.order
+        units = [gr.homogeneous_unit(g, d) for d in range(n)]
+        fs = gr.factor_set(g, units)
+        ispan = g.identity_span()
+        for d in range(n):
+            uinv = a.inverse_element(units[d])
+            for k, row in enumerate(ispan.rows):
+                conj = a.mul(a.mul(units[d], row), uinv)
+                assert (fs.action[d, :, k] == ispan.coords(conj)).all()
+            for e in range(n):
+                de = g.group.mul(d, e)
+                val = a.mul(a.mul(units[d], units[e]), a.inverse_element(units[de]))
+                assert (fs.alpha[d, e] == ispan.coords(val)).all()
 
 
 def test_factor_sets_equivalence_vs_twist():
@@ -195,8 +217,8 @@ def test_cocycle_check_survives_python_O():
             (pg.parse_cycles("(0 1)", 3), pg.parse_cycles("(0 1 2)", 3)), 3)
         c3 = pg.enumerate_group((pg.parse_cycles("(0 1 2)", 3),), 3)
         kg = bl.GroupAlgebra(s3, 3)
-        g, _ = gr.graded_from_extension(
-            bl.block_extension(kg, c3, bl.blocks(kg, c3)[0]))
+        ext = bl.block_extension(kg, c3, bl.blocks(kg, c3)[0])
+        g, _ = gr.graded_corner(ext, ext.b)
         print("optimize", sys.flags.optimize)
         fs = gr.factor_set(g)
         print("alpha(1, 1)", fs.alpha[0, 0].tolist())
@@ -221,8 +243,8 @@ def test_graded_checks_survive_python_O():
             (pg.parse_cycles("(0 1)", 3), pg.parse_cycles("(0 1 2)", 3)), 3)
         c3 = pg.enumerate_group((pg.parse_cycles("(0 1 2)", 3),), 3)
         kg = bl.GroupAlgebra(s3, 3)
-        g, _ = gr.graded_from_extension(
-            bl.block_extension(kg, c3, bl.blocks(kg, c3)[0]))
+        ext = bl.block_extension(kg, c3, bl.blocks(kg, c3)[0])
+        g, _ = gr.graded_corner(ext, ext.b)
         print("optimize", sys.flags.optimize)
         g.validate()
         print("degrees", g.deg.tolist())

@@ -5,6 +5,8 @@ import textwrap
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from blockfusion import permgroups as pg
 
@@ -124,7 +126,7 @@ def test_aut_group_small():
     ident = tuple(range(v4.order))
     assert ident in auts
     for a in auts:
-        assert pg.aut_inverse(a) in auts
+        assert any(pg.aut_compose(a, b) == ident for b in auts)
         for b in auts:
             assert pg.aut_compose(a, b) in auts
     # every automorphism is a homomorphism
@@ -135,6 +137,17 @@ def test_aut_group_small():
                 assert a[k] == v4.index(
                     pg.pmul(v4.elements[a[i]], v4.elements[a[j]])
                 )
+
+
+def test_aut_group_known_orders():
+    c4 = pg.enumerate_group([pg.parse_cycles("(0 1 2 3)", 4)], 4)
+    c2_3 = pg.enumerate_group([pg.parse_cycles(c, 6)
+                               for c in ("(0 1)", "(2 3)", "(4 5)")], 6)
+    q8 = pg.enumerate_group([pg.parse_cycles("(0 1 2 3)(4 5 6 7)", 8),
+                             pg.parse_cycles("(0 4 2 6)(1 7 3 5)", 8)], 8)
+    c8 = pg.enumerate_group([pg.parse_cycles("(0 1 2 3 4 5 6 7)", 8)], 8)
+    assert [g.order for g in (c4, c2_3, q8, c8)] == [4, 8, 8, 8]
+    assert [len(pg.aut_group(g)) for g in (c4, c2_3, q8, c8)] == [2, 168, 24, 4]
 
 
 def test_aut_group_d8():
@@ -186,3 +199,132 @@ def test_aut_group_check_survives_python_O():
     assert proc.stdout.splitlines() == [
         "optimize 1", "automorphisms 6",
         "refused: the elements of P do not form a group"]
+
+
+# -- GroupTable against its brute-force definitions ---------------------------
+
+TABLE_GROUPS = [
+    pg.enumerate_group(gens, degree) for gens, degree in (
+        (S3_GENS, 3),
+        ([pg.parse_cycles("(0 1 2 3)", 4)], 4),
+        ([pg.parse_cycles("(0 1)(2 3)", 4), pg.parse_cycles("(0 2)(1 3)", 4)], 4),
+        ([pg.parse_cycles("(0 1 2 3)", 4), pg.parse_cycles("(0 2)", 4)], 4),
+        ([pg.parse_cycles("(0 1 2 3)(4 5 6 7)", 8),
+          pg.parse_cycles("(0 4 2 6)(1 7 3 5)", 8)], 8),
+        ([pg.parse_cycles("(0 1 2)", 4), pg.parse_cycles("(1 2 3)", 4)], 4),
+    )
+]
+
+# the smallest non-associative loop: a Latin square with identity 0
+LOOP5 = np.array([[0, 1, 2, 3, 4],
+                  [1, 0, 3, 4, 2],
+                  [2, 4, 0, 1, 3],
+                  [3, 2, 4, 0, 1],
+                  [4, 3, 1, 2, 0]])
+
+
+def brute_identity(t):
+    n = len(t)
+    for i in range(n):
+        if all(t[i, j] == j and t[j, i] == j for j in range(n)):
+            return i
+    return None
+
+
+def brute_inv(t, i):
+    e = brute_identity(t)
+    return next((j for j in range(len(t)) if t[i, j] == e), None)
+
+
+def brute_validate(t):
+    """The first law a square table breaks, as GroupTable names it."""
+    n = len(t)
+    for i in range(n):
+        if sorted(t[i]) != list(range(n)) or sorted(t[:, i]) != list(range(n)):
+            return "table rows/columns are not permutations"
+    for i in range(n):
+        for j in range(n):
+            for k in range(n):
+                if t[t[i, j], k] != t[i, t[j, k]]:
+                    return "table is not associative"
+    if brute_identity(t) is None:
+        return "no identity element; not a group table"
+    return None
+
+
+def agrees_with_brute_force(t):
+    table = pg.GroupTable(t, tuple(range(len(t))))
+    e = brute_identity(t)
+    if e is None:
+        with pytest.raises(ValueError, match="^no identity element; not a group table$"):
+            table.identity
+    else:
+        assert table.identity == e
+        for i in range(len(t)):
+            j = brute_inv(t, i)
+            if j is None:
+                with pytest.raises(ValueError, match="^no inverse; not a group table$"):
+                    table.inv(i)
+            else:
+                assert table.inv(i) == j
+    msg = brute_validate(t)
+    if msg is None:
+        table.validate()
+    else:
+        with pytest.raises(ValueError, match=f"^{msg}$"):
+            table.validate()
+
+
+def relabelled(grp, sigma):
+    """grp's table with element k renamed sigma[k]."""
+    t = grp.mult_table()
+    out = np.empty_like(t)
+    out[np.ix_(sigma, sigma)] = np.asarray(sigma)[t]
+    return out
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(TABLE_GROUPS), st.data())
+def test_group_table_of_relabelled_group_matches_brute_force(grp, data):
+    sigma = data.draw(st.permutations(range(grp.order)))
+    t = relabelled(grp, sigma)
+    assert brute_validate(t) is None
+    agrees_with_brute_force(t)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(TABLE_GROUPS + [LOOP5]), st.data())
+def test_group_table_of_isotope_matches_brute_force(base, data):
+    # t'(i, j) = gamma(t(alpha i, beta j)) is still a Latin square, but it
+    # may lose the identity, the inverses or associativity
+    t = base if isinstance(base, np.ndarray) else base.mult_table()
+    n = len(t)
+    alpha, beta, gamma = (np.array(data.draw(st.permutations(range(n))))
+                          for _ in range(3))
+    agrees_with_brute_force(gamma[t[np.ix_(alpha, beta)]])
+
+
+def test_group_table_refusals_name_the_broken_law():
+    assert brute_identity(LOOP5) == 0
+    agrees_with_brute_force(LOOP5)
+    with pytest.raises(ValueError, match="^table is not associative$"):
+        pg.GroupTable(LOOP5, tuple(range(5))).validate()
+    # x - y mod 5: a Latin square with a right identity but no identity
+    sub = (np.arange(5)[:, None] - np.arange(5)[None, :]) % 5
+    agrees_with_brute_force(sub)
+    with pytest.raises(ValueError, match="^no identity element; not a group table$"):
+        pg.GroupTable(sub, tuple(range(5))).identity
+    # an identity, but row 1 never reaches it
+    no_inv = np.array([[0, 1, 2], [1, 1, 1], [2, 1, 2]])
+    agrees_with_brute_force(no_inv)
+    with pytest.raises(ValueError, match="^no inverse; not a group table$"):
+        pg.GroupTable(no_inv, (0, 1, 2)).inv(1)
+    with pytest.raises(ValueError, match="^table rows/columns are not permutations$"):
+        pg.GroupTable(no_inv, (0, 1, 2)).validate()
+    # every row a permutation, every column constant
+    rows_only = np.tile(np.arange(3), (3, 1))
+    agrees_with_brute_force(rows_only)
+    with pytest.raises(ValueError, match="^table rows/columns are not permutations$"):
+        pg.GroupTable(rows_only, (0, 1, 2)).validate()
+    with pytest.raises(ValueError, match="^malformed group table$"):
+        pg.GroupTable(np.zeros((2, 2), dtype=np.int64), (0,)).validate()

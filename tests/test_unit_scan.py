@@ -121,7 +121,7 @@ def corners():
 
 
 def test_homogeneous_unit_is_the_scalar_first_hit(corners):
-    graded = [gr.graded_from_extension(r.ext)[0] for r, _ in corners.values()]
+    graded = [gr.graded_corner(r.ext, r.ext.b)[0] for r, _ in corners.values()]
     graded += [cd.graded for _, cd in corners.values()]
     for g in graded:
         for d in range(1, g.group.order):
