@@ -14,7 +14,6 @@ import numpy as np
 
 from . import gfp, permgroups
 from .algebra import (
-    Algebra,
     SpanAlgebra,
     primitive_idempotent_in,
     primitive_idempotents,
@@ -35,8 +34,9 @@ class GroupAlgebra:
         self.n = grp.order
         self.mtable = grp.mult_table()
         verify((self.mtable >= 0).all(), "the elements of G do not form a group")
-        self._conj_cache: dict = {}
-        self._alg: Algebra | None = None
+        # _inv[k] is the index of g_k^-1: the column of the identity in row k
+        e = self.index(permgroups.identity_perm(grp.degree))
+        self._inv = np.argmax(self.mtable == e, axis=1)
 
     def index(self, g) -> int:
         return self.grp.index(g)
@@ -69,11 +69,8 @@ class GroupAlgebra:
 
     def conj_perm(self, s) -> np.ndarray:
         """Index array c with c[i] = index of s * g_i * s^(-1)."""
-        if s not in self._conj_cache:
-            self._conj_cache[s] = np.array(
-                [self.grp.index(pconj(s, g)) for g in self.grp.elements], dtype=np.int64
-            )
-        return self._conj_cache[s]
+        k = self.index(s)
+        return self.mtable[self.mtable[k], self._inv[k]]
 
     def conj_vec(self, s, v) -> np.ndarray:
         out = np.zeros(self.n, dtype=np.int64)
@@ -82,16 +79,6 @@ class GroupAlgebra:
 
     def augmentation(self, v) -> int:
         return int(np.asarray(v, dtype=np.int64).sum()) % self.p
-
-    def algebra(self) -> Algebra:
-        """Full structure constants; only sensible for small groups."""
-        if self._alg is None:
-            sc = np.zeros((self.n, self.n, self.n), dtype=np.int64)
-            for i in range(self.n):
-                for j in range(self.n):
-                    sc[i, j, self.mtable[i, j]] = 1
-            self._alg = Algebra(self.p, sc, self.unit, check=False)
-        return self._alg
 
     def span(self, rows, unit_vec=None) -> SpanAlgebra:
         unit_vec = self.unit if unit_vec is None else unit_vec

@@ -62,7 +62,7 @@ from .graded import (
     graded_iso_search,
     graded_radical_quotient,
 )
-from .permgroups import GroupTable, PermGroup, pinv, pmul
+from .permgroups import GroupTable, PermGroup
 
 TENSOR_DIM_CAP = 64
 
@@ -102,9 +102,8 @@ def _interior_action(kg: GroupAlgebra, quot: permgroups.QuotientSetup,
     """(action, interior) on a span with unit u: the conjugation matrix of
     every representative r_d and of every defect c, where r_d r_e =
     c r_{de}, and interior[c], the coordinates of u c u."""
-    defects = dict.fromkeys(
-        pmul(pmul(quot.reps[d], quot.reps[e]), pinv(quot.reps[quot.group.mul(d, e)]))
-        for d in range(quot.order) for e in range(quot.order))
+    defects = dict.fromkeys(quot.defect(d, e)
+                            for d in range(quot.order) for e in range(quot.order))
     action = {g: _conj_matrix(kg, g, span) for g in [*quot.reps, *defects]}
     interior = {c: span.coords(kg.mul(kg.mul(u, kg.vec_of(c)), u))
                 for c in defects}
@@ -154,8 +153,7 @@ def _end_crossed(balg: Algebra, quot: permgroups.QuotientSetup, action: dict,
     for d in range(n):
         for f in range(n):
             df = quot.group.mul(d, f)
-            c = pmul(pmul(quot.reps[d], quot.reps[f]), pinv(quot.reps[df]))
-            coeffs = balg.mul(eye_b, interior[c]) @ sigma_inv[df].T % p
+            coeffs = balg.mul(eye_b, interior[quot.defect(d, f)]) @ sigma_inv[df].T % p
             act_m[d * balg.dim:(d + 1) * balg.dim,
                   df * nv:(df + 1) * nv, f * nv:(f + 1) * nv] = left_on_v(coeffs)
     Module(over.alg, act_m).check()
@@ -164,16 +162,13 @@ def _end_crossed(balg: Algebra, quot: permgroups.QuotientSetup, action: dict,
         out = np.zeros((dim_m, dim_m), dtype=np.int64)
         for f in range(n):
             fd = quot.group.mul(f, d)
-            c = pmul(pmul(quot.reps[f], quot.reps[d]), pinv(quot.reps[fd]))
-            coeff = (sigma_inv[fd] @ interior[c]) % p
+            coeff = (sigma_inv[fd] @ interior[quot.defect(f, d)]) % p
             out[fd * nv:(fd + 1) * nv, f * nv:(f + 1) * nv] = (left_on_v(coeff) @ t) % p
         return out
 
     fulls = [np.array([full_endo(d, t) for t in hom_bases[d]]) for d in range(n)]
     for m in np.concatenate(fulls):  # commuting with the crossed-product action
         verify(not ((m @ act_m - act_m @ m) % p).any(), "endomorphism is not linear")
-    deg = np.repeat(np.arange(n), dims[0])
-    dim = n * dims[0]
     # an endomorphism is fixed by its values on the generating block 1 (x) V
     gens = np.zeros((n, dims[0], dim_m, nv), dtype=np.int64)
     for d in range(n):
@@ -182,25 +177,9 @@ def _end_crossed(balg: Algebra, quot: permgroups.QuotientSetup, action: dict,
     def compose(x, y):  # the opposite composition, on 1 (x) V
         return y @ x[..., :nv] % p
 
-    sc = np.zeros((dim, dim, dim), dtype=np.int64)
-    blk = [slice(d * dims[0], (d + 1) * dims[0]) for d in range(n)]
-    for di in range(n):
-        for dj in range(n):
-            dij = quot.group.mul(di, dj)
-            sc[blk[di], blk[dj], blk[dij]] = structure_constants(
-                fulls[di], fulls[dj], gens[dij], compose, p, f"the degree-{dij} homs")
-    uc = gfp.coords_in_rows(gens[0].reshape(dims[0], -1),
-                            np.eye(dim_m, nv, dtype=np.int64).ravel(), p)
-    verify(uc is not None, "identity map is missing from the degree-1 homs")
-    unit = np.zeros(dim, dtype=np.int64)
-    unit[blk[0]] = uc.ravel()
-    g = GradedAlgebra(alg=Algebra(p, sc, unit, check=True), group=quot.group, deg=deg)
-    g.validate()
-    for d, c in enumerate(isos):  # the crossed-product certificate
-        x = np.zeros(dim, dtype=np.int64)
-        x[blk[d]] = c
-        verify(g.alg.is_unit_element(x),
-               f"the degree-{d} module isomorphism is not a unit")
+    g = graded_from_chunks(compose, np.eye(dim_m, dtype=np.int64), fulls, quot.group,
+                           p, targets=gens)
+    g.verify_units(isos, "module isomorphism")
     return CliffordExtensionData(
         graded=g, quot=quot, hom_bases=hom_bases, v_rows=v_rows,
         v_ambient=v_ambient, base=base,
@@ -231,40 +210,22 @@ def build_F(ext: BlockExtension, data: PointedGroupData, cd: CornerData,
     chunks = [cd.intertwiners(phi, gbar) for phi, gbar in fg.pairs]
     dims = [c.shape[0] for c in chunks]
     verify(all(d == dims[0] for d in dims), "pair components of unequal size")
-    # the identity-pair component is i B^P i
-    ident = fg.pairs.index((tuple(range(cd.P.order)), 0))
+    # one solve per pair of components: their images may overlap in iAi
+    try:
+        g = graded_from_chunks(alg.mul, alg.unit, chunks, fg.table, p)
+    except ValueError as exc:
+        raise VerificationError("product left its pair component") from exc
+    # the identity-pair component, piece 0 of the kernel, is i B^P i
     ibpi = gfp.row_basis(cd.span.coords(
         kg.mul(kg.mul(cd.idem, data.span.rows), cd.idem)), p)
-    verify(chunks[ident].shape == ibpi.shape
-           and gfp.rank(np.vstack([chunks[ident], ibpi]), p) == ibpi.shape[0],
+    verify(chunks[0].shape == ibpi.shape
+           and gfp.rank(np.vstack([chunks[0], ibpi]), p) == ibpi.shape[0],
            "the identity-pair component is not i B^P i")
-    dim = len(chunks) * dims[0]
-    blk = [slice(k * dims[0], (k + 1) * dims[0]) for k in range(len(chunks))]
-    sc = np.zeros((dim, dim, dim), dtype=np.int64)
-    # one solve per pair of components: their images may overlap in iAi
-    for k in range(len(chunks)):
-        for l in range(len(chunks)):
-            kl = fg.table.mul(k, l)
-            try:
-                sc[blk[k], blk[l], blk[kl]] = structure_constants(
-                    chunks[k], chunks[l], chunks[kl], alg.mul, p)
-            except ValueError as exc:
-                raise VerificationError("product left its pair component") from exc
-    uc = gfp.coords_in_rows(chunks[ident], alg.unit % p, p)
-    verify(uc is not None, "the unit is missing from the identity-pair component")
-    unit = np.zeros(dim, dtype=np.int64)
-    unit[blk[ident]] = uc.ravel()
-    deg = np.repeat(np.arange(len(chunks)), dims[0])
-    g = GradedAlgebra(alg=Algebra(p, sc, unit, check=True), group=fg.table,
-                      deg=deg)
-    g.validate()
     # the fusion witnesses are homogeneous units, one per pair
-    for k, pair in enumerate(fg.pairs):
-        w = gfp.coords_in_rows(chunks[k], fg.witnesses[pair], p)
-        verify(w is not None, "fusion witness escapes its component")
-        v = np.zeros(dim, dtype=np.int64)
-        v[blk[k]] = w.ravel()
-        verify(g.alg.is_unit_element(v), "fusion witness is not invertible")
+    coords = [gfp.coords_in_rows(c, fg.witnesses[pair], p)
+              for c, pair in zip(chunks, fg.pairs)]
+    verify(all(w is not None for w in coords), "fusion witness escapes its component")
+    g.verify_units(coords, "fusion witness")
     return CliffordExtensionData(
         graded=g, pairs=fg.pairs, corner=cd, chunk_rows=chunks,
     )
@@ -354,10 +315,11 @@ def residuals_match(c1: CliffordExtensionData, c2: CliffordExtensionData,
     """Graded isomorphism test for two residual extensions over matched
     grading groups: factor-set equivalence over field 1-components, with
     the exhaustive graded search as fallback."""
-    f1 = c1.factor_data if c1.factor_data is not None else factor_set(c1.graded)
-    f2 = c2.factor_data if c2.factor_data is not None else factor_set(c2.graded)
+    verify(c1.factor_data is not None and c2.factor_data is not None,
+           "a residual extension carries no factor set")
     try:
-        return factor_sets_equivalent(f1, f2, group_map=group_map)
+        return factor_sets_equivalent(c1.factor_data, c2.factor_data,
+                                      group_map=group_map)
     except Inconclusive:
         iso = graded_iso_search(c1.graded, c2.graded, group_map=group_map)
         return iso is not None
@@ -489,11 +451,11 @@ def _shifted_perm(g, g2, n1, n2):
     return tuple(g) + tuple(x + n1 for x in g2)
 
 
-def graded_restrict(g: GradedAlgebra, degrees: list, table: GroupTable):
+def graded_restrict(g: GradedAlgebra, degrees: list, table: GroupTable) -> GradedAlgebra:
     """The sum of the listed degree components as a graded algebra over
     the induced subgroup table (degrees[k] in g matches k in the table)."""
     chunks = [g.component_rows(d) for d in degrees]
-    return graded_from_chunks(g.alg.mul, g.alg.unit, chunks, table, g.p)
+    return graded_from_chunks(g.alg.mul, g.alg.unit, chunks, table, g.p, check=False)
 
 
 def graded_tensor_diagonal(g1: GradedAlgebra, g2: GradedAlgebra,
@@ -503,24 +465,19 @@ def graded_tensor_diagonal(g1: GradedAlgebra, g2: GradedAlgebra,
     d1 x d2 array; the basis element e_a (x) e_b has a single 1 at (a, b)."""
     p = g1.p
     a1, a2 = g1.alg, g2.alg
-    pairs = [np.stack(np.meshgrid(g1.component_indices(x), g2.component_indices(y),
-                                  indexing="ij")).reshape(2, -1) for x, y in match]
-    deg = np.repeat(np.arange(len(match)), [ab.shape[1] for ab in pairs])
-    basis = np.zeros((len(deg), a1.dim, a2.dim), dtype=np.int64)
-    basis[(np.arange(len(deg)), *np.hstack(pairs))] = 1
+    pieces = []
+    for x, y in match:
+        a, b = np.meshgrid(g1.component_indices(x), g2.component_indices(y),
+                           indexing="ij")
+        piece = np.zeros((a.size, a1.dim, a2.dim), dtype=np.int64)
+        piece[np.arange(a.size), a.ravel(), b.ravel()] = 1
+        pieces.append(piece)
 
     def mul(x, y):  # (e_a (x) e_b)(e_c (x) e_d) = e_a e_c (x) e_b e_d
         return np.einsum("...ab,...cd,acm,bdn->...mn", x, y, a1.sc, a2.sc,
                          optimize=True) % p
 
-    sc = structure_constants(basis, basis, basis, mul, p, "the diagonal tensor")
-    unit = gfp.coords_in_rows(basis.reshape(len(deg), -1),
-                              np.outer(a1.unit, a2.unit).ravel(), p)
-    verify(unit is not None, "the unit is outside the matched components")
-    g = GradedAlgebra(alg=Algebra(p, sc, unit.ravel(), check=True), group=table,
-                      deg=deg)
-    g.validate()
-    return g
+    return graded_from_chunks(mul, np.outer(a1.unit, a2.unit), pieces, table, p)
 
 
 def diagonal_tensor_check(ext1: BlockExtension, data1: PointedGroupData,
@@ -609,10 +566,9 @@ def diagonal_tensor_check(ext1: BlockExtension, data1: PointedGroupData,
              if phi2 == phi and dd_deg[g2] == g)
         for phi, g in common
     ]
-    restdd, _ = graded_restrict(fbardd.graded, ddd_pairs, ktable)
-    rest1, _ = graded_restrict(
-        fbar1.graded, [f1.pairs.index(c) for c in common], ktable)
-    rest2, _ = graded_restrict(
+    restdd = graded_restrict(fbardd.graded, ddd_pairs, ktable)
+    rest1 = graded_restrict(fbar1.graded, [f1.pairs.index(c) for c in common], ktable)
+    rest2 = graded_restrict(
         fbar2.graded, [f2.pairs.index(second[c]) for c in common], ktable)
     # component k of the tensor is rest1's component k tensored with rest2's
     tensor_dim = sum(x * y for x, y in zip(rest1.component_dims(),

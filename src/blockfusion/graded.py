@@ -2,8 +2,9 @@
 
 A graded algebra is a structure-constant algebra whose basis is split
 into components indexed by a finite group (given by its multiplication
-table).  Crossed products, factor sets, graded radicals, and the small
-exhaustive searches for graded isomorphisms all live here.
+table).  Assembly from homogeneous pieces, crossed products, factor sets,
+graded radicals, and the small exhaustive searches for graded
+isomorphisms all live here.
 """
 from __future__ import annotations
 
@@ -73,34 +74,64 @@ class GradedAlgebra:
         return all(homogeneous_unit(self, d) is not None
                    for d in range(self.group.order))
 
+    def verify_units(self, coords, what: str) -> None:
+        """The crossed-product certificate: for every degree d, the element
+        with coordinates coords[d] in component d is a unit."""
+        for d in range(self.group.order):
+            x = np.zeros(self.alg.dim, dtype=np.int64)
+            x[self.deg == d] = np.ravel(coords[d])
+            verify(self.alg.is_unit_element(x), f"the degree-{d} {what} is not a unit")
 
-def graded_from_chunks(mul, unit_vec, chunks, table: GroupTable, p: int):
-    """Build (GradedAlgebra, SpanAlgebra embedding) from per-degree row spans
-    inside an ambient where `mul` multiplies."""
-    rows = []
-    degs = []
-    for d, chunk in enumerate(chunks):
-        rb = gfp.row_basis(chunk, p) if len(chunk) else np.zeros((0, len(unit_vec)), dtype=np.int64)
-        rows.append(rb)
-        degs.extend([d] * rb.shape[0])
-    stacked = np.vstack(rows)
-    verify(gfp.rank(stacked, p) == stacked.shape[0], "chunks were not independent")
-    sc = structure_constants(stacked, stacked, stacked, mul, p)
-    ucoords = gfp.coords_in_rows(stacked, unit_vec, p)
-    verify(ucoords is not None, "unit does not lie in the span")
-    span = SpanAlgebra(Algebra(p, sc, ucoords.ravel(), check=False), stacked)
-    deg = np.array(degs, dtype=np.int64)
-    g = GradedAlgebra(alg=span.alg, group=table, deg=deg)
-    return g, span
+
+def graded_from_chunks(mul, unit_vec, chunks, table: GroupTable, p: int,
+                       targets=None, check: bool = True) -> GradedAlgebra:
+    """The graded algebra with component d on the pieces chunks[d], inside
+    an ambient where `mul` multiplies: the one place a graded algebra is
+    assembled from homogeneous pieces.
+
+    Pieces are stacks of independent elements of any shape.  For every
+    pair of degrees (d, e) one solve finds the products of pieces d and e
+    in targets[de] (default chunks[de]); a product outside it is refused.
+    The unit is read from piece 0, which must be the table's identity.
+    `check` is Algebra's own associativity check.
+    """
+    targets = chunks if targets is None else targets
+    verify(table.identity == 0, "degree 0 is not the identity of the grading group")
+    sizes = [len(c) for c in chunks]
+    offsets = np.cumsum([0] + sizes)
+    blk = [slice(offsets[d], offsets[d + 1]) for d in range(len(chunks))]
+    sc = np.zeros((offsets[-1],) * 3, dtype=np.int64)
+    for d in range(len(chunks)):
+        for e in range(len(chunks)):
+            de = table.mul(d, e)
+            try:
+                sc[blk[d], blk[e], blk[de]] = structure_constants(
+                    chunks[d], chunks[e], targets[de], mul, p)
+            except ValueError as exc:
+                raise ValueError(f"a product of degrees {d} and {e} leaves "
+                                 f"the degree-{de} piece") from exc
+    piece0 = np.asarray(chunks[0], dtype=np.int64).reshape(sizes[0], np.size(unit_vec))
+    ucoords = gfp.coords_in_rows(piece0, np.ravel(unit_vec), p)
+    verify(ucoords is not None, "the unit does not lie in the degree-0 piece")
+    unit = np.zeros(offsets[-1], dtype=np.int64)
+    unit[blk[0]] = ucoords.ravel()
+    g = GradedAlgebra(alg=Algebra(p, sc, unit, check=check), group=table,
+                      deg=np.repeat(np.arange(len(chunks)), sizes))
+    g.validate()
+    return g
 
 
 def graded_corner(ext, i):
-    """The corner iAi of a block extension, graded by the same group."""
+    """The corner iAi of a block extension, graded by the same group, with
+    its embedding as a span of ambient rows."""
     kg = ext.kg
     i = np.mod(np.asarray(i, dtype=np.int64).ravel(), kg.p)
     chunks = [gfp.row_basis(kg.mul(kg.mul(i, ext.component_rows(d)), i), kg.p)
               for d in range(ext.quot.group.order)]
-    return graded_from_chunks(kg.mul, i, chunks, ext.quot.group, kg.p)
+    stacked = np.vstack(chunks)
+    verify(gfp.rank(stacked, kg.p) == stacked.shape[0], "chunks were not independent")
+    g = graded_from_chunks(kg.mul, i, chunks, ext.quot.group, kg.p, check=False)
+    return g, SpanAlgebra(g.alg, stacked)
 
 
 # -- homogeneous units ---------------------------------------------------------
@@ -166,10 +197,8 @@ def crossed_product(balg: Algebra, quot: permgroups.QuotientSetup, action: dict,
         rd = quot.reps[d]
         for e in range(n):
             de = quot.group.mul(d, e)
-            c = permgroups.pmul(permgroups.pmul(rd, quot.reps[e]),
-                                permgroups.pinv(quot.reps[de]))
             # e_i x(e_j) i(c), as e_i (x(e_j) i(c))
-            acted = balg.mul(np.mod(action[rd], p).T, interior[c])
+            acted = balg.mul(np.mod(action[rd], p).T, interior[quot.defect(d, e)])
             sc[d * db:(d + 1) * db, e * db:(e + 1) * db, de * db:(de + 1) * db] = \
                 balg.mul(eye[:, None], acted[None, :])
     unit = np.zeros(dim, dtype=np.int64)
@@ -180,9 +209,8 @@ def crossed_product(balg: Algebra, quot: permgroups.QuotientSetup, action: dict,
         deg=np.repeat(np.arange(n), db),
     )
     g.validate()
-    # row d is 1 (x) x_d, a unit: times 1 (x) x_{d^-1} it gives i(c) (x) 1
-    for d, x in enumerate(np.kron(np.eye(n, dtype=np.int64), balg.unit)):
-        verify(g.alg.is_unit_element(x), f"1 (x) x_{d} is not a unit")
+    # 1 (x) x_d is a unit: times 1 (x) x_{d^-1} it gives i(c) (x) 1
+    g.verify_units([balg.unit] * n, "element 1 (x) x_d")
     return g
 
 

@@ -264,6 +264,12 @@ class QuotientSetup:
     def omega_of(self, x: Perm) -> int:
         return self.omega[x]
 
+    def defect(self, d: int, e: int) -> Perm:
+        """r_d r_e r_{de}^-1, the element of H by which the product of two
+        representatives differs from the representative of its coset."""
+        r = self.reps
+        return pmul(pmul(r[d], r[e]), pinv(r[self.group.mul(d, e)]))
+
 
 def quotient(g: PermGroup, h: PermGroup) -> QuotientSetup:
     if not h.is_normal_in(g):

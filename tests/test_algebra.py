@@ -25,6 +25,12 @@ def cyclic_group_algebra(n, p):
     return alg.Algebra(p, sc, unit)
 
 
+def group_algebra(grp, p):
+    """k[grp] on its group basis: the span of the identity rows of kG."""
+    kg = bl.GroupAlgebra(grp, p)
+    return kg.span(np.eye(kg.n, dtype=np.int64)).alg
+
+
 def matrix_algebra(n, p):
     d = n * n
     basis = [np.zeros((n, n), dtype=np.int64) for _ in range(d)]
@@ -135,9 +141,11 @@ def test_module_check_survives_python_O():
     # the regular module of kC3 with one entry of one action matrix changed
     script = textwrap.dedent("""
         import sys
+        import numpy as np
         from blockfusion import algebra as alg, blocks as bl, permgroups as pg
         c3 = pg.enumerate_group((pg.parse_cycles("(0 1 2)", 3),), 3)
-        reg = alg.regular_module(bl.GroupAlgebra(c3, 3).algebra())
+        kg = bl.GroupAlgebra(c3, 3)
+        reg = alg.regular_module(kg.span(np.eye(kg.n, dtype=np.int64)).alg)
         print("optimize", sys.flags.optimize)
         reg.check()
         print("regular passed")
@@ -420,7 +428,7 @@ def test_structure_constants_match_pairwise_loop(p):
         want = pairwise_sc(rows, lambda x, y: add_at_mul(kg, x, y), p)
         assert (alg.structure_constants(rows, rows, rows, kg.mul, p) == want).all()
         # the same span through the full structure constants of kG
-        a = kg.algebra()
+        a = kg.span(np.eye(kg.n, dtype=np.int64)).alg
         assert (alg.structure_constants(rows, rows, rows, a.mul, p) == want).all()
 
     check()
@@ -459,7 +467,7 @@ def scalar_is_algebra_map(m, a, b):
 
 def test_algebra_map_check_matches_scalar_loop():
     algebras = [matrix_algebra(2, 3), matrix_algebra(2, 2),
-                bl.GroupAlgebra(SMALL_GROUPS[1], 2).algebra()]
+                group_algebra(SMALL_GROUPS[1], 2)]
 
     @KERNEL_SETTINGS
     @given(st.sampled_from(algebras), st.data())
@@ -511,7 +519,7 @@ def test_group_algebra_mul_broadcast_is_exact_at_large_p(p):
 def test_submodule_restrict_matches_per_matrix_solves_and_refuses():
     s3 = pg.enumerate_group((pg.parse_cycles("(0 1)", 3),
                              pg.parse_cycles("(0 1 2)", 3)), 3)
-    reg = alg.regular_module(bl.GroupAlgebra(s3, 3).algebra())
+    reg = alg.regular_module(group_algebra(s3, 3))
     rows = alg.spin(np.array([1, 2, 0, 0, 0, 0]), reg.mats, 3)
     assert 0 < rows.shape[0] < 6
     sub = alg.submodule_restrict(reg, rows)
@@ -546,7 +554,7 @@ def meataxe_oracle(a):
 @pytest.mark.parametrize("name, p", [(name, p) for name, (_, ps) in RADICAL_GROUPS.items()
                                      for p in ps])
 def test_radical_matches_meataxe_on_group_algebras(name, p):
-    a = bl.GroupAlgebra(RADICAL_GROUPS[name][0], p).algebra()
+    a = group_algebra(RADICAL_GROUPS[name][0], p)
     assert np.array_equal(a.radical_rows(), meataxe_oracle(a))
 
 
@@ -625,7 +633,7 @@ SMALL_GROUP_ALGEBRAS = [(small_group(n, "(" + " ".join(map(str, range(n))) + ")"
 
 @pytest.mark.parametrize("grp, p", SMALL_GROUP_ALGEBRAS)
 def test_radical_matches_brute_force_on_small_group_algebras(grp, p):
-    a = bl.GroupAlgebra(grp, p).algebra()
+    a = group_algebra(grp, p)
     assert p ** a.dim <= 64
     assert np.array_equal(a.radical_rows(), brute_radical(a))
 
@@ -640,7 +648,7 @@ def test_radical_matches_brute_force_on_matrix_subalgebras(a):
 @pytest.mark.parametrize("name, p", [("S4", 2), ("A4", 3), ("S3xC3", 3)])
 def test_radical_does_not_depend_on_the_seed(name, p):
     grp = RADICAL_GROUPS[name][0]
-    rads = [bl.GroupAlgebra(grp, p).algebra().radical_rows(seed) for seed in (0, 1, 7)]
+    rads = [group_algebra(grp, p).radical_rows(seed) for seed in (0, 1, 7)]
     assert all(np.array_equal(r, rads[0]) for r in rads)
 
 
@@ -653,7 +661,7 @@ def test_radical_refuses_int64_overflow():
 
 def wrong_radicals():
     """(algebra, rows, law) triples: a wrong radical and the law it breaks."""
-    s3 = bl.GroupAlgebra(RADICAL_GROUPS["S3"][0], 3).algebra()
+    s3 = group_algebra(RADICAL_GROUPS["S3"][0], 3)
     c3 = cyclic_group_algebra(3, 3)  # local, so J + k1 is all of it
     out = []
     for a in (s3, c3):
@@ -700,7 +708,7 @@ def test_verify_radical_survives_python_O():
 
 INTERTWINER_ALGEBRAS = {
     (name, p): make(p) for p in (2, 3) for name, make in (
-        ("kS3", lambda p: bl.GroupAlgebra(SMALL_GROUPS[1], p).algebra()),
+        ("kS3", lambda p: group_algebra(SMALL_GROUPS[1], p)),
         ("kC4", lambda p: cyclic_group_algebra(4, p)),
         ("M2", lambda p: matrix_algebra(2, p)))}
 
@@ -775,7 +783,7 @@ def count_calls(monkeypatch, name):
 
 
 def s3_mod_3():
-    return bl.GroupAlgebra(RADICAL_GROUPS["S3"][0], 3).algebra()
+    return group_algebra(RADICAL_GROUPS["S3"][0], 3)
 
 
 def test_invariants_are_shared_by_content_inside_a_block(monkeypatch):

@@ -7,6 +7,7 @@ from blockfusion import algebra as al
 from blockfusion import blocks as bl
 from blockfusion import gfp
 from blockfusion import permgroups as pg
+from blockfusion import workbench as wb
 
 
 def grp(degree, *cycles):
@@ -32,6 +33,16 @@ def test_group_algebra_multiplication_matches_convolution():
             expected[kg.index(pg.pmul(a, c))] += x[i] * y[j]
     assert (kg.mul(x, y) == expected % 5).all()
     assert (kg.mul(kg.unit, x) == x).all()
+
+
+def test_conj_perm_is_its_pconj_definition():
+    # conj_perm reads s g s^-1 off the product table; the definition
+    # conjugates the permutations themselves, on every catalog G
+    for s in wb.catalog():
+        kg = wb.resolve_scenario(s).kg
+        for x in kg.grp.elements:
+            want = [kg.index(pg.pconj(x, y)) for y in kg.grp.elements]
+            assert kg.conj_perm(x).tolist() == want, s.name
 
 
 def test_conj_vec_is_algebra_automorphism():

@@ -320,3 +320,28 @@ def test_theta_checks_survive_python_O():
         "optimize 1", "clean run passed [0, 1]",
         "refused: Theta is not injective on E",
         "refused: Theta is not multiplicative"]
+
+
+def test_defect_corrects_the_product_of_two_representatives():
+    # r_d r_e = defect(d, e) r_{de} with the defect in H, for every catalog
+    # G/H and every E = N_G(P_gamma)/C_H(P) at a local pointed group; the
+    # representatives of A4/V4 and S4/V4 form no subgroup, and some of
+    # their defects do not commute with r_{de}, so the order of the product
+    # is tested too
+    v4 = pg.enumerate_group([pg.parse_cycles("(0 1)(2 3)", 4),
+                             pg.parse_cycles("(0 2)(1 3)", 4)], 4)
+    quots = [pg.quotient(pg.enumerate_group([pg.parse_cycles(c, 4) for c in gens], 4), v4)
+             for gens in (["(0 1 2)", "(1 2 3)"], ["(0 1)", "(0 1 2 3)"])]
+    for s in wb.catalog():
+        r = wb.resolve_scenario(s)
+        quots.append(r.ext.quot)
+        quots += [fu.fusion_E(r.kg, r.h, data, pt, r.g).quot
+                  for data, pt in bl.local_pointed_groups(r.kg, r.h, r.b, r.g)]
+    assert len(quots) == 2 + 5 + 38
+    for quot in quots:
+        for d in range(quot.order):
+            for e in range(quot.order):
+                c = quot.defect(d, e)
+                assert c in quot.h
+                assert pg.pmul(quot.reps[d], quot.reps[e]) == \
+                    pg.pmul(c, quot.reps[quot.group.mul(d, e)])

@@ -11,6 +11,7 @@ from blockfusion import blocks as bl
 from blockfusion import gfp
 from blockfusion import graded as gr
 from blockfusion import permgroups as pg
+from blockfusion import workbench as wb
 
 
 def grp(degree, *cycles):
@@ -32,7 +33,8 @@ def crossed_by_conjugation(g, n, p):
             m[kn.index(pg.pconj(x, h)), i] = 1
         action[x] = m
     interior = {c: kn.vec_of(c) for c in n.elements}
-    return gr.crossed_product(kn.algebra(), pg.quotient(g, n), action, interior)
+    kn_alg = kn.span(np.eye(kn.n, dtype=np.int64)).alg
+    return gr.crossed_product(kn_alg, pg.quotient(g, n), action, interior)
 
 
 def sc1_graded():
@@ -75,6 +77,50 @@ def test_graded_corner_of_full_unit_is_whole():
     kg, ext, (g, span) = sc1_graded()
     assert g.component_dims() == [len(ext.component_rows(d)) for d in range(2)]
     assert (gfp.row_basis(span.rows, 3) == gfp.row_basis(ext.rows, 3)).all()
+
+
+C2_TABLE = pg.GroupTable(np.array([[0, 1], [1, 0]]), (0, 1))
+
+
+def test_graded_from_chunks_refuses_a_product_that_leaves_its_degree():
+    # kC4 graded by C2: the pieces span{1, g^2}, span{g, g^3} are a grading,
+    # span{1, g}, span{g^2, g^3} are not, since g * g leaves degree 0
+    c4 = grp(4, "(0 1 2 3)")
+    kg = bl.GroupAlgebra(c4, 3)
+    g = c4.generators[0]
+    powers = [pg.identity_perm(4), g, pg.pmul(g, g), pg.pmul(g, pg.pmul(g, g))]
+    vecs = np.array([kg.vec_of(x) for x in powers])
+    good = gr.graded_from_chunks(kg.mul, kg.unit, [vecs[[0, 2]], vecs[[1, 3]]],
+                                 C2_TABLE, 3)
+    assert good.component_dims() == [2, 2] and (good.alg.unit == [1, 0, 0, 0]).all()
+    with pytest.raises(ValueError, match="a product of degrees 0 and 0 leaves "
+                                         "the degree-0 piece"):
+        gr.graded_from_chunks(kg.mul, kg.unit, [vecs[[0, 1]], vecs[[2, 3]]],
+                              C2_TABLE, 3)
+
+
+def test_graded_corner_is_the_single_solve_over_its_stacked_rows():
+    # reference: one structure_constants call of the stacked pieces of iAi
+    # in themselves, at every local pointed group of the catalog
+    checked = 0
+    for s in wb.catalog():
+        r = wb.resolve_scenario(s)
+        kg, p = r.kg, r.kg.p
+        for _, pt in bl.local_pointed_groups(r.kg, r.h, r.b, r.g):
+            g, span = gr.graded_corner(r.ext, pt.idem)
+            pieces = [gfp.row_basis(kg.mul(kg.mul(pt.idem, r.ext.component_rows(d)),
+                                           pt.idem), p)
+                      for d in range(r.ext.quot.order)]
+            rows = np.vstack(pieces)
+            assert np.array_equal(span.rows, rows), s.name
+            assert span.alg is g.alg
+            assert np.array_equal(g.alg.sc, alg.structure_constants(rows, rows, rows,
+                                                                    kg.mul, p))
+            assert np.array_equal(g.alg.unit, gfp.coords_in_rows(rows, pt.idem, p)[0])
+            assert np.array_equal(g.deg, np.repeat(np.arange(len(pieces)),
+                                                   [len(c) for c in pieces]))
+            checked += 1
+    assert checked == 38
 
 
 def test_homogeneous_unit():
@@ -233,8 +279,9 @@ def test_cocycle_check_survives_python_O():
 
 
 def test_graded_checks_survive_python_O():
-    # python -O strips assert statements; the grading law and the factor
-    # set's choice of units must still be checked
+    # python -O strips assert statements; the grading law, the factor
+    # set's choice of units and the crossed-product certificate must still
+    # be checked
     out = _run_optimized("""
         import sys
         import numpy as np
@@ -253,7 +300,8 @@ def test_graded_checks_survive_python_O():
         units = [gr.homogeneous_unit(g, d) for d in range(2)]
         units[0] = 2 * units[0] % 3
         for check in (gr.GradedAlgebra(g.alg, g.group, deg).validate,
-                      lambda: gr.factor_set(g, units)):
+                      lambda: gr.factor_set(g, units),
+                      lambda: g.verify_units([[1, 0, 0], [0, 0, 0]], "element")):
             try:
                 check()
                 print("passed")
@@ -262,7 +310,8 @@ def test_graded_checks_survive_python_O():
     """)
     assert out == ["optimize 1", "degrees [0, 0, 0, 1, 1, 1]",
                    "refused: grading broken on products",
-                   "refused: degree-1 unit must be the unit"]
+                   "refused: degree-1 unit must be the unit",
+                   "refused: the degree-1 element is not a unit"]
 
 
 def test_graded_generators_generate():
