@@ -11,8 +11,6 @@ only available in characteristic p.
 """
 from __future__ import annotations
 
-import contextlib
-import contextvars
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,26 +40,9 @@ def verify(ok, msg: str) -> None:
         raise VerificationError(msg)
 
 
-# (p, sc, unit) -> the derived invariants of every Algebra with that content,
-# while a `shared_invariants` block is open; None outside one
-_SHARED = contextvars.ContextVar("shared_invariants", default=None)
-
-
-@contextlib.contextmanager
-def shared_invariants():
-    """Within the block, Algebras with equal (p, sc, unit) share one cache
-    of derived invariants (radical, semisimple quotient, simple
-    components); the table is dropped when the block exits."""
-    token = _SHARED.set({})
-    try:
-        yield
-    finally:
-        _SHARED.reset(token)
-
-
 def _frozen(*arrays):
-    """Mark arrays read-only, so that an in-place edit of a shared cached
-    value raises instead of changing it for its other holders."""
+    """Mark arrays read-only, so that an in-place edit of a cached value
+    raises instead of changing it for every later caller."""
     for x in arrays:
         x.flags.writeable = False
 
@@ -79,7 +60,7 @@ class Algebra:
         self.dim = self.sc.shape[0]
         if self.sc.shape != (self.dim, self.dim, self.dim) or len(self.unit) != self.dim:
             raise ValueError("malformed structure constants")
-        self._invariants = None
+        self._cache = {}  # derived invariants, computed on first use
         if check and self.dim:
             self._check_axioms()
 
@@ -159,19 +140,6 @@ class Algebra:
         return quotient_algebra(self, ideal_rows)
 
     # -- cached invariants --------------------------------------------------
-    @property
-    def _cache(self) -> dict:
-        """The derived invariants, shared by content inside a
-        `shared_invariants` block; keyed on the first lookup."""
-        if self._invariants is None:
-            table = _SHARED.get()
-            if table is None:
-                self._invariants = {}
-            else:
-                key = (self.p, self.sc.tobytes(), self.unit.tobytes())
-                self._invariants = table.setdefault(key, {})
-        return self._invariants
-
     def radical_rows(self, seed: int = DEFAULT_SEED) -> np.ndarray:
         """J(A) as read-only RREF rows, certified by _verify_radical.  The
         rows do not depend on the seed, which only drives the meataxe of

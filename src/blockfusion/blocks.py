@@ -388,20 +388,26 @@ def local_pointed_groups(kg: GroupAlgebra, sub: PermGroup, b, within: PermGroup,
 
 def defect_pointed_groups(kg: GroupAlgebra, sub: PermGroup, b, within: PermGroup,
                           subgroup_cap: int = 512):
-    """Maximal local pointed groups of the block."""
-    locs = local_pointed_groups(kg, sub, b, within, subgroup_cap)
-    out = []
-    for data, pt in locs:
-        maximal = True
-        for data2, pt2 in locs:
-            if data2.P.order <= data.P.order:
-                continue
-            if pointed_group_contains(kg, data2, pt2, data, pt):
-                maximal = False
-                break
-        if maximal:
-            out.append((data, pt))
-    return out
+    """The local pointed groups (P, gamma) of the largest order, P a
+    p-subgroup of `within`: each is maximal, so a defect pointed group.
+
+    The p-subgroups are visited from the largest order down, and the walk
+    stops at the first order that has a local point; the result lists
+    them in `p_subgroups` order, then point order.  A maximal local
+    pointed group of smaller order, which can exist when 1 is not
+    primitive in B^G, is not listed.
+    """
+    by_order = {}
+    for P in permgroups.p_subgroups(within, kg.p, cap=subgroup_cap):
+        by_order.setdefault(P.order, []).append(P)
+    for order in sorted(by_order, reverse=True):
+        out = []
+        for P in by_order[order]:
+            data = points_at(kg, sub, b, P)
+            out += [(data, pt) for pt in data.points if pt.local]
+        if out:
+            return out
+    return []
 
 
 def stabilizer_of_point(

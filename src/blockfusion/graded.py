@@ -8,7 +8,7 @@ isomorphisms all live here.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -36,6 +36,8 @@ class GradedAlgebra:
     alg: Algebra
     group: GroupTable
     deg: np.ndarray  # degree index per basis element
+    _ispan: SpanAlgebra | None = field(default=None, init=False, repr=False,
+                                      compare=False)
 
     @property
     def p(self) -> int:
@@ -58,7 +60,11 @@ class GradedAlgebra:
         return hits.pop() if len(hits) == 1 else None
 
     def identity_span(self) -> SpanAlgebra:
-        return span_algebra(self.component_rows(0), self.alg.mul, self.alg.unit, self.p)
+        """The 1-component as a unital subalgebra, built on first use."""
+        if self._ispan is None:
+            self._ispan = span_algebra(self.component_rows(0), self.alg.mul,
+                                       self.alg.unit, self.p)
+        return self._ispan
 
     def validate(self) -> None:
         self.group.validate()

@@ -256,6 +256,7 @@ class QuotientSetup:
     reps: tuple  # coset representatives, reps[0] = identity
     omega: dict  # element -> coset index
     group: GroupTable  # the quotient group on coset indices
+    defects: tuple  # defects[d][e] = r_d r_e r_{de}^-1
 
     @property
     def order(self) -> int:
@@ -267,8 +268,7 @@ class QuotientSetup:
     def defect(self, d: int, e: int) -> Perm:
         """r_d r_e r_{de}^-1, the element of H by which the product of two
         representatives differs from the representative of its coset."""
-        r = self.reps
-        return pmul(pmul(r[d], r[e]), pinv(r[self.group.mul(d, e)]))
+        return self.defects[d][e]
 
 
 def quotient(g: PermGroup, h: PermGroup) -> QuotientSetup:
@@ -284,12 +284,18 @@ def quotient(g: PermGroup, h: PermGroup) -> QuotientSetup:
         for k in h.elements:
             omega[pmul(x, k)] = idx
     n = len(reps)
+    inv = [pinv(r) for r in reps]
     t = np.zeros((n, n), dtype=np.int64)
+    defects = []
     for i in range(n):
+        row = []
         for j in range(n):
-            t[i, j] = omega[pmul(reps[i], reps[j])]
-    setup = QuotientSetup(g, h, tuple(reps), omega, GroupTable(t, tuple(reps)))
-    return setup
+            prod = pmul(reps[i], reps[j])
+            t[i, j] = omega[prod]
+            row.append(pmul(prod, inv[t[i, j]]))
+        defects.append(tuple(row))
+    return QuotientSetup(g, h, tuple(reps), omega, GroupTable(t, tuple(reps)),
+                         tuple(defects))
 
 
 def p_subgroups(g: PermGroup, p: int, cap: int = DEFAULT_ORDER_CAP):

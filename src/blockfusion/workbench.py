@@ -120,11 +120,16 @@ def morita_from_dict(d: dict) -> MoritaScenario:
         raise ValueError(f"unsupported schema version {d['schema']}")
     if d.get("bimodule", "identity") != "identity":
         raise ValueError("only identity bimodule descriptors are supported")
+    for key in ("name", "left", "right"):
+        if key not in d:
+            raise ValueError(f"pair is missing {key!r}")
+    left = scenario_from_dict(d["left"])
+    ident = d.get("identification", "identity")
+    if ident != "identity":
+        _check_generators("identification", [ident], left.degree)
     return MoritaScenario(
-        name=d["name"], left=scenario_from_dict(d["left"]),
-        right=scenario_from_dict(d["right"]),
-        identification=d.get("identification", "identity"),
-        bimodule=d.get("bimodule", "identity"))
+        name=d["name"], left=left, right=scenario_from_dict(d["right"]),
+        identification=ident, bimodule=d.get("bimodule", "identity"))
 
 
 # -- reports ---------------------------------------------------------------------
@@ -220,17 +225,23 @@ def resolve_subgroup(r: Resolved, s: Scenario, cap_order: int):
     return _local_point(r, s.subgroup, s.degree, cap_order)
 
 
-def _local_point(r: Resolved, sel, degree: int, cap_order: int):
+def _local_point(r: Resolved, sel, degree: int, cap_order: int,
+                 name: str = "P"):
     """The local pointed group that a P or Q selector names."""
     if sel == "defect":
         found = bl.defect_pointed_groups(r.kg, r.h, r.b, r.g,
                                          subgroup_cap=cap_order)
         if not found:
             raise ValueError("no defect pointed group found")
-        # deterministic choice: largest subgroup, then lexicographic
-        found.sort(key=lambda dp: (-dp[0].P.order, dp[0].P.elements))
+        # the largest order, then the least element tuple, then the first
+        # local point
         return found[0]
-    data = bl.points_at(r.kg, r.h, r.b, _parse_group(sel, degree, cap_order))
+    P = _parse_group(sel, degree, cap_order)
+    if not P.is_subgroup_of(r.g):
+        raise ValueError(f"{name} is not a subgroup of G")
+    if not pg._is_p_power(P.order, r.kg.p):
+        raise ValueError(f"{name} is not a p-group")
+    data = bl.points_at(r.kg, r.h, r.b, P)
     locals_ = [pt for pt in data.points if pt.local]
     if not locals_:
         raise ValueError("no local point at the requested subgroup")
@@ -272,7 +283,7 @@ class Pipeline:
         at_q = at_q and s.q is not None
         at = self._once(("pointed", at_q), lambda: _local_point(
             self.resolved(), s.q if at_q else s.subgroup, s.degree,
-            self.cap_order))
+            self.cap_order, "Q" if at_q else "P"))
         self._memo.setdefault(("points", at[0].P.elements), at[0])
         return at
 
@@ -353,10 +364,8 @@ def run_scenario(s: Scenario, seed: int = 0,
                  cap_order: int = DEFAULT_CAP_ORDER,
                  through: str = "local-residual") -> Report:
     """Execute the pipeline on one scenario, recording a witnessed check
-    per stage; a failing stage is recorded and the rest are skipped.
-    Algebras of equal content share their invariants during the call."""
-    with al.shared_invariants():
-        return _run_scenario(Pipeline(s, cap_order), seed, through)
+    per stage; a failing stage is recorded and the rest are skipped."""
+    return _run_scenario(Pipeline(s, cap_order), seed, through)
 
 
 def _run_scenario(pipe: Pipeline, seed: int,
@@ -449,8 +458,7 @@ def verify_morita(ms: MoritaScenario, seed: int = 0,
     residual extensions, and matching graded local algebra dimensions."""
     left = Pipeline(ms.left, cap_order)
     right = left if ms.right == ms.left else Pipeline(ms.right, cap_order)
-    with al.shared_invariants():
-        return _verify_morita(ms, seed, left, right)
+    return _verify_morita(ms, seed, left, right)
 
 
 def _verify_morita(ms: MoritaScenario, seed: int, left: Pipeline,
@@ -564,18 +572,15 @@ def morita_catalog() -> list:
 
 def run_catalog(seed: int = 0, cap_order: int = DEFAULT_CAP_ORDER) -> list:
     """Every built-in scenario, then every pair, with one Pipeline per
-    distinct scenario and one table of algebra invariants shared between
-    them."""
+    distinct scenario."""
     pipes = {}
 
     def pipe(s):
         return pipes.setdefault(repr(s), Pipeline(s, cap_order))
 
-    with al.shared_invariants():
-        reports = [_run_scenario(pipe(s), seed) for s in catalog()]
-        reports += [_verify_morita(ms, seed, pipe(ms.left), pipe(ms.right))
-                    for ms in morita_catalog()]
-    return reports
+    reports = [_run_scenario(pipe(s), seed) for s in catalog()]
+    return reports + [_verify_morita(ms, seed, pipe(ms.left), pipe(ms.right))
+                      for ms in morita_catalog()]
 
 
 def emit_many(reports: list, fmt: str = "json") -> bytes:

@@ -766,7 +766,7 @@ def test_invertible_combination_is_none_only_without_an_invertible_element():
     assert c.tolist() == [1, 1]
 
 
-# -- derived invariants, shared by content within a block -----------------------
+# -- derived invariants, cached on each algebra ----------------------------------
 
 
 def count_calls(monkeypatch, name):
@@ -786,34 +786,8 @@ def s3_mod_3():
     return group_algebra(RADICAL_GROUPS["S3"][0], 3)
 
 
-def test_invariants_are_shared_by_content_inside_a_block(monkeypatch):
-    radicals = count_calls(monkeypatch, "_radical")
-    components = count_calls(monkeypatch, "_simple_components")
-    with alg.shared_invariants():
-        a, b = s3_mod_3(), s3_mod_3()
-        assert a is not b
-        assert a.radical_rows() is b.radical_rows()
-        assert a.semisimple_quotient() is b.semisimple_quotient()
-        assert a.simple_components() is b.simple_components()
-    assert (len(radicals), len(components)) == (1, 1)
-    # outside a block every algebra derives its own
-    c, d = s3_mod_3(), s3_mod_3()
-    assert np.array_equal(c.radical_rows(), d.radical_rows())
-    assert len(radicals) == 3
-
-
-def test_the_shared_table_is_dropped_when_the_block_exits(monkeypatch):
-    radicals = count_calls(monkeypatch, "_radical")
-    with alg.shared_invariants():
-        first = s3_mod_3().radical_rows()
-    assert alg._SHARED.get() is None
-    with alg.shared_invariants():
-        again = s3_mod_3().radical_rows()
-    assert len(radicals) == 2 and again is not first
-    assert np.array_equal(again, first)
-
-
 def test_simple_components_are_cached_per_seed(monkeypatch):
+    radicals = count_calls(monkeypatch, "_radical")
     components = count_calls(monkeypatch, "_simple_components")
     a = matrix_algebra(2, 3)
     by_seed = {seed: a.simple_components(seed) for seed in (1, 2)}
@@ -824,6 +798,14 @@ def test_simple_components_are_cached_per_seed(monkeypatch):
         fresh = matrix_algebra(2, 3).simple_components(seed)
         assert [c.primitive_bar.tolist() for c in comps] == \
             [c.primitive_bar.tolist() for c in fresh]
+    # two equal algebras each derive their radical once, however often asked
+    b, c = s3_mod_3(), s3_mod_3()
+    for x in (b, c, b, c):
+        x.radical_rows()
+        x.semisimple_quotient()
+        x.simple_components()
+    assert np.array_equal(b.radical_rows(), c.radical_rows())
+    assert [sum(x is y for x in radicals) for y in (b, c)] == [1, 1]
 
 
 def test_cached_invariants_are_read_only():

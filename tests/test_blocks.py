@@ -212,6 +212,35 @@ def test_defect_pointed_groups_s4():
     assert len({d.P.element_set() for d, _ in defs}) == 3
 
 
+def _s4_over(h, p):
+    return wb.Scenario(name=f"S4-{h}-{p}", p=p, degree=4,
+                       gens_g=["(0 1)", "(0 1 2 3)"],
+                       gens_h={"V4": ["(0 1)(2 3)", "(0 2)(1 3)"],
+                               "A4": ["(0 1 2)", "(1 2 3)"]}[h])
+
+
+DEFECT_SCENARIOS = wb.catalog() + [_s4_over("V4", 2), _s4_over("A4", 2),
+                                   _s4_over("A4", 3)]
+
+
+@pytest.mark.parametrize("s", DEFECT_SCENARIOS, ids=lambda s: s.name)
+def test_defect_pointed_groups_are_the_maximal_ones_of_largest_order(s):
+    # the reference: every local pointed group, the maximal ones under
+    # containment, then those of the largest order, in the same order
+    r = wb.resolve_scenario(s)
+    for b in r.invariant:
+        locs = bl.local_pointed_groups(r.kg, r.h, b, r.g)
+        maximal = [(d, pt) for d, pt in locs if not any(
+            d2.P.order > d.P.order
+            and bl.pointed_group_contains(r.kg, d2, pt2, d, pt)
+            for d2, pt2 in locs)]
+        top = max(d.P.order for d, _ in maximal)
+        want = [(d.P.elements, pt.index) for d, pt in maximal
+                if d.P.order == top]
+        got = bl.defect_pointed_groups(r.kg, r.h, b, r.g)
+        assert [(d.P.elements, pt.index) for d, pt in got] == want
+
+
 def test_stabilizer_of_point():
     kg = bl.GroupAlgebra(S3, 3)
     b = bl.blocks(kg, C3)[0]

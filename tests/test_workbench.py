@@ -100,6 +100,53 @@ def test_bad_generator_rejected_in_a_pair(side, key):
         wb.morita_from_dict(d)
 
 
+@pytest.mark.parametrize("key", ["name", "left", "right"])
+def test_missing_pair_field_rejected(key):
+    d = wb.morita_catalog()[1].to_dict()
+    del d[key]
+    with pytest.raises(ValueError, match=f"pair is missing '{key}'"):
+        wb.morita_from_dict(d)
+
+
+# the left scenario of SC1-relabeled has degree 3
+@pytest.mark.parametrize("ident, message", [
+    (5, "identification: generator 5 is not a cycle string"),
+    ("(0 7)", "identification: point 7 out of range for degree 3"),
+    ("0 1", "identification: bad cycle notation")])
+def test_bad_identification_rejected_in_a_pair(ident, message):
+    d = next(m for m in wb.morita_catalog()
+             if m.name == "SC1-relabeled").to_dict()
+    assert wb.morita_from_dict(d).identification == "(0 1 2)"
+    d["identification"] = ident
+    with pytest.raises(ValueError, match=f"^{message}"):
+        wb.morita_from_dict(d)
+
+
+# an explicit P (or Q) that is not a p-subgroup of G fails the points stage
+# (identification for a pair) before B^P is built, with what is wrong
+NOT_P_SUBGROUPS = [("SC2-S4-over-A4", "P", "(0 1 2)", "P is not a p-group"),
+                   ("SC1-S3-over-C3", "P", "(0 1)", "P is not a p-group"),
+                   ("SC4-D8-in-S4-classical", "P", "(0 1)",
+                    "P is not a subgroup of G"),
+                   ("SC2-S4-over-A4", "Q", "(0 1 2)", "Q is not a p-group"),
+                   ("SC4-D8-in-S4-classical", "Q", "(0 1)",
+                    "Q is not a subgroup of G")]
+
+
+@pytest.mark.parametrize("name, key, gen, message", NOT_P_SUBGROUPS)
+def test_explicit_subgroup_must_be_a_p_subgroup_of_G(monkeypatch, name, key,
+                                                    gen, message):
+    monkeypatch.setattr(bl, "points_at", None)  # never reached
+    d = dict(next(s for s in wb.catalog() if s.name == name).to_dict(),
+             **{key: [gen]})
+    s = wb.scenario_from_dict(d)
+    if key == "P":
+        check = wb.run_scenario(s).checks[2]
+    else:
+        check = wb.verify_morita(wb.MoritaScenario("pair", s, s)).checks[0]
+    assert (check.status, check.witness) == ("fail", {"error": message})
+
+
 def test_catalog_shape():
     cat = wb.catalog()
     assert len(cat) == 5
@@ -289,7 +336,8 @@ def calls(monkeypatch):
     counts = collections.Counter()
     for mod, name in ((wb, "resolve_scenario"), (fu, "fusion_report"),
                       (cl, "build_F"), (bl, "local_block_data"),
-                      (bl, "extended_brauer_extension"), (bl, "points_at")):
+                      (bl, "extended_brauer_extension"), (bl, "points_at"),
+                      (bl, "pointed_group_contains")):
         def counted(*args, _real=getattr(mod, name), _name=name, **kwargs):
             counts[_name] += 1
             return _real(*args, **kwargs)
@@ -327,8 +375,10 @@ def test_catalog_shares_one_pipeline_per_scenario(calls):
     assert calls["fusion_report"] == 7
     # once per pipeline and local pointed group that a pair compares
     assert calls["extended_brauer_extension"] == 6
-    # once per subgroup a defect search visits or a scenario or pair names
-    assert calls["points_at"] == 19
+    # once per subgroup a defect search visits or a scenario or pair names;
+    # the defect searches visit only the subgroups of the largest order
+    assert calls["points_at"] == 7
+    assert calls["pointed_group_contains"] == 0
 
 
 def record_radicals(monkeypatch):
@@ -344,13 +394,15 @@ def record_radicals(monkeypatch):
     return seen
 
 
-def test_run_scenario_derives_each_radical_once(monkeypatch):
-    # conjugate subgroups give equal B^P, and a corner at the unit is the
-    # algebra itself: 25 radicals of 8 distinct algebras without sharing
-    seen = record_radicals(monkeypatch)
-    s = next(s for s in wb.catalog() if s.name == "SC4-D8-in-S4-classical")
-    assert wb.run_scenario(s).passed()
-    assert len(seen) == len(set(seen)) == 8
+def test_defect_search_stops_at_the_largest_order(calls):
+    # S4 over A4 at p = 2: the three dihedral Sylow subgroups hold local
+    # points, so no smaller 2-subgroup is visited and no containment tested
+    s = wb.Scenario(name="S4-A4", p=2, degree=4, gens_g=["(0 1)", "(0 1 2 3)"],
+                    gens_h=["(0 1 2)", "(1 2 3)"])
+    r = wb.run_scenario(s, through="points")
+    assert r.passed() and r.invariants["P_order"] == 8
+    assert calls["points_at"] == 3
+    assert calls["pointed_group_contains"] == 0
 
 
 def test_a_second_call_recomputes(monkeypatch):
@@ -359,7 +411,7 @@ def test_a_second_call_recomputes(monkeypatch):
     ms = wb.MoritaScenario(name="pair", left=s, right=s)
     first = wb.emit(wb.run_scenario(s))
     n = len(seen)
-    assert n and al._SHARED.get() is None
+    assert n
     assert wb.emit(wb.run_scenario(s)) == first
     assert len(seen) == 2 * n
     # a pair call is a call of its own: it shares nothing with the ones before
