@@ -844,59 +844,88 @@ def invertible_combination(mats, p: int, seed: int = DEFAULT_SEED):
 UNIT_SCAN_CHUNK = 256  # most candidates per batched inversion; bounds transient memory
 
 
-def unit_scan(a: Algebra, rows, cap: int = EXHAUSTIVE_CAP):
-    """The units of a in the row span of `rows`, with their inverses.
+def _packs(p: int, width: int) -> bool:
+    """Whether rows of this width travel as packed GF(2) words."""
+    return p == 2 and width <= gfp.PACKED_WIDTH
 
-    Exhaustive: walks every coefficient vector of [0, p)^r in np.ndindex
-    order, in chunks, and yields (units, inverses) per chunk, both in scan
-    order.  A vector splits into its high digits and its last m digits, m
-    the largest integer with p^m <= UNIT_SCAN_CHUNK (at most r).  The left
-    multiplications of all p^m low-digit vectors are tabulated once; a
-    chunk is one value of the high digits, whose left multiplication is
-    added to the whole table (the "Four Russians" step of M4RI), and the
-    chunk goes through one batched Gauss-Jordan elimination.  Over GF(2)
-    with d <= gfp.PACKED_WIDTH the table holds packed rows, the sum is XOR
-    and the elimination gfp.solve_packed_gf2; otherwise the sum is taken
-    mod p and the elimination is gfp.batch_solve.  Transient memory is of
-    order UNIT_SCAN_CHUNK * d^2 words.
+
+def _span_sums(rows, arrays, p: int, cap: int = EXHAUSTIVE_CAP):
+    """Every combination v = c @ rows, c over [0, p)^r in np.ndindex order,
+    with the matching sum S(c) = sum_j c_j arrays[j], in chunks.
+
+    arrays holds one array per row, shape (r, ..., w), so S is linear in c.
+    A vector splits into its high digits and its last m digits, m the
+    largest integer with p^m <= UNIT_SCAN_CHUNK (at most r).  The sums of
+    all p^m low-digit vectors are tabulated once; a chunk is one value of
+    the high digits, whose sum is added to the whole table (the "Four
+    Russians" step of M4RI).  Yields (values, sums) per chunk.  When
+    _packs(p, w) the last axis of every sum is packed by gfp.pack_gf2 and
+    the sum is XOR; otherwise sums are int64 arrays mod p.  Raises
+    Inconclusive when p^r exceeds cap.
     """
-    p, d = a.p, a.dim
-    rows = np.mod(np.asarray(rows, dtype=np.int64), p).reshape(-1, d)
-    r = rows.shape[0]
+    rows = np.asarray(rows, dtype=np.int64)
+    arrays = np.asarray(arrays, dtype=np.int64)
+    r, d = rows.shape
     if p**r > cap:
         raise Inconclusive(f"unit scan of size {p}^{r} exceeds cap {cap}")
-    # left multiplication by each row
-    lmul = np.einsum("ri,ijk->rkj", rows, a.sc) % p
-    if p == 2 and d <= gfp.PACKED_WIDTH:
-        encode, add, solve = gfp.pack_gf2, np.bitwise_xor, gfp.solve_packed_gf2
+    if _packs(p, arrays.shape[-1]):
+        encode, add = gfp.pack_gf2, np.bitwise_xor
     else:
         def encode(x):
             return x
 
         def add(x, y):
             return (x + y) % p
-
-        def solve(stack, rhs):
-            return gfp.batch_solve(stack, rhs, p)
     high = r
     while high > 0 and p ** (r - high + 1) <= UNIT_SCAN_CHUNK:
         high -= 1
-    # the low-digit vectors and their left multiplications, by p-fold
-    # extension one digit at a time, in np.ndindex order
-    digits = np.arange(p)[:, None]
+    # the low-digit vectors and their sums, by p-fold extension one digit
+    # at a time, in np.ndindex order
+    digits = np.arange(p)
     values = np.zeros((1, d), dtype=np.int64)
-    table = encode(np.zeros((1, d, d), dtype=np.int64))
+    table = encode(np.zeros((1,) + arrays.shape[1:], dtype=np.int64))
     for j in range(high, r):
-        values = ((values[:, None] + digits * rows[j]) % p).reshape(-1, d)
-        table = add(table[:, None], encode(digits[:, :, None] * lmul[j] % p))
+        values = ((values[:, None] + np.multiply.outer(digits, rows[j])) % p).reshape(-1, d)
+        table = add(table[:, None], encode(np.multiply.outer(digits, arrays[j]) % p))
         table = table.reshape(-1, *table.shape[2:])
     for h in np.ndindex(*[p] * high):
         h = np.array(h, dtype=np.int64)
-        # v is a unit iff its left multiplication L is invertible, and then
-        # L x = 1 gives x = v^-1
-        offset = encode(np.tensordot(h, lmul[:high], axes=1) % p)
-        is_unit, inv = solve(add(table, offset), a.unit[:, None])
-        yield (h @ rows[:high] + values[is_unit]) % p, inv[is_unit, :, 0]
+        offset = encode(np.tensordot(h, arrays[:high], axes=1) % p)
+        chunk = values + h @ rows[:high]
+        chunk %= p
+        yield chunk, add(table, offset)
+
+
+def _solve_units(a: Algebra, stack):
+    """Units and inverses for a stack of left multiplications laid out as
+    _span_sums lays them out: v is a unit iff its left multiplication L is
+    invertible, and then L x = 1 gives x = v^-1.  Returns (is_unit, inverses)."""
+    rhs = a.unit[:, None]
+    if _packs(a.p, a.dim):
+        is_unit, x = gfp.solve_packed_gf2(stack, rhs)
+    else:
+        is_unit, x = gfp.batch_solve(stack, rhs, a.p)
+    return is_unit, x[:, :, 0]
+
+
+def unit_scan(a: Algebra, rows, cap: int = EXHAUSTIVE_CAP):
+    """The units of a in the row span of `rows`, with their inverses.
+
+    Exhaustive: walks every coefficient vector of [0, p)^r in np.ndindex
+    order, in the chunks of _span_sums over the left multiplications of the
+    rows, and yields (units, inverses) per chunk, both in scan order.  Each
+    chunk goes through one batched Gauss-Jordan elimination:
+    gfp.solve_packed_gf2 on packed rows over GF(2) with d <=
+    gfp.PACKED_WIDTH, otherwise gfp.batch_solve.  Transient memory is of
+    order UNIT_SCAN_CHUNK * d^2 words.
+    """
+    p, d = a.p, a.dim
+    rows = np.mod(np.asarray(rows, dtype=np.int64), p).reshape(-1, d)
+    # left multiplication by each row
+    lmul = np.einsum("ri,ijk->rkj", rows, a.sc) % p
+    for values, table in _span_sums(rows, lmul, p, cap):
+        is_unit, inv = _solve_units(a, table)
+        yield values[is_unit], inv[is_unit]
 
 
 def iter_units(a: Algebra, cap: int = EXHAUSTIVE_CAP):

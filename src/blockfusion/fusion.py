@@ -14,7 +14,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import permgroups
-from .algebra import find_unit_in_space, intertwiner_rows, unit_scan, verify
+from .algebra import (UNIT_SCAN_CHUNK, _solve_units, _span_sums, find_unit_in_space,
+                      intertwiner_rows, verify)
 from .blocks import GroupAlgebra, PointedGroupData, Point, stabilizer_of_point
 from .graded import GradedAlgebra, graded_corner
 from .permgroups import GroupTable, PermGroup, aut_compose, pconj
@@ -131,30 +132,64 @@ def fusion_F_direct(ext, cd: CornerData) -> FusionGroup:
 def fusion_F_normalizer(ext, cd: CornerData) -> FusionGroup:
     """F via scanning homogeneous units of iAi that normalize Pi.
 
-    Exhaustive and independent of fusion_F_direct: every nonzero vector of
-    every component is tested for invertibility, and each unit v found acts
-    on all of Pi.  v(ui)v^-1 = u'i is tested as (ui)v^-1 = v^-1(u'i), which
-    needs no multiplication matrix of v; each pair keeps its first witness
-    in scan order.
+    Exhaustive and independent of fusion_F_direct and of the intertwiner
+    spaces: every vector v of every component is tested against the linear
+    normalizing equations, that each ui has a u'i with v(ui) = (u'i)v, and
+    every vector that passes them is tested for invertibility.  For a unit
+    v the equations say v(ui)v^-1 = u'i.  One scan tabulates v's left
+    multiplication with v(ui) and (ui)v for every u; the survivors go, in
+    scan order, to the batched elimination in batches of at most
+    UNIT_SCAN_CHUNK, and each pair keeps its first witness in scan order.
     """
-    g = cd.graded
-    a = g.alg
-    p = a.p
     images = np.array([cd.p_images[u] for u in cd.P.elements])
-    # (ui) x and x (ui) as matrices acting on x
-    left = np.einsum("ui,ijk->ukj", images, a.sc) % p
-    right = np.einsum("uj,ijk->uki", images, a.sc) % p
+    found = _normalizing_units(cd.graded, images)
+    pairs = sorted(found)
+    return FusionGroup(pairs, pair_table(pairs, ext.quot.group), found)
+
+
+def _normalizing_units(g: GradedAlgebra, images) -> dict:
+    """(phi, gbar) -> the first unit v of degree gbar, in scan order, with
+    v images[k] v^-1 = images[phi[k]] for every k."""
+    a = g.alg
+    p, dim = a.p, a.dim
+    n = len(images)
+    # x y_k and y_k x, for the images y_k, as matrices acting on x
+    right = np.einsum("uj,ijk->uik", images, a.sc)
+    left = np.einsum("ui,ijk->ujk", images, a.sc)
+
+    def survivors(rows):
+        # per row x: its left multiplication, then x y_k, then y_k x
+        arrays = np.concatenate([np.einsum("ri,ijk->rkj", rows, a.sc),
+                                 np.einsum("ri,uik->ruk", rows, right),
+                                 np.einsum("rj,ujk->ruk", rows, left)], axis=1)
+        arrays %= p
+        for values, sums in _span_sums(rows, arrays, p):
+            vy = sums[:, dim:dim + n].reshape(len(sums), n, 1, -1)
+            yv = sums[:, dim + n:].reshape(len(sums), 1, n, -1)
+            match = (vy == yv).all(axis=3)
+            keep = match.any(axis=2).all(axis=1)
+            yield values[keep], sums[keep, :dim], match[keep].argmax(axis=2)
+
     found = {}
     for d in range(g.group.order):
-        for units, invs in unit_scan(a, g.component_rows(d)):
-            ui_vinv = np.einsum("ukj,nj->nuk", left, invs) % p
-            vinv_ui = np.einsum("ukj,nj->nuk", right, invs) % p
-            match = (ui_vinv[:, :, None] == vinv_ui[:, None, :]).all(axis=3)
-            normalizes = match.any(axis=2).all(axis=1)
-            for v, phi in zip(units[normalizes], match[normalizes].argmax(axis=2)):
+        for values, lmul, phis in _rebatch(survivors(g.component_rows(d)), UNIT_SCAN_CHUNK):
+            is_unit, _ = _solve_units(a, lmul)
+            for v, phi in zip(values[is_unit], phis[is_unit]):
                 found.setdefault((tuple(phi.tolist()), d), v)
-    pairs = sorted(found)
-    return FusionGroup(pairs, pair_table(pairs, ext.quot.group), dict(found))
+    return found
+
+
+def _rebatch(parts, size: int):
+    """The rows of a stream of array tuples, in order, re-cut into tuples
+    of at most `size` rows."""
+    held = None
+    for part in parts:
+        held = part if held is None else tuple(map(np.concatenate, zip(held, part)))
+        while len(held[0]) >= size:
+            yield tuple(x[:size] for x in held)
+            held = tuple(x[size:] for x in held)
+    if held is not None and len(held[0]):
+        yield held
 
 
 # -- the group-side fusion group E ----------------------------------------------

@@ -311,8 +311,9 @@ def _field_isos(a1: Algebra, a2: Algebra):
         rpows = [a2.unit.copy()]
         for _ in range(a1.dim - 1):
             rpows.append(a2.mul(rpows[-1], root))
-        iso = (np.array(rpows).T @ pinv_mat.T) % p  # columns: images of a1 basis
+        iso = (np.array(rpows).T @ pinv_mat) % p  # columns: images of a1 basis
         if gfp.is_invertible(iso, p):
+            verify(check_algebra_map(iso, a1, a2), "field isomorphism is not an algebra map")
             out.append(iso)
     return out
 
@@ -450,7 +451,7 @@ def _extend_iso(g1, g2, gens, images):
     p = a.p
     src = [a.unit.copy()] + [np.eye(a.dim, dtype=np.int64)[k] for k in gens]
     img = [b.unit.copy()] + [np.asarray(v) for v in images]
-    basis_src = gfp.row_basis(np.array([src[0]]), p)
+    basis_src = np.array([src[0]])
     basis_img = np.array([img[0]])
     queue = list(zip(src, img))
     pairs = []
@@ -472,7 +473,7 @@ def _extend_iso(g1, g2, gens, images):
     if basis_src.shape[0] != a.dim:
         return None
     coords = gfp.inverse(basis_src.T, p)
-    iso = (basis_img.T @ coords.T) % p  # columns: images of standard basis
+    iso = (basis_img.T @ coords) % p  # columns: images of standard basis
     if not gfp.is_invertible(iso, p) or not check_algebra_map(iso, a, b):
         return None
     return iso

@@ -318,3 +318,77 @@ def test_graded_generators_generate():
     _, _, (g, _) = sc1_graded()
     gens = gr.graded_generators(g)
     assert gens  # the algebra is not spanned by its unit
+
+
+def rebased(a, t):
+    """The algebra a on the basis given by the rows of the invertible t."""
+    p = a.p
+    tinv = gfp.inverse(t, p)
+    prods = np.einsum("ia,jb,abk->ijk", t, t, a.sc) % p
+    return alg.Algebra(p, prods @ tinv % p, a.unit @ tinv % p)
+
+
+def random_invertible(n, p, rng):
+    while True:
+        t = rng.integers(0, p, size=(n, n))
+        if gfp.is_invertible(t, p):
+            return t
+
+
+def rebased_graded(g, rng):
+    """g on a random basis that keeps every basis vector homogeneous."""
+    p, dim = g.p, g.alg.dim
+    t = np.zeros((dim, dim), dtype=np.int64)
+    for d in range(g.group.order):
+        idx = g.component_indices(d)
+        t[np.ix_(idx, idx)] = random_invertible(len(idx), p, rng)
+    return gr.GradedAlgebra(rebased(g.alg, t), g.group, g.deg.copy())
+
+
+def polynomial_field(f, p):
+    """GF(p)[x]/(f) on the basis 1, x, ..., x^(n-1); f monic, low degree first."""
+    n = len(f) - 1
+    powers = np.zeros((2 * n - 1, n), dtype=np.int64)
+    powers[:n] = np.eye(n, dtype=np.int64)
+    for k in range(n, 2 * n - 1):
+        # x^k = x * x^(k-1), with x^n = -(f_0 + ... + f_(n-1) x^(n-1))
+        prev = powers[k - 1]
+        powers[k, 1:] = prev[:-1]
+        powers[k] = (powers[k] - prev[-1] * np.array(f[:n])) % p
+    sc = np.array([[powers[i + j] for j in range(n)] for i in range(n)])
+    return alg.Algebra(p, sc, np.eye(n, dtype=np.int64)[0])
+
+
+FIELDS = {"GF(4)": ([1, 1, 1], 2), "GF(8)": ([1, 1, 0, 1], 2),
+          "GF(9)": ([1, 0, 1], 3), "GF(25)": ([2, 0, 1], 5)}
+
+
+@pytest.mark.parametrize("name", sorted(FIELDS))
+def test_field_isos_are_algebra_maps_in_any_basis(name):
+    f, p = FIELDS[name]
+    field = polynomial_field(f, p)
+    n = field.dim
+    rng = np.random.default_rng(5)
+    for _ in range(4):
+        src = rebased(field, random_invertible(n, p, rng))
+        dst = rebased(field, random_invertible(n, p, rng))
+        isos = gr._field_isos(src, dst)
+        # the Galois group of GF(p^n) over GF(p) has order n
+        assert len(isos) == n
+        assert len({m.tobytes() for m in isos}) == n
+        assert all(alg.check_algebra_map(m, src, dst) for m in isos)
+
+
+@pytest.mark.parametrize("make", [lambda: twisted_c2_over_gf3(2),
+                                  lambda: crossed_by_conjugation(S3, C3, 3)],
+                         ids=["twisted C2 over GF(3)", "kS3 over C3 at p = 3"])
+def test_graded_isos_survive_a_change_of_basis(make):
+    g = make()
+    rng = np.random.default_rng(11)
+    rebases = [rebased_graded(g, rng) for _ in range(5)]
+    for h in rebases:
+        assert gr.factor_sets_equivalent(gr.factor_set(h), gr.factor_set(g))
+    # the iso search is the slow one: two rebases
+    for h in rebases[:2]:
+        iso = gr.graded_iso_search(h, g)
+        assert iso is not None and alg.check_algebra_map(iso, h.alg, g.alg)

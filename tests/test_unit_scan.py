@@ -5,13 +5,19 @@ decides invertibility with the scalar `Algebra.is_unit_element`; the
 batched scans must return the same first hit, the same sequence, and the
 same fusion pairs with the same first witnesses.
 """
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from blockfusion import algebra as alg
+from blockfusion import blocks as bl
 from blockfusion import fusion as fu
 from blockfusion import gfp
 from blockfusion import graded as gr
+from blockfusion import permgroups as pg
 from blockfusion import workbench as wb
 
 from test_algebra import cyclic_group_algebra, matrix_algebra
@@ -133,13 +139,125 @@ def test_homogeneous_unit_is_the_scalar_first_hit(corners):
                 assert (got == want).all()
 
 
-def test_normalizer_pairs_and_first_witnesses_match_scalar_scan(corners):
-    for name, (r, cd) in corners.items():
-        want = scalar_normalizer(cd)
+@pytest.fixture(scope="module")
+def sc2_corner():
+    """SC2's defect corner: dimension 24, so its scans take the packed path
+    with d > 8, over two components of 2^12 vectors."""
+    s = next(s for s in wb.catalog() if s.name.startswith("SC2"))
+    r = wb.resolve_scenario(s)
+    data, pt = wb.resolve_subgroup(r, s, wb.DEFAULT_CAP_ORDER)
+    cd = fu.corner_data(r.ext, data, pt)
+    assert cd.graded.alg.dim == 24 and cd.graded.component_dims() == [12, 12]
+    return r, cd
+
+
+def assert_same_normalizer(got, want, name=""):
+    assert sorted(got) == sorted(want), name
+    for pair, w in want.items():
+        assert (got[pair] == w).all(), (name, pair)
+
+
+def test_normalizer_pairs_and_first_witnesses_match_scalar_scan(corners, sc2_corner):
+    for name, (r, cd) in {**corners, "SC2": sc2_corner}.items():
         f = fu.fusion_F_normalizer(r.ext, cd)
-        assert f.pairs == sorted(want), name
-        for pair, w in want.items():
-            assert (f.witnesses[pair] == w).all(), (name, pair)
+        assert_same_normalizer(f.witnesses, scalar_normalizer(cd), name)
+        assert f.pairs == sorted(f.witnesses)
+
+
+def linear_survivors(a, rows, images):
+    """How many vectors of the span satisfy v y = y' v, y' among the
+    images, for every image y: the normalizing equations, unit or not."""
+    coeffs = np.array(list(np.ndindex(*[a.p] * len(rows))), dtype=np.int64)
+    v = coeffs @ rows % a.p
+    vy = np.einsum("ni,uj,ijk->nuk", v, images, a.sc) % a.p
+    yv = np.einsum("ui,nj,ijk->nuk", images, v, a.sc) % a.p
+    match = (vy[:, :, None] == yv[:, None, :]).all(axis=3)
+    return int(match.any(axis=2).all(axis=1).sum())
+
+
+def test_normalizer_eliminates_only_the_linear_survivors(sc2_corner, monkeypatch):
+    r, cd = sc2_corner
+    g = cd.graded
+    images = np.array([cd.p_images[u] for u in cd.P.elements])
+    batches = []
+    real = gfp.solve_packed_gf2
+
+    def counting(rows, rhs):
+        batches.append(len(rows))
+        return real(rows, rhs)
+
+    monkeypatch.setattr(gfp, "solve_packed_gf2", counting)
+    fu.fusion_F_normalizer(r.ext, cd)
+    want = [linear_survivors(g.alg, g.component_rows(d), images)
+            for d in range(g.group.order)]
+    # the solver sees exactly the survivors, a small share of 2 x 2^12
+    assert sum(batches) == sum(want) < 2 * 2**12 // 8
+    assert max(batches) <= alg.UNIT_SCAN_CHUNK
+    # survivors are pooled across chunks: full batches, then one remainder
+    # per component
+    assert len(batches) == sum(-(-n // alg.UNIT_SCAN_CHUNK) for n in want)
+
+
+# (G, N): kG graded by G/N; every component has |N| elements
+GRADINGS = [
+    (("(0 1 2 3)",), ("(0 2)(1 3)",), 4),
+    (("(0 1)", "(0 1 2)"), ("(0 1 2)",), 3),
+    (("(0 1 2 3 4 5)",), ("(0 2 4)(1 3 5)",), 6),
+    (("(0 1 2 3)", "(0 2)"), ("(0 1 2 3)",), 4),
+    (("(0 1 2)", "(1 2 3)"), ("(0 1)(2 3)", "(0 2)(1 3)"), 4),
+    (("(0 1 2 3 4 5 6 7 8)",), ("(0 1 2 3 4 5 6 7 8)",), 9),
+    (("(0 1 2 3)",), ("(0 1 2 3)",), 4),
+]
+
+
+@st.composite
+def normalizer_systems(draw):
+    """A group algebra kG graded by G/N on a random homogeneous basis,
+    with 1 to 3 distinct elements standing in for Pi: group elements,
+    which group elements normalize, or random vectors."""
+    p = draw(st.sampled_from([2, 3, 5]))
+    gens_g, gens_n, degree = draw(st.sampled_from(GRADINGS))
+    g = pg.enumerate_group(tuple(pg.parse_cycles(c, degree) for c in gens_g), degree)
+    n = pg.enumerate_group(tuple(pg.parse_cycles(c, degree) for c in gens_n), degree)
+    quot = pg.quotient(g, n)
+    # the scalar reference visits every vector: keep the scans small
+    assume(p ** n.order * quot.order <= 1250)
+    kg = bl.GroupAlgebra(g, p)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    rows, deg = [], []
+    for d in range(quot.order):
+        idx = [kg.index(x) for x in g.elements if quot.omega_of(x) == d]
+        block = np.eye(n.order, dtype=np.int64)
+        while draw(st.booleans()):
+            block = rng.integers(0, p, size=(n.order, n.order))
+            if gfp.is_invertible(block, p):
+                break
+            block = np.eye(n.order, dtype=np.int64)
+        piece = np.zeros((n.order, kg.n), dtype=np.int64)
+        piece[:, idx] = block
+        rows.append(piece)
+        deg += [d] * n.order
+    span = kg.span(np.vstack(rows))
+    graded = gr.GradedAlgebra(span.alg, quot.group, np.array(deg))
+    images = []
+    for _ in range(draw(st.integers(1, 3))):
+        if draw(st.booleans()):
+            y = span.coords(kg.vec_of(g.elements[draw(st.integers(0, g.order - 1))]))
+        else:
+            y = rng.integers(0, p, size=kg.n)
+        if not any((y == z).all() for z in images):
+            images.append(y)
+    return graded, np.array(images)
+
+
+@settings(max_examples=30, deadline=None)
+@given(normalizer_systems())
+def test_normalizing_units_match_scalar_scan(system):
+    graded, images = system
+    labels = list(range(len(images)))
+    cd = SimpleNamespace(graded=graded, p_images=dict(zip(labels, images)),
+                         P=SimpleNamespace(elements=labels, index=labels.index))
+    assert_same_normalizer(fu._normalizing_units(graded, images), scalar_normalizer(cd))
 
 
 def test_scans_raise_inconclusive_past_the_cap():

@@ -180,6 +180,27 @@ def test_classical_scenario_has_trivial_degrees():
     assert fusion.witness["pair_degrees"] == [0, 0]
 
 
+# non-split residual 1-components: GF(8) under C3 by Frobenius for F21
+# over C7, GF(4) under C2 for S3 over C3
+NON_SPLIT = {
+    f"F21-over-C7-block-{b}": wb.Scenario(
+        name=f"F21-over-C7-block-{b}", p=2, degree=7,
+        gens_g=["(0 1 2 3 4 5 6)", "(1 2 4)(3 6 5)"],
+        gens_h=["(0 1 2 3 4 5 6)"], block=b)
+    for b in (0, 1, 2)
+}
+NON_SPLIT["S3-over-C3-block-0"] = wb.Scenario(
+    name="S3-over-C3-block-0", p=2, degree=3, gens_g=["(0 1)", "(0 1 2)"],
+    gens_h=["(0 1 2)"], block=0)
+
+
+@pytest.mark.parametrize("name", sorted(NON_SPLIT))
+def test_non_split_blocks_pass_every_stage(name):
+    r = wb.run_scenario(NON_SPLIT[name])
+    assert len(r.checks) == 8
+    assert r.passed(), [(c.name, c.status, c.witness) for c in r.checks]
+
+
 def test_failed_stage_skips_the_rest():
     s = wb.Scenario(name="bad", p=3, degree=3,
                     gens_g=["(0 1)", "(0 1 2)"], gens_h=["(0 1 2)"],
