@@ -548,7 +548,8 @@ def split_commutative_semisimple(z: Algebra):
             # minimal polynomial of w inside the ideal eZ; roots are in GF(p)
             lw = z.left_mult(w)
             mp = polys.minpoly_vector(lw, e, p)
-            roots = [c for c in range(p) if _poly_eval_scalar(mp, c, p) == 0]
+            roots = [c for c in range(p)
+                     if not polys.eval_at_matrix(mp, np.array([[c]]), p).any()]
             if len(roots) <= 1:
                 refined.append(e)
                 continue
@@ -572,13 +573,6 @@ def split_commutative_semisimple(z: Algebra):
             verify(not z.mul(idems[i], idems[j]).any(),
                    f"split idempotents {i} and {j} are not orthogonal")
     return idems
-
-
-def _poly_eval_scalar(f, c: int, p: int) -> int:
-    out = 0
-    for coeff in reversed(f):
-        out = (out * c + int(coeff)) % p
-    return out
 
 
 def lift_idempotent(a: Algebra, ebar, nil_rows=None) -> np.ndarray:
@@ -633,7 +627,7 @@ def _find_splitting_idempotent(s: Algebra, rng):
             return None
         scale = gfp.inv_mod(int(d[0]), p)
         ug1 = polys.pmul((u * scale) % p, g1, p)
-        e = _apply_poly_element(s, ug1, x)
+        e = polys.eval_at_matrix(ug1, s.left_mult(x), p) @ s.unit % p
         if e.any() and not (e == s.unit).all() and s.is_idempotent(e):
             return e
         return None
@@ -665,15 +659,6 @@ def _poly_xgcd(f, g, p: int):
         s0, s1 = s1, polys.padd(s0, polys.pmul((-q) % p, s1, p), p)
         t0, t1 = t1, polys.padd(t0, polys.pmul((-q) % p, t1, p), p)
     return r0, s0, t0
-
-
-def _apply_poly_element(a: Algebra, f, x) -> np.ndarray:
-    out = np.zeros(a.dim, dtype=np.int64)
-    xp = a.unit.copy()
-    for c in polys.trim(f, a.p):
-        out = (out + int(c) * xp) % a.p
-        xp = a.mul(xp, x)
-    return out
 
 
 def refine_to_primitive(s: Algebra, e, rng) -> np.ndarray:
@@ -807,38 +792,6 @@ def hom_space(m: Module, n: Module):
     return [ker[:, k].reshape(n.dim, m.dim, order="F") for k in range(ker.shape[1])]
 
 
-def invertible_combination(mats, p: int, seed: int = DEFAULT_SEED):
-    """Coefficients c with sum_k c_k mats[k] invertible, or None if proven
-    that none exists.
-
-    Tries each matrix, then 64 seeded random combinations, then every
-    combination of at most 6 matrices within EXHAUSTIVE_CAP; raises
-    Inconclusive beyond that.
-    """
-    n = len(mats)
-    if n == 0:
-        return None
-
-    def invertible(c):
-        return gfp.is_invertible(np.tensordot(c, mats, axes=1) % p, p)
-
-    for c in np.eye(n, dtype=np.int64):
-        if invertible(c):
-            return c
-    rng = np.random.default_rng(seed)
-    for _ in range(64):
-        c = rng.integers(0, p, size=n)
-        if invertible(c):
-            return c
-    if n <= 6 and p**n <= EXHAUSTIVE_CAP:
-        for c in np.ndindex(*([p] * n)):
-            c = np.array(c, dtype=np.int64)
-            if invertible(c):
-                return c
-        return None  # exhaustive: no invertible combination
-    raise Inconclusive("hom space too large for the deterministic fallback")
-
-
 # -- unit enumeration ---------------------------------------------------------
 
 UNIT_SCAN_CHUNK = 256  # most candidates per batched inversion; bounds transient memory
@@ -896,16 +849,32 @@ def _span_sums(rows, arrays, p: int, cap: int = EXHAUSTIVE_CAP):
         yield chunk, add(table, offset)
 
 
-def _solve_units(a: Algebra, stack):
-    """Units and inverses for a stack of left multiplications laid out as
-    _span_sums lays them out: v is a unit iff its left multiplication L is
-    invertible, and then L x = 1 gives x = v^-1.  Returns (is_unit, inverses)."""
-    rhs = a.unit[:, None]
-    if _packs(a.p, a.dim):
-        is_unit, x = gfp.solve_packed_gf2(stack, rhs)
-    else:
-        is_unit, x = gfp.batch_solve(stack, rhs, a.p)
-    return is_unit, x[:, :, 0]
+def _solve_stack(stack, rhs, p: int):
+    """gfp.batch_solve for a stack of matrices laid out as _span_sums lays
+    them out, as packed rows when _packs(p, d).  Returns (invertible, x)."""
+    if _packs(p, len(rhs)):
+        return gfp.solve_packed_gf2(stack, rhs)
+    return gfp.batch_solve(stack, rhs, p)
+
+
+def invertible_combination(mats, p: int):
+    """Coefficients c with sum_k c_k mats[k] invertible, the first in
+    np.ndindex order, or None when none is (exhaustive).
+
+    Scans the combinations in the chunks of _span_sums and tests each chunk
+    with one batched elimination; raises Inconclusive when p^len(mats)
+    exceeds EXHAUSTIVE_CAP.
+    """
+    mats = np.asarray(mats, dtype=np.int64)
+    n = len(mats)
+    if n == 0:
+        return None
+    rhs = np.zeros((mats.shape[1], 1), dtype=np.int64)
+    for values, sums in _span_sums(np.eye(n, dtype=np.int64), mats, p):
+        invertible, _ = _solve_stack(sums, rhs, p)
+        if invertible.any():
+            return values[np.argmax(invertible)]
+    return None
 
 
 def unit_scan(a: Algebra, rows, cap: int = EXHAUSTIVE_CAP):
@@ -924,8 +893,10 @@ def unit_scan(a: Algebra, rows, cap: int = EXHAUSTIVE_CAP):
     # left multiplication by each row
     lmul = np.einsum("ri,ijk->rkj", rows, a.sc) % p
     for values, table in _span_sums(rows, lmul, p, cap):
-        is_unit, inv = _solve_units(a, table)
-        yield values[is_unit], inv[is_unit]
+        # v is a unit iff its left multiplication L is invertible, and
+        # then L x = 1 gives x = v^-1
+        is_unit, inv = _solve_stack(table, a.unit[:, None], p)
+        yield values[is_unit], inv[is_unit, :, 0]
 
 
 def iter_units(a: Algebra, cap: int = EXHAUSTIVE_CAP):

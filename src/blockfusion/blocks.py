@@ -22,7 +22,7 @@ from .algebra import (
     span_algebra,
     verify,
 )
-from .permgroups import PermGroup, pconj, pinv, pmul
+from .permgroups import PermGroup, pinv, pmul
 
 
 class GroupAlgebra:
@@ -85,24 +85,9 @@ class GroupAlgebra:
         return span_algebra(rows, self.mul, unit_vec, self.p)
 
 
-def conjugacy_classes(sub: PermGroup, within=None):
-    """Classes of `within` (default: sub) under conjugation by sub."""
-    targets = list(within if within is not None else sub.elements)
-    seen = set()
-    classes = []
-    for g in targets:
-        if g in seen:
-            continue
-        orbit = {pconj(s, g) for s in sub.elements}
-        seen |= orbit
-        classes.append(sorted(orbit))
-    return classes
-
-
 def center_span(kg: GroupAlgebra, sub: PermGroup) -> SpanAlgebra:
-    """Z(k[sub]) inside kG, spanned by class sums."""
-    rows = np.array([kg.sum_over(c) for c in conjugacy_classes(sub)])
-    return kg.span(rows)
+    """Z(k[sub]) = (k[sub])^sub inside kG, spanned by class sums."""
+    return kg.span(orbit_sums(kg, sub, sub))
 
 
 def blocks(kg: GroupAlgebra, sub: PermGroup):
@@ -121,31 +106,16 @@ def is_principal_block(kg: GroupAlgebra, b) -> bool:
 
 
 def invariant_blocks(kg: GroupAlgebra, sub: PermGroup):
-    """Primitive idempotents of Z(k[sub])^G: orbit sums of blocks of k[sub]."""
-    blist = blocks(kg, sub)
-    remaining = list(range(len(blist)))
-    out = []
-    while remaining:
-        seed_idx = remaining[0]
-        orbit = {seed_idx}
-        frontier = [seed_idx]
-        while frontier:
-            i = frontier.pop()
-            for s in kg.grp.generators:
-                moved = kg.conj_vec(s, blist[i])
-                for j in remaining:
-                    if j not in orbit and (blist[j] == moved).all():
-                        orbit.add(j)
-                        frontier.append(j)
-        total = np.zeros(kg.n, dtype=np.int64)
-        for i in orbit:
-            total = (total + blist[i]) % kg.p
+    """Primitive idempotents of Z(k[sub])^G: orbit sums of blocks of k[sub].
+
+    Z(k[sub])^G = (k[sub])^G is the direct sum of one local algebra per
+    G-orbit of blocks, so its primitive idempotents are those orbit sums.
+    """
+    out = primitive_idempotents(kg.span(orbit_sums(kg, sub, kg.grp)), kg.mul, kg.unit)
+    for total in out:
         for s in kg.grp.elements:
             verify((kg.conj_vec(s, total) == total).all(),
                    "a G-orbit sum of blocks is not G-invariant")
-        out.append(total)
-        remaining = [i for i in remaining if i not in orbit]
-    out.sort(key=lambda v: v.tolist())
     return out
 
 
@@ -219,17 +189,18 @@ def _verify_crossed(ext: BlockExtension) -> None:
 
 
 def orbit_sums(kg: GroupAlgebra, sub: PermGroup, P: PermGroup) -> np.ndarray:
-    """Row basis of (k[sub])^P: sums over P-conjugation orbits on sub."""
-    seen = set()
-    rows = []
-    for h in sub.elements:
-        if h in seen:
-            continue
-        orbit = {pconj(u, h) for u in P.elements}
-        verify(orbit <= set(sub.elements), "P does not normalize the subgroup")
-        seen |= orbit
-        rows.append(kg.sum_over(orbit))
-    return gfp.row_basis(np.array(rows), kg.p)
+    """Row basis of (k[sub])^P: sums over P-conjugation orbits on sub.
+
+    The orbits are read off G's table: conj[u, i] indexes u g_i u^-1, so
+    the least index of the orbit of g_i is the least entry of column i.
+    The sums have disjoint 0/1 supports, so sorted by their least index
+    they are already the RREF basis.
+    """
+    member = kg.sum_over(sub.elements) == 1
+    conj = np.array([kg.conj_perm(u) for u in P.elements])
+    verify(member[conj[:, member]].all(), "P does not normalize the subgroup")
+    label = conj.min(axis=0)
+    return (label == np.unique(label[member])[:, None]).astype(np.int64)
 
 
 def fixed_subalgebra(kg: GroupAlgebra, sub: PermGroup, b, P: PermGroup) -> SpanAlgebra:
@@ -274,9 +245,7 @@ class BrauerData:
 
 def brauer(kg: GroupAlgebra, sub: PermGroup, b, P: PermGroup) -> BrauerData:
     c = permgroups.centralizer(sub, P)
-    mask = np.zeros(kg.n, dtype=np.int64)
-    for g in c.elements:
-        mask[kg.index(g)] = 1
+    mask = kg.sum_over(c.elements)
     brb = np.mod(np.asarray(b, dtype=np.int64).ravel() * mask, kg.p)
     target = None
     if brb.any():

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import permgroups
-from .algebra import (UNIT_SCAN_CHUNK, _solve_units, _span_sums, find_unit_in_space,
+from .algebra import (UNIT_SCAN_CHUNK, _solve_stack, _span_sums, find_unit_in_space,
                       intertwiner_rows, verify)
 from .blocks import GroupAlgebra, PointedGroupData, Point, stabilizer_of_point
 from .graded import GradedAlgebra, graded_corner
@@ -173,7 +173,7 @@ def _normalizing_units(g: GradedAlgebra, images) -> dict:
     found = {}
     for d in range(g.group.order):
         for values, lmul, phis in _rebatch(survivors(g.component_rows(d)), UNIT_SCAN_CHUNK):
-            is_unit, _ = _solve_units(a, lmul)
+            is_unit, _ = _solve_stack(lmul, a.unit[:, None], p)
             for v, phi in zip(values[is_unit], phis[is_unit]):
                 found.setdefault((tuple(phi.tolist()), d), v)
     return found

@@ -23,6 +23,7 @@ from .algebra import (
     iter_units,
     quotient_algebra,
     span_algebra,
+    spin,
     structure_constants,
     verify,
 )
@@ -299,14 +300,8 @@ def _field_isos(a1: Algebra, a2: Algebra):
     out = []
     for tup in np.ndindex(*([p] * a2.dim)):
         root = np.array(tup, dtype=np.int64)
-        # evaluate the minimal polynomial at the candidate root
-        acc = np.zeros(a2.dim, dtype=np.int64)
-        rp = a2.unit.copy()
-        for c in gen_mp:
-            acc = (acc + int(c) * rp) % p
-            rp = a2.mul(rp, root)
-        if acc.any():
-            continue
+        if (polys.eval_at_matrix(gen_mp, a2.left_mult(root), p) @ a2.unit % p).any():
+            continue  # not a root of the minimal polynomial
         # iso: gen^k -> root^k
         rpows = [a2.unit.copy()]
         for _ in range(a1.dim - 1):
@@ -378,29 +373,21 @@ def _cochain_search(alg2: Algebra, f1, f2, gm, sigma, units2) -> bool:
 
 
 def graded_generators(g: GradedAlgebra):
-    """Greedy homogeneous generating set: basis indices whose products span."""
+    """Greedy homogeneous generating set: basis indices whose products span.
+
+    The subalgebra that a set generates is spun from 1 under the left
+    multiplications by its elements.
+    """
     a = g.alg
     p = g.p
     eye = np.eye(a.dim, dtype=np.int64)
     gens = []
     span = gfp.row_basis(a.unit.reshape(1, -1), p)
-
-    def closure(rows):
-        cur = rows
-        while True:
-            prods = np.array(
-                [a.mul(x, y) for x in cur for y in cur]
-            ).reshape(-1, a.dim)
-            new = gfp.row_basis(np.vstack([cur, prods]), p)
-            if new.shape[0] == cur.shape[0]:
-                return new
-            cur = new
-
     for k in range(a.dim):
         if gfp.in_rowspace(span, eye[k], p):
             continue
         gens.append(k)
-        span = closure(np.vstack([span, eye[k]]))
+        span = spin(a.unit, [a.left_mult(eye[j]) for j in gens], p)
         if span.shape[0] == a.dim:
             break
     verify(span.shape[0] == a.dim, "the greedy generators do not generate")

@@ -65,13 +65,17 @@ def scenario_from_dict(d: dict) -> Scenario:
     for key in ("name", "p", "degree", "gens_G", "gens_H"):
         if key not in d:
             raise ValueError(f"scenario is missing {key!r}")
+    # JSON integers only: a bool, a float or a numeric string is refused
     block = d.get("block", "principal")
-    if not (block == "principal" or isinstance(block, int)):
-        raise ValueError("block selector must be an index or 'principal'")
+    if not (block == "principal" or type(block) is int):
+        raise ValueError(f"block selector must be an index or 'principal', got {block!r}")
     sel = d.get("P", "defect")
     if not (sel == "defect" or isinstance(sel, list)):
         raise ValueError("P selector must be generators or 'defect'")
-    p, degree = int(d["p"]), int(d["degree"])
+    for key in ("p", "degree"):
+        if type(d[key]) is not int:
+            raise ValueError(f"{key} must be an integer, got {d[key]!r}")
+    p, degree = d["p"], d["degree"]
     gfp.FieldSpec(p)  # raises ValueError naming p
     if degree < 1:
         raise ValueError(f"degree must be at least 1, got {degree}")

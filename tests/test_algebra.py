@@ -766,6 +766,48 @@ def test_invertible_combination_is_none_only_without_an_invertible_element():
     assert c.tolist() == [1, 1]
 
 
+def first_invertible_combination(mats, p):
+    """The first c in np.ndindex order with sum_k c_k mats[k] invertible."""
+    for c in np.ndindex(*[p] * len(mats)):
+        if gfp.is_invertible(np.tensordot(c, mats, axes=1) % p, p):
+            return list(c)
+    return None
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_invertible_combination_is_the_first_in_scan_order(data):
+    p = data.draw(st.sampled_from([2, 3, 5]))
+    d = data.draw(st.integers(1, 4))
+    n = data.draw(st.integers(1, {2: 7, 3: 5, 5: 4}[p]))
+    # a shared right factor e makes every combination singular when e is
+    xs = data.draw(hnp.arrays(np.int64, (n, d, d), elements=st.integers(0, p - 1)))
+    e = data.draw(hnp.arrays(np.int64, (d, d), elements=st.integers(0, p - 1)))
+    mats = xs @ e % p
+    got = alg.invertible_combination(list(mats), p)
+    want = first_invertible_combination(mats, p)
+    assert (got if got is None else got.tolist()) == want
+
+
+def test_invertible_combination_unpacked_over_gf2():
+    # 40 x 40 over GF(2) is too wide for packed rows; mats[2] = 0 and
+    # mats[1] are singular, the first invertible sum is mats[0] + mats[1]
+    d = 40
+    top = np.diag([1] * (d - 1) + [0])
+    mats = [top, np.eye(d, dtype=np.int64) - top, np.zeros((d, d), dtype=np.int64)]
+    assert not alg._packs(2, d)
+    assert alg.invertible_combination(mats, 2).tolist() == [1, 1, 0]
+    assert first_invertible_combination(mats, 2) == [1, 1, 0]
+
+
+def test_invertible_combination_is_inconclusive_beyond_the_cap():
+    # 2^21 combinations exceed EXHAUSTIVE_CAP
+    mats = [np.array([[1, 0], [0, 0]])] * 21
+    assert 2**21 > alg.EXHAUSTIVE_CAP
+    with pytest.raises(alg.Inconclusive, match="exceeds cap"):
+        alg.invertible_combination(mats, 2)
+
+
 # -- derived invariants, cached on each algebra ----------------------------------
 
 

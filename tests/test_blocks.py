@@ -100,6 +100,65 @@ def test_invariant_blocks():
             assert (kg.conj_vec(s, b) == b).all()
 
 
+F21 = grp(7, "(0 1 2 3 4 5 6)", "(1 2 4)(3 6 5)")
+C7 = grp(7, "(0 1 2 3 4 5 6)")
+
+# every catalog (G, H), then cases where G permutes the blocks of kH
+ORBIT_CASES = ([pytest.param(grp(s.degree, *s.gens_g), grp(s.degree, *s.gens_h), s.p,
+                             id=s.name) for s in wb.catalog()]
+               + [pytest.param(S3, C3, 7, id="S3/C3-p7"),
+                  pytest.param(A4, V4, 3, id="A4/V4-p3"),
+                  pytest.param(S4, V4, 5, id="S4/V4-p5"),
+                  pytest.param(F21, C7, 2, id="F21/C7-p2"),
+                  pytest.param(F21, C7, 29, id="F21/C7-p29")])
+
+
+def scalar_orbit_sums(kg, sub, P):
+    """The orbit sums of sub under P, conjugating the permutations."""
+    seen, rows = set(), []
+    for h in sub.elements:
+        if h not in seen:
+            orbit = {pg.pconj(u, h) for u in P.elements}
+            seen |= orbit
+            rows.append(kg.sum_over(orbit))
+    return gfp.row_basis(np.array(rows), kg.p)
+
+
+@pytest.mark.parametrize("g, h, p", ORBIT_CASES)
+def test_orbit_sums_match_the_scalar_conjugation(g, h, p):
+    kg = bl.GroupAlgebra(g, p)
+    for P in [pg.trivial_group(g.degree), h, g] + list(pg.p_subgroups(g, p)):
+        got = bl.orbit_sums(kg, h, P)
+        assert got.dtype == np.int64
+        assert got.tolist() == scalar_orbit_sums(kg, h, P).tolist(), P.generators
+
+
+def test_orbit_sums_refuse_a_group_that_does_not_normalize():
+    kg = bl.GroupAlgebra(S4, 2)
+    sub, P = grp(4, "(0 1)"), grp(4, "(1 2)")
+    with pytest.raises(al.VerificationError, match="^P does not normalize the subgroup$"):
+        bl.orbit_sums(kg, sub, P)
+
+
+@pytest.mark.parametrize("g, h, p", ORBIT_CASES)
+def test_invariant_blocks_are_the_g_orbit_sums_of_blocks(g, h, p):
+    kg = bl.GroupAlgebra(g, p)
+    orbits = {frozenset(tuple(kg.conj_vec(s, b)) for s in g.elements)
+              for b in bl.blocks(kg, h)}
+    want = sorted((np.sum(list(o), axis=0) % p).tolist() for o in orbits)
+    assert [v.tolist() for v in bl.invariant_blocks(kg, h)] == want
+
+
+def test_invariant_blocks_count_the_g_orbits_of_blocks():
+    # S3, A4 and S4 fuse the non-principal blocks of their normal
+    # subgroup; F21 fixes the three blocks of kC7 over GF(2) (it acts on
+    # them by the Frobenius) and permutes the seven over GF(29) as 1 + 3 + 3
+    for g, h, p, nb, ni in ((S3, C3, 7, 3, 2), (A4, V4, 3, 4, 2), (S4, V4, 5, 4, 2),
+                            (F21, C7, 2, 3, 3), (F21, C7, 29, 7, 3)):
+        kg = bl.GroupAlgebra(g, p)
+        assert (len(bl.blocks(kg, h)), len(bl.invariant_blocks(kg, h))) == (nb, ni)
+
+
 def test_block_extension_grading():
     kg = bl.GroupAlgebra(S3, 2)
     inv = bl.invariant_blocks(kg, C3)

@@ -8,6 +8,7 @@ import pytest
 
 from blockfusion import algebra as alg
 from blockfusion import blocks as bl
+from blockfusion import clifford as cl
 from blockfusion import gfp
 from blockfusion import graded as gr
 from blockfusion import permgroups as pg
@@ -318,6 +319,39 @@ def test_graded_generators_generate():
     _, _, (g, _) = sc1_graded()
     gens = gr.graded_generators(g)
     assert gens  # the algebra is not spanned by its unit
+
+
+def closure_generators(g):
+    """The greedy generators, each subalgebra closed under pairwise products."""
+    a, p = g.alg, g.p
+    eye = np.eye(a.dim, dtype=np.int64)
+    gens, span = [], gfp.row_basis(a.unit.reshape(1, -1), p)
+    for k in range(a.dim):
+        if gfp.in_rowspace(span, eye[k], p):
+            continue
+        gens.append(k)
+        span = np.vstack([span, eye[k]])
+        while True:
+            prods = a.mul(span[:, None], span[None]).reshape(-1, a.dim)
+            new = gfp.row_basis(np.vstack([span, prods]), p)
+            if new.shape[0] == span.shape[0]:
+                break
+            span = new
+        if span.shape[0] == a.dim:
+            break
+    return gens
+
+
+@pytest.mark.parametrize("s", wb.catalog(), ids=lambda s: s.name)
+def test_graded_generators_match_the_closure_by_products(s):
+    # the corner iAi, F, and the residuals of E and F at the scenario's P
+    pipe = wb.Pipeline(s)
+    r, at = pipe.resolved(), pipe.pointed()
+    cd, e_data, _, _ = pipe.fusion(at)
+    ecd = cl.build_E(r.ext, *at, e_data)
+    for g in (cd.graded, pipe.clifford_f(at).graded, cl.residual(ecd).graded,
+              pipe.residual_f(at).graded):
+        assert gr.graded_generators(g) == closure_generators(g)
 
 
 def rebased(a, t):

@@ -42,7 +42,14 @@ def test_missing_field_rejected():
 
 
 BAD_FIELDS = [("p", 4, "p must be a prime"), ("p", 1, "p must be a prime"),
-              ("p", 0, "p must be a prime"), ("degree", 0, "degree must be")]
+              ("p", 0, "p must be a prime"), ("degree", 0, "degree must be"),
+              # JSON integers only: int() would run 3.9 as GF(3)
+              ("p", 3.9, "p must be an integer"), ("p", "3", "p must be an integer"),
+              ("p", True, "p must be an integer"),
+              ("degree", 3.5, "degree must be an integer"),
+              ("degree", "3", "degree must be an integer"),
+              ("block", True, "block selector must be an index"),
+              ("block", 0.0, "block selector must be an index")]
 
 
 @pytest.mark.parametrize("key, value, message", BAD_FIELDS)
@@ -358,7 +365,7 @@ def calls(monkeypatch):
     for mod, name in ((wb, "resolve_scenario"), (fu, "fusion_report"),
                       (cl, "build_F"), (bl, "local_block_data"),
                       (bl, "extended_brauer_extension"), (bl, "points_at"),
-                      (bl, "pointed_group_contains")):
+                      (bl, "pointed_group_contains"), (bl, "blocks")):
         def counted(*args, _real=getattr(mod, name), _name=name, **kwargs):
             counts[_name] += 1
             return _real(*args, **kwargs)
@@ -400,6 +407,13 @@ def test_catalog_shares_one_pipeline_per_scenario(calls):
     # the defect searches visit only the subgroups of the largest order
     assert calls["points_at"] == 7
     assert calls["pointed_group_contains"] == 0
+
+
+@pytest.mark.parametrize("s", wb.catalog(), ids=lambda s: s.name)
+def test_resolving_a_scenario_builds_its_blocks_once(calls, s):
+    # the invariant blocks come from the G-orbit sums, not from the blocks
+    r = wb.resolve_scenario(s)
+    assert calls["blocks"] == 1 and r.invariant
 
 
 def record_radicals(monkeypatch):
