@@ -11,6 +11,8 @@ only available in characteristic p.
 """
 from __future__ import annotations
 
+import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -809,8 +811,12 @@ def _span_sums(rows, arrays, p: int, cap: int = EXHAUSTIVE_CAP):
     arrays holds one array per row, shape (r, ..., w), so S is linear in c.
     A vector splits into its high digits and its last m digits, m the
     largest integer with p^m <= UNIT_SCAN_CHUNK (at most r).  The sums of
-    all p^m low-digit vectors are tabulated once; a chunk is one value of
-    the high digits, whose sum is added to the whole table (the "Four
+    all p^m low-digit vectors are tabulated from the last digit up, so
+    after k digits the table holds the first p^k vectors of the scan; the
+    rows each digit adds are yielded at once, in chunks of p, p(p - 1),
+    p^2(p - 1), ..., and a scan whose first hit comes early solves only a
+    few candidates.  Then each further chunk is one nonzero value of the
+    high digits, whose sum is added to the whole table (the "Four
     Russians" step of M4RI).  Yields (values, sums) per chunk.  When
     _packs(p, w) the last axis of every sum is packed by gfp.pack_gf2 and
     the sum is XOR; otherwise sums are int64 arrays mod p.  Raises
@@ -832,18 +838,23 @@ def _span_sums(rows, arrays, p: int, cap: int = EXHAUSTIVE_CAP):
     high = r
     while high > 0 and p ** (r - high + 1) <= UNIT_SCAN_CHUNK:
         high -= 1
-    # the low-digit vectors and their sums, by p-fold extension one digit
-    # at a time, in np.ndindex order
+    # the low-digit vectors and their sums, by p-fold extension from the
+    # last digit up: digit j times rows[j] goes in front of the table
     digits = np.arange(p)
     values = np.zeros((1, d), dtype=np.int64)
     table = encode(np.zeros((1,) + arrays.shape[1:], dtype=np.int64))
-    for j in range(high, r):
-        values = ((values[:, None] + np.multiply.outer(digits, rows[j])) % p).reshape(-1, d)
-        table = add(table[:, None], encode(np.multiply.outer(digits, arrays[j]) % p))
+    seen = 0  # table rows already yielded
+    for j in range(r - 1, high - 1, -1):
+        values = ((np.multiply.outer(digits, rows[j])[:, None] + values) % p).reshape(-1, d)
+        table = add(encode(np.multiply.outer(digits, arrays[j]) % p)[:, None], table)
         table = table.reshape(-1, *table.shape[2:])
-    for h in np.ndindex(*[p] * high):
+        yield values[seen:], table[seen:]
+        seen = len(values)
+    # the zero high digits were yielded with the table, if it has a digit
+    flat = arrays[:high].reshape(high, math.prod(arrays.shape[1:]))
+    for h in itertools.islice(np.ndindex(*[p] * high), 1 if seen else 0, None):
         h = np.array(h, dtype=np.int64)
-        offset = encode(np.tensordot(h, arrays[:high], axes=1) % p)
+        offset = encode((h @ flat % p).reshape(arrays.shape[1:]))
         chunk = values + h @ rows[:high]
         chunk %= p
         yield chunk, add(table, offset)

@@ -25,6 +25,12 @@ from .algebra import (
 from .permgroups import PermGroup, pinv, pmul
 
 
+# most int64 entries one gather of GroupAlgebra.mul holds, as many as
+# UNIT_SCAN_CHUNK matrices of size 64 x 64; bounds transient memory (a
+# larger right factor is gathered one term of the sum at a time)
+MUL_GATHER_WORDS = 2**20
+
+
 class GroupAlgebra:
     """kG with convolution multiplication from the group product table."""
 
@@ -37,6 +43,8 @@ class GroupAlgebra:
         # _inv[k] is the index of g_k^-1: the column of the identity in row k
         e = self.index(permgroups.identity_perm(grp.degree))
         self._inv = np.argmax(self.mtable == e, axis=1)
+        # _gather[i, k] is the index of g_i^-1 g_k
+        self._gather = self.mtable[self._inv]
 
     def index(self, g) -> int:
         return self.grp.index(g)
@@ -53,14 +61,23 @@ class GroupAlgebra:
         return v % self.p
 
     def mul(self, x, y) -> np.ndarray:
-        """x*y; stacks of vectors broadcast over their leading axes."""
-        p = self.p
+        """x*y; stacks of vectors broadcast over their leading axes.
+
+        (xy)_k = sum_i x_i y_J[i, k], J[i, k] the index of g_i^-1 g_k: one
+        gather y[..., J] and one int64 matmul.  The sum over i runs in
+        pieces, each reduced mod p, short enough that a piece's sum stays
+        below 2^63 and its gather within MUL_GATHER_WORDS; for p <= 97 and
+        the stacks the pipeline multiplies that is one piece.
+        """
+        p, n = self.p, self.n
         x = np.mod(np.asarray(x, dtype=np.int64), p)
         y = np.mod(np.asarray(y, dtype=np.int64), p)
-        out = np.zeros(np.broadcast_shapes(x.shape, y.shape), dtype=np.int64)
-        # g_i g_j = g_mtable[i, j]; each row of the table is a permutation
-        for i in np.nonzero(x.reshape(-1, self.n).any(axis=0))[0]:
-            out[..., self.mtable[i]] += x[..., i, None] * y % p
+        run = max(1, min(n, (2**63 - 1) // (p - 1) ** 2,
+                         MUL_GATHER_WORDS // max(y.size, 1)))
+        out = 0
+        for t in range(0, n, run):
+            part = x[..., None, t:t + run] @ y[..., self._gather[t:t + run]]
+            out = out + part[..., 0, :] % p
         return out % p
 
     @property
@@ -256,9 +273,14 @@ def brauer(kg: GroupAlgebra, sub: PermGroup, b, P: PermGroup) -> BrauerData:
 
 
 def verify_brauer_hom(kg, sub, b, P, br: BrauerData) -> None:
-    """Multiplicativity on B^P and vanishing on proper relative traces."""
-    bp = fixed_subalgebra(kg, sub, b, P)
-    x, y = bp.rows[:, None], bp.rows[None, :]  # every pair of B^P rows
+    """Multiplicativity on B^P and vanishing on proper relative traces.
+
+    Both checks read spanning rows only, never structure constants: a row
+    basis of orbit_sums(kg, sub, P) times b for B^P, and for each maximal
+    subgroup Q of P the rows orbit_sums(kg, sub, Q) times b of B^Q.
+    """
+    bp = gfp.row_basis(kg.mul(orbit_sums(kg, sub, P), b), kg.p)
+    x, y = bp[:, None], bp[None, :]  # every pair of B^P rows
     verify((br.apply(kg.mul(x, y)) == kg.mul(br.apply(x), br.apply(y))).all(),
            "Brauer map is not multiplicative")
     if P.order == 1:
@@ -271,8 +293,7 @@ def verify_brauer_hom(kg, sub, b, P, br: BrauerData) -> None:
     for q in maximals:
         if q.order != top:
             continue
-        bq = fixed_subalgebra(kg, sub, b, q)
-        for x in bq.rows:
+        for x in kg.mul(orbit_sums(kg, sub, q), b):
             tr = relative_trace(kg, P, q, x)
             verify(not br.apply(tr).any(), "Brauer map misses a relative trace")
 

@@ -226,6 +226,8 @@ def build_F(ext: BlockExtension, data: PointedGroupData, cd: CornerData,
               for c, pair in zip(chunks, fg.pairs)]
     verify(all(w is not None for w in coords), "fusion witness escapes its component")
     g.verify_units(coords, "fusion witness")
+    # on B^P's own basis the 1-component keeps the radical points_at found
+    g.share_identity_algebra(data.span.alg)
     return CliffordExtensionData(
         graded=g, pairs=fg.pairs, corner=cd, chunk_rows=chunks,
     )
@@ -272,8 +274,18 @@ def psi_iso(ext: BlockExtension, pt: Point, ecd: CliffordExtensionData,
 
 
 def residual(cd: CliffordExtensionData) -> CliffordExtensionData:
-    """The quotient by the graded radical, with its factor set."""
+    """The quotient by the graded radical, with its factor set.  Its
+    1-component must be a field: commutative, with radical 0 and one
+    simple component."""
     quo, _, _ = graded_radical_quotient(cd.graded)
+    one = quo.identity_span().alg
+    verify(one.is_commutative(), "the residual 1-component is not a field: "
+           "it is not commutative")
+    verify(not one.radical_rows().shape[0], "the residual 1-component is not "
+           "a field: its radical is not 0")
+    n = len(one.simple_components())
+    verify(n == 1, "the residual 1-component is not a field: it has "
+           f"{n} simple components")
     return CliffordExtensionData(
         graded=quo, factor_data=factor_set(quo), quot=cd.quot, pairs=cd.pairs)
 

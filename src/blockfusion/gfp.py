@@ -6,6 +6,8 @@ Every routine is pure and exact; nothing here ever touches floats.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
+from operator import or_
 
 import numpy as np
 
@@ -41,8 +43,15 @@ def matmul(a, b, p: int) -> np.ndarray:
 
 
 def rref(a, p: int):
-    """Reduced row echelon form. Returns (R, pivot_columns)."""
-    m = asmat(a, p).copy()
+    """Reduced row echelon form. Returns (R, pivot_columns).
+
+    Over GF(2) the rows are eliminated as packed integers by _rref_gf2;
+    otherwise one numpy pass runs per column.
+    """
+    m = asmat(a, p)
+    if p == 2:
+        return _rref_gf2(m)
+    m = m.copy()
     rows, cols = m.shape
     pivots = []
     r = 0
@@ -65,6 +74,40 @@ def rref(a, p: int):
     return m, pivots
 
 
+def _rref_gf2(m):
+    """rref over GF(2), one step per pivot.
+
+    Each row packs into one Python int, bit c for column c, so any width
+    fits.  The next pivot is the lowest set bit among the rows not yet
+    used, taken from the first row that has it; XOR clears it from every
+    other row.  The pivot rows come out in increasing pivot order, so they
+    are the canonical RREF.
+    """
+    rows, cols = m.shape
+    width = -(-cols // 8)
+    buf = np.packbits(m, axis=1, bitorder="little").tobytes()
+    rest = [int.from_bytes(buf[i * width:(i + 1) * width], "little") for i in range(rows)]
+    done = []
+    union = reduce(or_, rest, 0)
+    while union:
+        low = union & -union
+        for k, piv in enumerate(rest):
+            if piv & low:
+                break
+        del rest[k]
+        rest = [r ^ piv if r & low else r for r in rest]
+        done = [r ^ piv if r & low else r for r in done]
+        done.append(piv)
+        union = reduce(or_, rest, 0)
+    out = np.zeros((rows, cols), dtype=np.int64)
+    if done:
+        packed = b"".join(r.to_bytes(width, "little") for r in done)
+        out[:len(done)] = np.unpackbits(
+            np.frombuffer(packed, dtype=np.uint8).reshape(len(done), width),
+            axis=1, count=cols, bitorder="little")
+    return out, [(r & -r).bit_length() - 1 for r in done]
+
+
 def rank(a, p: int) -> int:
     _, pivots = rref(a, p)
     return len(pivots)
@@ -81,8 +124,7 @@ def solve(a, b, p: int):
     if any(c >= n for c in pivots):
         return None
     x = np.zeros((n, b.shape[1]), dtype=np.int64)
-    for r, c in enumerate(pivots):
-        x[c] = aug[r, n:]
+    x[pivots] = aug[:len(pivots), n:]
     return x
 
 
@@ -91,12 +133,12 @@ def nullspace(a, p: int) -> np.ndarray:
     a = asmat(a, p)
     n = a.shape[1]
     r, pivots = rref(a, p)
-    free = [c for c in range(n) if c not in pivots]
+    free = np.ones(n, dtype=bool)
+    free[pivots] = False
+    free = np.flatnonzero(free)
     basis = np.zeros((n, len(free)), dtype=np.int64)
-    for k, fc in enumerate(free):
-        basis[fc, k] = 1
-        for row, pc in enumerate(pivots):
-            basis[pc, k] = (-r[row, fc]) % p
+    basis[free, np.arange(len(free))] = 1
+    basis[pivots] = -r[:len(pivots), free] % p
     return basis
 
 

@@ -67,6 +67,17 @@ class GradedAlgebra:
                                        self.alg.unit, self.p)
         return self._ispan
 
+    def share_identity_algebra(self, other: Algebra) -> None:
+        """Take `other` as the algebra of the 1-component if their
+        structure constants and units are equal, so that the invariants
+        `other` has cached (its radical, its simple components) serve the
+        1-component too; otherwise change nothing."""
+        idx = self.component_indices(0)
+        if (other.dim == len(idx)
+                and (self.alg.sc[np.ix_(idx, idx, idx)] == other.sc).all()
+                and (self.alg.unit[idx] == other.unit).all()):
+            self._ispan = SpanAlgebra(other, self.component_rows(0))
+
     def validate(self) -> None:
         self.group.validate()
         verify(self.degree_of(self.alg.unit) == 0, "unit is not in degree 1")
@@ -315,8 +326,14 @@ def _field_isos(a1: Algebra, a2: Algebra):
 
 def factor_sets_equivalent(f1: FactorSetData, f2: FactorSetData,
                            group_map=None) -> bool:
-    """Equivalence of crossed products with field 1-components: some field
-    iso sigma and 1-cochain c rescale f1's table into f2's."""
+    """Equivalence of two crossed products whose 1-components are
+    commutative and have a primitive element: some algebra isomorphism
+    sigma of the 1-components, found by mapping a primitive element to
+    the roots of its minimal polynomial, and some 1-cochain c of units
+    rescale f1's table into f2's.  A field has a primitive element; that
+    the 1-components are fields is not checked here.  Raises Inconclusive
+    when a 1-component is not commutative, has no primitive element among
+    the candidates tried, or the cochain search exceeds COCHAIN_CAP."""
     n = f1.group.order
     if f2.group.order != n:
         return False

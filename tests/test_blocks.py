@@ -224,6 +224,24 @@ def test_brauer_map_is_hom_and_kills_traces():
         bl.verify_brauer_hom(kg, A4, b, V4, only_one)
 
 
+def test_a_brauer_map_that_misses_a_relative_trace_fails(monkeypatch):
+    # keeping every coefficient is multiplicative on B^P, but it keeps the
+    # relative traces from the subgroups of order 2 of V4
+    kg = bl.GroupAlgebra(S4, 2)
+    b = kg.unit
+    data = bl.points_at(kg, A4, b, V4)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("verify_brauer_hom built a span algebra")
+
+    monkeypatch.setattr(bl, "span_algebra", refuse)
+    bl.verify_brauer_hom(kg, A4, b, V4, data.br)
+    keep_all = dataclasses.replace(data.br, mask=np.ones(kg.n, dtype=np.int64))
+    with pytest.raises(al.VerificationError,
+                       match="^Brauer map misses a relative trace$"):
+        bl.verify_brauer_hom(kg, A4, b, V4, keep_all)
+
+
 def test_brauer_vanishes_off_defect():
     # P = full Sylow 3-subgroup of S3 acting on kC3 over GF(2): block of
     # defect zero has Br_P(b) = 0 for nontrivial P

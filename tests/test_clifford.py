@@ -157,6 +157,46 @@ def test_residual_chain_klein_four(s4_chain):
     assert cl.residuals_match(re, lres)
 
 
+def test_residual_refuses_a_1_component_that_is_not_a_field():
+    # (k x k)[C2] over GF(2), basis e_i (x) x^a at 2a + i: a crossed
+    # product with radical 0 whose 1-component GF(2) x GF(2) is
+    # commutative but has two simple components
+    sc = np.zeros((4, 4, 4), dtype=np.int64)
+    for i in range(2):
+        for a in range(2):
+            for c in range(2):
+                sc[2 * a + i, 2 * c + i, 2 * ((a + c) % 2) + i] = 1
+    table = pg.GroupTable(np.array([[0, 1], [1, 0]]), (0, 1))
+    g = gr.GradedAlgebra(al.Algebra(2, sc, np.array([1, 1, 0, 0])), table,
+                         np.array([0, 0, 1, 1]))
+    g.validate()
+    assert g.is_crossed_product()
+    with pytest.raises(al.VerificationError, match="^the residual 1-component "
+                       "is not a field: it has 2 simple components$"):
+        cl.residual(cl.CliffordExtensionData(graded=g))
+
+
+def test_the_corner_side_shares_the_radical_of_b_q(monkeypatch):
+    # on SC2 at Q the 1-component of F is B^Q on B^Q's own basis, so the
+    # radical that points_at derived serves the residual too
+    derived = []
+    real = al._radical
+
+    def counting(a, seed):
+        derived.append((a.sc.tobytes(), a.unit.tobytes()))
+        return real(a, seed)
+
+    monkeypatch.setattr(al, "_radical", counting)
+    s = next(s for s in wb.catalog() if s.name.startswith("SC2"))
+    pipe = wb.Pipeline(s)
+    at = pipe.pointed(at_q=True)
+    pipe.residual_f(at)
+    bq = at[0].span.alg
+    assert at[0].P.order == 2
+    assert pipe.clifford_f(at).graded.identity_span().alg is bq
+    assert derived.count((bq.sc.tobytes(), bq.unit.tobytes())) == 1
+
+
 def test_truncation_by_the_unit_changes_nothing(s3_chain):
     kg, b, ext, data, pt, cd = s3_chain[2:8]
     e_data, fg, theta, ecd, fcd = s3_chain[8:13]

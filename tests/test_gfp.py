@@ -385,3 +385,56 @@ def test_coords_over_the_empty_basis(p):
     assert got.shape == (4, 0)
     assert gfp.coords_in_rows(empty, [[0, 0, 0], [0, 1, 0]], p) is None
     assert gfp.in_rowspace(empty, [0, 0, 0], p)
+
+
+# -- rref over GF(2) on packed rows against the column loop --------------------
+
+
+def column_loop_rref(a, p):
+    """Gauss-Jordan with one numpy pass per column: the reference that the
+    packed GF(2) elimination must reproduce bit for bit."""
+    m = gfp.asmat(a, p).copy()
+    rows, cols = m.shape
+    pivots = []
+    r = 0
+    for c in range(cols):
+        if r >= rows:
+            break
+        nz = np.nonzero(m[r:, c])[0]
+        if nz.size == 0:
+            continue
+        piv = r + nz[0]
+        if piv != r:
+            m[[r, piv]] = m[[piv, r]]
+        m[r] = (m[r] * gfp.inv_mod(m[r, c], p)) % p
+        others = np.nonzero(m[:, c])[0]
+        others = others[others != r]
+        if others.size:
+            m[others] = (m[others] - np.outer(m[others, c], m[r])) % p
+        pivots.append(c)
+        r += 1
+    return m, pivots
+
+
+@st.composite
+def gf2_matrices(draw):
+    """0 to 70 rows of 0 to 130 columns over GF(2), so some rows are wider
+    than a 64-bit word; some rows are sums of others, and the density
+    varies so that sparse and dense matrices both occur."""
+    rows, cols = draw(st.integers(0, 70)), draw(st.integers(0, 130))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    m = (rng.random((rows, cols)) < draw(st.floats(0, 1))).astype(np.int64)
+    for i in draw(st.lists(st.integers(0, max(rows - 1, 0)), max_size=rows)):
+        if rows > 1:
+            m[i] = m[rng.integers(0, rows, size=draw(st.integers(1, 3)))].sum(axis=0) % 2
+    return m
+
+
+@settings(max_examples=120, deadline=None)
+@given(gf2_matrices())
+def test_rref_over_gf2_is_the_column_loop(m):
+    got, pivots = gfp.rref(m, 2)
+    want, want_pivots = column_loop_rref(m, 2)
+    assert got.dtype == np.int64 and got.shape == want.shape
+    assert (got == want).all()
+    assert pivots == want_pivots and all(type(c) is int for c in pivots)

@@ -154,6 +154,20 @@ def test_graded_radical_quotient_semisimple_unchanged_dim():
     assert q.alg.dim == t.alg.dim
 
 
+def test_the_1_component_takes_only_an_equal_algebra():
+    # the 1-component of the twisted C2 over GF(3) is GF(3) on e_0
+    equal = alg.Algebra(3, np.array([[[1]]]), np.array([1]))
+    # e_0 e_0 = 2 e_0 with unit 2 e_0: isomorphic, but not equal
+    rescaled = alg.Algebra(3, np.array([[[2]]]), np.array([2]))
+    for other, taken in ((equal, True), (rescaled, False),
+                         (alg.Algebra(3, np.zeros((0, 0, 0)), np.zeros(0)), False)):
+        g = twisted_c2_over_gf3(1)
+        g.share_identity_algebra(other)
+        one = g.identity_span()
+        assert (one.alg is other) == taken
+        assert (one.alg.sc == [[[1]]]).all() and (one.alg.unit == [1]).all()
+
+
 def test_factor_set_trivial_for_group_algebra():
     # k[C2] graded by itself: alpha is identically 1
     t = twisted_c2_over_gf3(1)

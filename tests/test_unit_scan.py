@@ -55,15 +55,15 @@ def scalar_normalizer(cd):
 
 ALGEBRAS = {
     "C2 over GF(2)": cyclic_group_algebra(2, 2),
-    "C7 over GF(2)": cyclic_group_algebra(7, 2),  # 128 candidates, 4 chunks
+    "C7 over GF(2)": cyclic_group_algebra(7, 2),  # 128 candidates, 7 chunks
     "C4 over GF(3)": cyclic_group_algebra(4, 3),
     "M2 over GF(2)": matrix_algebra(2, 2),
     "M2 over GF(3)": matrix_algebra(2, 3),
     "M2 over GF(5)": matrix_algebra(2, 5),
     # scans that cross both the low-digit table and the high digits
-    "C9 over GF(2)": cyclic_group_algebra(9, 2),  # 512 candidates, 2 chunks
-    "C6 over GF(3)": cyclic_group_algebra(6, 3),  # 729, 3 chunks of 243
-    "C5 over GF(5)": cyclic_group_algebra(5, 5),  # 3,125, 25 chunks of 125
+    "C9 over GF(2)": cyclic_group_algebra(9, 2),  # 512 candidates, 9 chunks
+    "C6 over GF(3)": cyclic_group_algebra(6, 3),  # 729 candidates, 7 chunks
+    "C5 over GF(5)": cyclic_group_algebra(5, 5),  # 3,125 candidates, 27 chunks
 }
 
 
@@ -82,11 +82,14 @@ SCANS["3-row span of C33 over GF(2)"] = c33_span()
 
 
 def chunk_count(p, r):
-    """p^(r - m) for the largest m <= r with p^m <= UNIT_SCAN_CHUNK."""
+    """p^(r - m) + max(m - 1, 0), m the largest integer <= r with
+    p^m <= UNIT_SCAN_CHUNK: one chunk for r = 0, p^r chunks of one vector
+    for m = 0, else one chunk per low digit and then one per nonzero value
+    of the high digits."""
     m = 0
     while m < r and p ** (m + 1) <= alg.UNIT_SCAN_CHUNK:
         m += 1
-    return p ** (r - m)
+    return p ** (r - m) + max(m - 1, 0)
 
 
 @pytest.mark.parametrize("name", sorted(ALGEBRAS))
@@ -294,3 +297,23 @@ def test_unit_scan_is_the_scalar_sequence_with_inverses(name):
     first = alg.find_unit_in_space(a, rows)
     want_first = next(scalar_units(a, gfp.row_basis(rows, a.p)))
     assert (first == want_first).all()
+
+
+@pytest.mark.parametrize("name", ["C9 over GF(2)", "C6 over GF(3)", "C5 over GF(5)"])
+def test_a_first_unit_at_index_1_costs_one_solve_of_p_candidates(name, monkeypatch):
+    # over the identity rows the second vector of the scan is the last
+    # group element, a unit
+    a = ALGEBRAS[name]
+    rows = np.eye(a.dim, dtype=np.int64)
+    assert (next(scalar_units(a, rows)) == rows[-1]).all()
+    solved = []
+    real = alg._solve_stack
+
+    def counting(stack, rhs, p):
+        solved.append(len(stack))
+        return real(stack, rhs, p)
+
+    monkeypatch.setattr(alg, "_solve_stack", counting)
+    unit = alg.find_unit_in_space(a, rows)
+    assert (unit == rows[-1]).all()
+    assert solved == [a.p]
