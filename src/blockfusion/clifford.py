@@ -273,19 +273,25 @@ def psi_iso(ext: BlockExtension, pt: Point, ecd: CliffordExtensionData,
     return psi
 
 
+def _verify_field(one: Algebra, what: str) -> None:
+    """Verify that the 1-component `one` is a field: commutative, with
+    radical 0 and one simple component.  A 1-dimensional unital algebra
+    is spanned by its unit, so it is GF(p)."""
+    if one.dim == 1:
+        return
+    verify(one.is_commutative(), f"the {what} is not a field: "
+           "it is not commutative")
+    verify(not one.radical_rows().shape[0], f"the {what} is not a field: "
+           "its radical is not 0")
+    n = len(one.simple_components())
+    verify(n == 1, f"the {what} is not a field: it has {n} simple components")
+
+
 def residual(cd: CliffordExtensionData) -> CliffordExtensionData:
     """The quotient by the graded radical, with its factor set.  Its
-    1-component must be a field: commutative, with radical 0 and one
-    simple component."""
+    1-component must be a field."""
     quo, _, _ = graded_radical_quotient(cd.graded)
-    one = quo.identity_span().alg
-    verify(one.is_commutative(), "the residual 1-component is not a field: "
-           "it is not commutative")
-    verify(not one.radical_rows().shape[0], "the residual 1-component is not "
-           "a field: its radical is not 0")
-    n = len(one.simple_components())
-    verify(n == 1, "the residual 1-component is not a field: it has "
-           f"{n} simple components")
+    _verify_field(quo.identity_span().alg, "residual 1-component")
     return CliffordExtensionData(
         graded=quo, factor_data=factor_set(quo), quot=cd.quot, pairs=cd.pairs)
 
@@ -294,7 +300,9 @@ def local_residual(ext: BlockExtension, data: PointedGroupData, pt: Point,
                    e_data: EFusionData,
                    lbd: LocalBlockData) -> CliffordExtensionData:
     """Endomorphism-side residual rebuilt over the simple quotient of the
-    block of the Brauer construction, acting on its unique simple module."""
+    block of the Brauer construction, acting on its unique simple module.
+    Its 1-component, the endomorphisms of that simple module, must be a
+    field."""
     kg = ext.kg
     p = kg.p
     span = lbd.block_span
@@ -318,6 +326,7 @@ def local_residual(ext: BlockExtension, data: PointedGroupData, pt: Point,
     v_rows = gfp.row_basis(
         np.array([q.mul(e, f) for e in np.eye(q.dim, dtype=np.int64)]), p)
     out = _end_crossed(q, quot, action, interior, v_rows)
+    _verify_field(out.graded.identity_span().alg, "local residual 1-component")
     out.factor_data = factor_set(out.graded)
     return out
 
@@ -325,16 +334,12 @@ def local_residual(ext: BlockExtension, data: PointedGroupData, pt: Point,
 def residuals_match(c1: CliffordExtensionData, c2: CliffordExtensionData,
                     group_map=None) -> bool:
     """Graded isomorphism test for two residual extensions over matched
-    grading groups: factor-set equivalence over field 1-components, with
-    the exhaustive graded search as fallback."""
+    grading groups: the equivalence of their factor sets, whose
+    1-components the residual builders have checked to be fields."""
     verify(c1.factor_data is not None and c2.factor_data is not None,
            "a residual extension carries no factor set")
-    try:
-        return factor_sets_equivalent(c1.factor_data, c2.factor_data,
-                                      group_map=group_map)
-    except Inconclusive:
-        iso = graded_iso_search(c1.graded, c2.graded, group_map=group_map)
-        return iso is not None
+    return factor_sets_equivalent(c1.factor_data, c2.factor_data,
+                                  group_map=group_map) is not None
 
 
 # -- corner truncation by a compatible idempotent -------------------------------

@@ -3,8 +3,9 @@
 A graded algebra is a structure-constant algebra whose basis is split
 into components indexed by a finite group (given by its multiplication
 table).  Assembly from homogeneous pieces, crossed products, factor sets,
-graded radicals, and the small exhaustive searches for graded
-isomorphisms all live here.
+graded radicals, and graded isomorphism of crossed products, decided by
+the equivalence of their factor sets with an explicit witness, all live
+here.
 """
 from __future__ import annotations
 
@@ -14,7 +15,6 @@ import numpy as np
 
 from . import gfp, permgroups, polys
 from .algebra import (
-    EXHAUSTIVE_CAP,
     Algebra,
     Inconclusive,
     SpanAlgebra,
@@ -23,7 +23,6 @@ from .algebra import (
     iter_units,
     quotient_algebra,
     span_algebra,
-    spin,
     structure_constants,
     verify,
 )
@@ -325,160 +324,107 @@ def _field_isos(a1: Algebra, a2: Algebra):
 
 
 def factor_sets_equivalent(f1: FactorSetData, f2: FactorSetData,
-                           group_map=None) -> bool:
+                           group_map=None):
     """Equivalence of two crossed products whose 1-components are
-    commutative and have a primitive element: some algebra isomorphism
-    sigma of the 1-components, found by mapping a primitive element to
-    the roots of its minimal polynomial, and some 1-cochain c of units
-    rescale f1's table into f2's.  A field has a primitive element; that
-    the 1-components are fields is not checked here.  Raises Inconclusive
-    when a 1-component is not commutative, has no primitive element among
-    the candidates tried, or the cochain search exceeds COCHAIN_CAP."""
+    commutative and generated by one element: an algebra isomorphism
+    sigma of the 1-components that carries f1's action to f2's, and a
+    1-cochain c of units of f2's 1-component with
+
+        sigma(alpha1(d, e)) c(de) = c(d) d(c(e)) alpha2(gm(d), gm(e))
+
+    for all d, e, gm the group map (default the identity).  Every sigma
+    is found by mapping a primitive element to the roots of its minimal
+    polynomial, and c by `_cochain_search`.  Returns the witness
+    (sigma, c), sigma with columns the images of f1's 1-component basis
+    and c[d] the coordinates of c(d), or None.  Commutativity is checked
+    here; that the 1-components are fields is checked by the residual
+    builders.  Raises Inconclusive when a 1-component is not commutative,
+    has no primitive element among the candidates tried, or the cochain
+    search exceeds COCHAIN_CAP."""
     n = f1.group.order
     if f2.group.order != n:
-        return False
-    gm = group_map if group_map is not None else list(range(n))
-    alg1 = f1.component
-    alg2 = f2.component
+        return None
+    gm = list(range(n)) if group_map is None else list(group_map)
+    alg1, alg2 = f1.component, f2.component
     if not (alg1.is_commutative() and alg2.is_commutative()):
-        raise Inconclusive("1-components are not fields; use graded_iso_search")
+        raise Inconclusive("a 1-component is not commutative, so its factor "
+                           "set does not decide graded isomorphism")
     p = alg1.p
-    units2 = list(iter_units(alg2))
-    if (len(units2) ** max(n - 1, 0)) > COCHAIN_CAP:
+    units2 = np.array(list(iter_units(alg2)))
+    gens, steps = f1.group.spanning_tree()
+    if len(units2) ** len(gens) > COCHAIN_CAP:
         raise Inconclusive("cochain search exceeds cap")
+    act2 = f2.action[gm]
     for sigma in _field_isos(alg1, alg2):
-        ok_action = True
-        for d in range(n):
-            lhs = np.mod(sigma @ f1.action[d], p)
-            rhs = np.mod(f2.action[gm[d]] @ sigma, p)
-            if (lhs != rhs).any():
-                ok_action = False
-                break
-        if not ok_action:
-            continue
-        if _cochain_search(alg2, f1, f2, gm, sigma, units2):
-            return True
-    return False
-
-
-def _cochain_search(alg2: Algebra, f1, f2, gm, sigma, units2) -> bool:
-    n = f1.group.order
-    p = alg2.p
-    from itertools import product as iproduct
-
-    free = list(range(1, n))
-    for combo in iproduct(units2, repeat=len(free)):
-        c = [alg2.unit] + list(combo)
-        good = True
-        for d in range(n):
-            for e in range(n):
-                de = f1.group.mul(d, e)
-                lhs = alg2.mul(np.mod(sigma @ f1.alpha[d, e], p), c[de])
-                acted = np.mod(f2.action[gm[d]] @ c[e], p)
-                rhs = alg2.mul(alg2.mul(c[d], acted), f2.alpha[gm[d], gm[e]])
-                if (lhs != rhs).any():
-                    good = False
-                    break
-            if not good:
-                break
-        if good:
-            return True
-    return False
-
-
-# -- graded isomorphism search -------------------------------------------------
-
-
-def graded_generators(g: GradedAlgebra):
-    """Greedy homogeneous generating set: basis indices whose products span.
-
-    The subalgebra that a set generates is spun from 1 under the left
-    multiplications by its elements.
-    """
-    a = g.alg
-    p = g.p
-    eye = np.eye(a.dim, dtype=np.int64)
-    gens = []
-    span = gfp.row_basis(a.unit.reshape(1, -1), p)
-    for k in range(a.dim):
-        if gfp.in_rowspace(span, eye[k], p):
-            continue
-        gens.append(k)
-        span = spin(a.unit, [a.left_mult(eye[j]) for j in gens], p)
-        if span.shape[0] == a.dim:
-            break
-    verify(span.shape[0] == a.dim, "the greedy generators do not generate")
-    return gens
-
-
-def graded_iso_search(g1: GradedAlgebra, g2: GradedAlgebra, group_map=None,
-                      cap: int = EXHAUSTIVE_CAP):
-    """A degree-preserving algebra isomorphism g1 -> g2 (matrix, columns =
-    images of g1's basis), or None; exhaustive over generator images."""
-    if g1.alg.dim != g2.alg.dim or g1.group.order != g2.group.order:
-        return None
-    gm = group_map if group_map is not None else list(range(g1.group.order))
-    if sorted(g1.component_dims()) != sorted(
-        [g2.component_dims()[gm[d]] for d in range(g1.group.order)]
-    ):
-        return None
-    p = g1.p
-    gens = graded_generators(g1)
-    comp_sizes = [len(g2.component_indices(gm[int(g1.deg[k])])) for k in gens]
-    total = 1
-    for s in comp_sizes:
-        total *= p**s
-    if total > cap:
-        raise Inconclusive("graded iso search space exceeds cap")
-    from itertools import product as iproduct
-
-    cand_lists = []
-    for k in gens:
-        d2 = gm[int(g1.deg[k])]
-        idx = g2.component_indices(d2)
-        cands = []
-        for tup in np.ndindex(*([p] * len(idx))):
-            v = np.zeros(g2.alg.dim, dtype=np.int64)
-            v[idx] = tup
-            if v.any():
-                cands.append(v)
-        cand_lists.append(cands)
-    for images in iproduct(*cand_lists):
-        iso = _extend_iso(g1, g2, gens, images)
-        if iso is not None:
-            return iso
+        if ((sigma @ f1.action - act2 @ sigma) % p).any():
+            continue  # sigma does not carry f1's action to f2's
+        c = _cochain_search(alg2, f1, f2, gm, sigma, units2, gens, steps)
+        if c is not None:
+            return sigma, c
     return None
 
 
-def _extend_iso(g1, g2, gens, images):
-    a, b = g1.alg, g2.alg
-    p = a.p
-    src = [a.unit.copy()] + [np.eye(a.dim, dtype=np.int64)[k] for k in gens]
-    img = [b.unit.copy()] + [np.asarray(v) for v in images]
-    basis_src = np.array([src[0]])
-    basis_img = np.array([img[0]])
-    queue = list(zip(src, img))
-    pairs = []
-    while queue:
-        s, m = queue.pop(0)
-        coords = gfp.coords_in_rows(basis_src, s, p)
-        if coords is not None:
-            if ((coords @ basis_img) % p != m).any():
-                return None
-            continue
-        basis_src = np.vstack([basis_src, s])
-        basis_img = np.vstack([basis_img, m])
-        pairs.append((s, m))
-        for k, gk in enumerate(gens):
-            gs = np.eye(a.dim, dtype=np.int64)[gk]
-            gi = np.asarray(images[k])
-            queue.append((a.mul(s, gs), b.mul(m, gi)))
-            queue.append((a.mul(gs, s), b.mul(gi, m)))
-    if basis_src.shape[0] != a.dim:
-        return None
-    coords = gfp.inverse(basis_src.T, p)
-    iso = (basis_img.T @ coords) % p  # columns: images of standard basis
-    if not gfp.is_invertible(iso, p) or not check_algebra_map(iso, a, b):
-        return None
-    return iso
+def _cochain_search(alg2: Algebra, f1, f2, gm, sigma, units2, gens, steps):
+    """The first cochain c of units with c(1) = 1 that rescales sigma(f1)
+    into f2, or None.  c is scanned on the generators only and extended
+    along the spanning tree's steps (z, y, k), z = ys with s = gens[k], by
+    c(ys) = sigma(alpha1(y, s))^-1 c(y) y(c(s)) alpha2(gm(y), gm(s));
+    all n^2 relations are then checked."""
+    steps = steps[len(gens):]  # the first steps reach the generators
+    t = f1.group.table
+    p = alg2.p
+    salpha = f1.alpha @ sigma.T % p  # sigma(alpha1(d, e))
+    alpha2 = f2.alpha[np.ix_(gm, gm)]
+    act2 = f2.action[gm]
+    scale = [alg2.mul(alg2.inverse_element(salpha[y, gens[k]]), alpha2[y, gens[k]])
+             for _, y, k in steps]
+    c = np.zeros(salpha.shape[1:], dtype=np.int64)
+    c[f1.group.identity] = alg2.unit
+    for combo in np.ndindex(*([len(units2)] * len(gens))):
+        c[gens] = units2[list(combo)]
+        for (z, y, k), r in zip(steps, scale):
+            c[z] = alg2.mul(alg2.mul(r, c[y]), act2[y] @ c[gens[k]] % p)
+        acted = np.einsum("dij,ej->dei", act2, c) % p  # d(c(e))
+        if (alg2.mul(salpha, c[t])
+                == alg2.mul(alg2.mul(c[:, None], acted), alpha2)).all():
+            return c
+    return None
 
+
+# -- graded isomorphism --------------------------------------------------------
+
+
+def graded_iso_search(g1: GradedAlgebra, g2: GradedAlgebra, group_map=None):
+    """A graded algebra isomorphism g1 -> g2 sending degree d to degree
+    group_map[d] (default the identity), as a matrix whose columns are
+    the images of g1's basis, or None.  It is the witness (sigma, c) of
+    `factor_sets_equivalent` on the two factor sets, x u_d -> sigma(x) c_d
+    u'_{gm(d)}, and is verified before it is returned.  Raises
+    Inconclusive when an input is not a crossed product or its
+    1-component is not commutative and generated by one element."""
+    n = g1.group.order
+    if g1.alg.dim != g2.alg.dim or g2.group.order != n:
+        return None
+    gm = list(range(n)) if group_map is None else list(group_map)
+    fsets = []
+    for g in (g1, g2):
+        units = [homogeneous_unit(g, d) for d in range(n)]
+        if any(u is None for u in units):
+            raise Inconclusive("a graded algebra is not a crossed product")
+        fsets.append(factor_set(g, units))
+    witness = factor_sets_equivalent(*fsets, group_map=gm)
+    if witness is None:
+        return None
+    sigma, c = witness
+    a, b, p = g1.alg, g2.alg, g1.p
+    r1, r2 = g1.identity_span().rows, g2.identity_span().rows
+    # the basis x u_d of g1, x over the basis of its 1-component, and its image
+    src = a.mul(r1[None], fsets[0].units[:, None]).reshape(-1, a.dim)
+    img = b.mul(b.mul(sigma.T @ r2 % p, (c @ r2 % p)[:, None]),
+                fsets[1].units[gm][:, None]).reshape(-1, b.dim)
+    iso = img.T @ gfp.inverse(src.T, p) % p
+    verify(not ((iso != 0) & (g2.deg[:, None] != np.array(gm)[g1.deg])).any(),
+           "the graded isomorphism breaks the degree map")
+    verify(gfp.is_invertible(iso, p) and check_algebra_map(iso, a, b),
+           "the graded isomorphism is not an algebra isomorphism")
+    return iso

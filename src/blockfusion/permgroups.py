@@ -226,6 +226,30 @@ class GroupTable:
             raise ValueError("no inverse; not a group table")
         return int(hits[0])
 
+    def spanning_tree(self) -> tuple:
+        """(gens, steps): a greedy generating set, each element outside the
+        subgroup the earlier ones generate, and steps (z, y, k) with
+        z = y * gens[k] that reach every other element once, breadth-first
+        from the identity; the first len(gens) steps reach the generators."""
+        root, rows = self.identity, self.table.tolist()
+        gens, steps, reached = [], [], {root}
+        for x in range(self.order):
+            if x in reached:
+                continue
+            gens.append(x)
+            steps, reached, frontier = [], {root}, [root]
+            while frontier:
+                nxt = []
+                for y in frontier:
+                    for k, g in enumerate(gens):
+                        z = rows[y][g]
+                        if z not in reached:
+                            reached.add(z)
+                            steps.append((z, y, k))
+                            nxt.append(z)
+                frontier = nxt
+        return gens, steps
+
     def validate(self) -> None:
         n = self.order
         t = self.table
@@ -350,8 +374,9 @@ def aut_group(p_grp: PermGroup, order_cap: int = 64):
 
     Automorphisms are returned as index maps on p_grp.elements (tuples),
     found by brute force over generator-image tuples: each tuple extends
-    along a spanning tree of right multiplications by the generators, and
-    the map it gives is kept when it is a bijective table homomorphism.
+    along the table's spanning tree of right multiplications by the
+    generators, and the map it gives is kept when it is a bijective table
+    homomorphism.
     """
     if p_grp.order > order_cap:
         raise CapExceeded(f"aut_group order cap {order_cap} exceeded")
@@ -359,25 +384,8 @@ def aut_group(p_grp: PermGroup, order_cap: int = 64):
     t = p_grp.mult_table()
     verify((t >= 0).all(), "the elements of P do not form a group")
     table = GroupTable(t, p_grp.elements)
-    root = table.identity
-    rows = t.tolist()
-    # greedy generating set; each step (z, y, k) reaches z = y * gens[k]
-    gens, steps, reached = [], [], {root}
-    for x in range(n):
-        if x in reached:
-            continue
-        gens.append(x)
-        steps, reached, frontier = [], {root}, [root]
-        while frontier:
-            nxt = []
-            for y in frontier:
-                for k, g in enumerate(gens):
-                    z = rows[y][g]
-                    if z not in reached:
-                        reached.add(z)
-                        steps.append((z, y, k))
-                        nxt.append(z)
-            frontier = nxt
+    root, rows = table.identity, t.tolist()
+    gens, steps = table.spanning_tree()
     orders = [perm_order(x) for x in p_grp.elements]
     cands = [[y for y in range(n) if orders[y] == orders[g]] for g in gens]
     auts = []

@@ -176,6 +176,27 @@ def test_residual_refuses_a_1_component_that_is_not_a_field():
         cl.residual(cl.CliffordExtensionData(graded=g))
 
 
+def test_both_residual_builders_run_the_one_field_check(monkeypatch, s3_chain):
+    kg, b, ext, data, pt = s3_chain[2:7]
+    e_data, ecd = s3_chain[8], s3_chain[11]
+    seen, real = [], cl._verify_field
+    monkeypatch.setattr(cl, "_verify_field",
+                        lambda one, what: seen.append((one.dim, what)) or real(one, what))
+    cl.residual(ecd)
+    cl.local_residual(ext, data, pt, e_data,
+                      bl.local_block_data(kg, s3_chain[1], b, data, pt))
+    assert seen == [(1, "residual 1-component"), (1, "local residual 1-component")]
+
+
+def test_the_field_check_takes_a_1_dimensional_algebra_as_it_is(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("structure computed for a 1-dimensional algebra")
+
+    for name in ("is_commutative", "radical_rows", "simple_components"):
+        monkeypatch.setattr(al.Algebra, name, refuse)
+    cl._verify_field(al.Algebra(5, np.array([[[3]]]), np.array([2])), "test")
+
+
 def test_the_corner_side_shares_the_radical_of_b_q(monkeypatch):
     # on SC2 at Q the 1-component of F is B^Q on B^Q's own basis, so the
     # radical that points_at derived serves the residual too

@@ -1,3 +1,4 @@
+import itertools
 import os
 import subprocess
 import sys
@@ -8,7 +9,6 @@ import pytest
 
 from blockfusion import algebra as alg
 from blockfusion import blocks as bl
-from blockfusion import clifford as cl
 from blockfusion import gfp
 from blockfusion import graded as gr
 from blockfusion import permgroups as pg
@@ -329,45 +329,6 @@ def test_graded_checks_survive_python_O():
                    "refused: the degree-1 element is not a unit"]
 
 
-def test_graded_generators_generate():
-    _, _, (g, _) = sc1_graded()
-    gens = gr.graded_generators(g)
-    assert gens  # the algebra is not spanned by its unit
-
-
-def closure_generators(g):
-    """The greedy generators, each subalgebra closed under pairwise products."""
-    a, p = g.alg, g.p
-    eye = np.eye(a.dim, dtype=np.int64)
-    gens, span = [], gfp.row_basis(a.unit.reshape(1, -1), p)
-    for k in range(a.dim):
-        if gfp.in_rowspace(span, eye[k], p):
-            continue
-        gens.append(k)
-        span = np.vstack([span, eye[k]])
-        while True:
-            prods = a.mul(span[:, None], span[None]).reshape(-1, a.dim)
-            new = gfp.row_basis(np.vstack([span, prods]), p)
-            if new.shape[0] == span.shape[0]:
-                break
-            span = new
-        if span.shape[0] == a.dim:
-            break
-    return gens
-
-
-@pytest.mark.parametrize("s", wb.catalog(), ids=lambda s: s.name)
-def test_graded_generators_match_the_closure_by_products(s):
-    # the corner iAi, F, and the residuals of E and F at the scenario's P
-    pipe = wb.Pipeline(s)
-    r, at = pipe.resolved(), pipe.pointed()
-    cd, e_data, _, _ = pipe.fusion(at)
-    ecd = cl.build_E(r.ext, *at, e_data)
-    for g in (cd.graded, pipe.clifford_f(at).graded, cl.residual(ecd).graded,
-              pipe.residual_f(at).graded):
-        assert gr.graded_generators(g) == closure_generators(g)
-
-
 def rebased(a, t):
     """The algebra a on the basis given by the rows of the invertible t."""
     p = a.p
@@ -427,16 +388,145 @@ def test_field_isos_are_algebra_maps_in_any_basis(name):
         assert all(alg.check_algebra_map(m, src, dst) for m in isos)
 
 
+def f21_block0_residual():
+    """The residual corner extension of F21 over C7 at p = 2, block 0:
+    GF(8) under C3 by Frobenius."""
+    s = wb.Scenario(name="F21-over-C7-block-0", p=2, degree=7,
+                    gens_g=["(0 1 2 3 4 5 6)", "(1 2 4)(3 6 5)"],
+                    gens_h=["(0 1 2 3 4 5 6)"], block=0)
+    pipe = wb.Pipeline(s)
+    return pipe.residual_f(pipe.pointed()).graded
+
+
+def assert_graded_iso(iso, g1, g2, group_map=None):
+    """iso (columns: images of g1's basis) is an algebra isomorphism that
+    sends degree d to degree group_map[d]."""
+    gm = np.arange(g1.group.order) if group_map is None else np.array(group_map)
+    assert iso is not None and gfp.is_invertible(iso, g1.p)
+    assert alg.check_algebra_map(iso, g1.alg, g2.alg)
+    assert not ((iso != 0) & (g2.deg[:, None] != gm[g1.deg])).any()
+
+
 @pytest.mark.parametrize("make", [lambda: twisted_c2_over_gf3(2),
-                                  lambda: crossed_by_conjugation(S3, C3, 3)],
-                         ids=["twisted C2 over GF(3)", "kS3 over C3 at p = 3"])
+                                  lambda: crossed_by_conjugation(S3, C3, 3),
+                                  f21_block0_residual],
+                         ids=["twisted C2 over GF(3)", "kS3 over C3 at p = 3",
+                              "F21 over C7 at p = 2, block 0 residual"])
 def test_graded_isos_survive_a_change_of_basis(make):
     g = make()
     rng = np.random.default_rng(11)
-    rebases = [rebased_graded(g, rng) for _ in range(5)]
-    for h in rebases:
+    for h in [rebased_graded(g, rng) for _ in range(5)]:
         assert gr.factor_sets_equivalent(gr.factor_set(h), gr.factor_set(g))
-    # the iso search is the slow one: two rebases
-    for h in rebases[:2]:
-        iso = gr.graded_iso_search(h, g)
-        assert iso is not None and alg.check_algebra_map(iso, h.alg, g.alg)
+        assert_graded_iso(gr.graded_iso_search(h, g), h, g)
+        assert_graded_iso(gr.graded_iso_search(g, h), g, h)
+
+
+def cyclic_table(n):
+    return np.add.outer(np.arange(n), np.arange(n)) % n
+
+
+def permutation_table(group):
+    """The multiplication table of a permutation group, identity first."""
+    index = {x: k for k, x in enumerate(group.elements)}
+    t = np.array([[index[pg.pmul(x, y)] for y in group.elements]
+                  for x in group.elements])
+    assert index[pg.identity_perm(group.degree)] == 0
+    return t
+
+
+def sign(x):
+    return sum(x[j] > x[i] for i in range(len(x)) for j in range(i)) % 2
+
+
+C2xC2 = np.bitwise_xor.outer(np.arange(4), np.arange(4))
+# per group: its table and homomorphisms f to Z/m, as (f, m); the carry
+# cocycle floor((f(d) + f(e)) / m) of each, raised to a random power, and
+# for C2 x C2 the bimultiplicative (-1)^(a(d) b(e)), give random classes
+COCYCLE_GROUPS = {
+    "C4": (cyclic_table(4), [(np.arange(4), 4), (np.arange(4) % 2, 2)]),
+    "C2xC2": (C2xC2, [(np.arange(4) & 1, 2), (np.arange(4) >> 1, 2),
+                      ((np.arange(4) & 1) ^ (np.arange(4) >> 1), 2)]),
+    "S3": (permutation_table(S3), [(np.array([sign(x) for x in S3.elements]), 2)]),
+}
+
+
+def twisted_group_algebra(t, alpha, q):
+    """GF(q)^alpha[G], graded by G: u_d u_e = alpha(d, e) u_de."""
+    n = len(t)
+    sc = np.zeros((n, n, n), dtype=np.int64)
+    sc[np.arange(n)[:, None], np.arange(n)[None], t] = alpha
+    return gr.GradedAlgebra(alg.Algebra(q, sc, np.eye(n, dtype=np.int64)[0]),
+                            pg.GroupTable(t, tuple(range(n))), np.arange(n))
+
+
+def scalar_factor_set(t, alpha, q):
+    n = len(t)
+    return gr.factor_set(twisted_group_algebra(t, alpha, q),
+                         units=np.eye(n, dtype=np.int64))
+
+
+def random_cocycle(group, q, rng):
+    t, homs = COCYCLE_GROUPS[group]
+    alpha = np.ones(t.shape, dtype=np.int64)
+    for f, m in homs:
+        carry = (f[:, None] + f[None, :]) // m
+        alpha = alpha * np.where(carry, rng.integers(1, q), 1) % q
+    if group == "C2xC2":
+        a, b = np.arange(4) & 1, np.arange(4) >> 1
+        alpha = alpha * np.where(np.outer(a, b), rng.choice([1, q - 1]), 1) % q
+    return alpha
+
+
+def coboundary(t, q, rng):
+    """b(d) b(e) b(de)^-1 for a random cochain b of units with b(1) = 1."""
+    b = np.concatenate([[1], rng.integers(1, q, size=len(t) - 1)])
+    binv = np.array([pow(int(x), q - 2, q) for x in b])
+    return b[:, None] * b[None, :] * binv[t] % q
+
+
+def cochains_that_rescale(f1, f2, q):
+    """Reference: every cochain c of GF(q)^x with c(1) = 1, over all
+    (q - 1)^(n - 1), with alpha1(d, e) c(de) = c(d) c(e) alpha2(d, e)."""
+    t = f1.group.table
+    a1, a2 = f1.alpha[..., 0], f2.alpha[..., 0]
+    cs = np.array([(1,) + c for c in itertools.product(range(1, q),
+                                                        repeat=len(t) - 1)])
+    lhs = a1 * cs[:, t] % q
+    rhs = cs[:, :, None] * cs[:, None, :] * a2 % q
+    return cs[(lhs == rhs).all(axis=(1, 2))]
+
+
+@pytest.mark.parametrize("q", [3, 5])
+@pytest.mark.parametrize("group", sorted(COCYCLE_GROUPS))
+def test_cochain_search_agrees_with_full_enumeration(group, q):
+    t = COCYCLE_GROUPS[group][0]
+    rng = np.random.default_rng(q)
+    verdicts = []
+    for _ in range(8):
+        a1 = random_cocycle(group, q, rng)
+        f1 = scalar_factor_set(t, a1, q)
+        for a2 in (a1 * coboundary(t, q, rng) % q, random_cocycle(group, q, rng)):
+            f2 = scalar_factor_set(t, a2, q)
+            witness = gr.factor_sets_equivalent(f1, f2)
+            reference = cochains_that_rescale(f1, f2, q)
+            assert (witness is not None) == (len(reference) > 0)
+            if witness is not None:
+                sigma, c = witness
+                assert (sigma == 1).all()
+                assert any((c.ravel() == r).all() for r in reference)
+            verdicts.append(witness is not None)
+    assert all(verdicts[::2]) and not all(verdicts[1::2])
+
+
+def test_graded_iso_search_follows_a_non_identity_group_map():
+    # GF(7)^alpha[C3] with u^3 = zeta: inversion of C3 takes it to the
+    # algebra with u^3 = zeta^-1, and zeta = 3 is not zeta^-1 = 5 up to
+    # cubes (the cubes of GF(7)^x are 1 and 6)
+    t, inversion = cyclic_table(3), [0, 2, 1]
+    carry = np.add.outer(np.arange(3), np.arange(3)) // 3
+    g3, g5 = (twisted_group_algebra(t, np.where(carry, z, 1), 7) for z in (3, 5))
+    iso = gr.graded_iso_search(g3, g5, group_map=inversion)
+    assert_graded_iso(iso, g3, g5, inversion)
+    assert gr.graded_iso_search(g3, g3, group_map=inversion) is None
+    assert gr.graded_iso_search(g3, g5) is None
+    assert_graded_iso(gr.graded_iso_search(g3, g3), g3, g3)

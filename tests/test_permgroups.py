@@ -292,6 +292,33 @@ def test_group_table_of_relabelled_group_matches_brute_force(grp, data):
     agrees_with_brute_force(t)
 
 
+def brute_closure(t, gens, e):
+    """The subgroup the elements gens generate, by products until stable."""
+    sub = {e}
+    while True:
+        more = sub | {int(t[x, g]) for x in sub for g in gens}
+        if more == sub:
+            return sub
+        sub = more
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(TABLE_GROUPS), st.data())
+def test_spanning_tree_reaches_every_element_from_greedy_generators(grp, data):
+    t = relabelled(grp, data.draw(st.permutations(range(grp.order))))
+    e = brute_identity(t)
+    gens, steps = pg.GroupTable(t, tuple(range(len(t)))).spanning_tree()
+    # greedy: each generator lies outside what the earlier ones generate
+    assert all(g not in brute_closure(t, gens[:k], e) for k, g in enumerate(gens))
+    assert brute_closure(t, gens, e) == set(range(len(t)))
+    assert steps[:len(gens)] == [(g, e, k) for k, g in enumerate(gens)]
+    reached = [e]
+    for z, y, k in steps:
+        assert y in reached and z == t[y, gens[k]]
+        reached.append(z)
+    assert sorted(reached) == list(range(len(t)))
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.sampled_from(TABLE_GROUPS + [LOOP5]), st.data())
 def test_group_table_of_isotope_matches_brute_force(base, data):

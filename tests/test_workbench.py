@@ -12,6 +12,7 @@ from blockfusion import blocks as bl
 from blockfusion import cli
 from blockfusion import clifford as cl
 from blockfusion import fusion as fu
+from blockfusion import graded as gr
 from blockfusion import workbench as wb
 
 
@@ -356,6 +357,18 @@ def test_exhausted_search_is_inconclusive_not_fail(monkeypatch, exc):
         "reason": "search budget of 7 candidates exhausted"}
     assert all(c.witness == {"reason": "skipped"} for c in r.checks[5:])
     assert not r.passed()
+
+
+def test_a_cochain_search_past_its_cap_is_inconclusive(monkeypatch):
+    # SC1's residual 1-components are GF(3): two units on one generator of
+    # C2 already exceed a cap of 1, and no other search stands in for it
+    monkeypatch.setattr(gr, "COCHAIN_CAP", 1)
+    r = wb.run_scenario(wb.catalog()[1])
+    got = [(c.name, c.status) for c in r.checks]
+    assert got[:6] == [(name, "pass") for name in wb._STAGES[:6]]
+    assert got[6:] == [("residuals", "inconclusive"),
+                       ("local-residual", "inconclusive")]
+    assert r.checks[6].witness == {"reason": "cochain search exceeds cap"}
 
 
 @pytest.fixture
