@@ -3,8 +3,10 @@
 Two graded algebras are constructed independently and compared:
 
 * the endomorphism side: the opposite endomorphism algebra of the induced
-  module (B^P * E) (x) B^P i, computed degreewise through twisted hom
-  spaces and verified against the crossed product B^P * E it lives over;
+  module (B^P * E) (x) B^P i.  That module is (B^P * E) i, so by
+  End_A(Ae)^op = eAe (f -> f(e)) it is the corner i (B^P * E) i of the
+  crossed product, on the basis of the twisted hom spaces, each hom t at
+  x_d t(i); each degree is certified to be a basis of its corner piece;
 * the corner side: the span, inside the corner iAi, of the homogeneous
   elements intertwining the two structural P-actions, graded by the
   fusion pairs.
@@ -27,7 +29,6 @@ from .algebra import (
     Inconclusive,
     Module,
     SpanAlgebra,
-    check_algebra_map,
     hom_space,
     invertible_combination,
     primitive_summands,
@@ -58,6 +59,7 @@ from .graded import (
     crossed_product,
     factor_set,
     factor_sets_equivalent,
+    _check_graded_map,
     graded_from_chunks,
     graded_iso_search,
     graded_radical_quotient,
@@ -76,9 +78,7 @@ class CliffordExtensionData:
     factor_data: FactorSetData | None = None
     # endomorphism-side extras
     quot: permgroups.QuotientSetup | None = None
-    hom_bases: list | None = None  # per degree, matrices on the module basis
-    v_rows: np.ndarray | None = None  # module basis, coefficient-algebra coords
-    v_ambient: np.ndarray | None = None  # same rows in ambient kG coords
+    values: list | None = None  # per degree, t(gen) per basis hom t, base coords
     base: SpanAlgebra | None = None  # coefficient algebra span
     # corner-side extras
     pairs: list | None = None
@@ -88,6 +88,10 @@ class CliffordExtensionData:
     @property
     def dim(self) -> int:
         return self.graded.alg.dim
+
+    def ambient_values(self, d: int) -> np.ndarray:
+        """The values at gen of the degree-d homs, in ambient coords."""
+        return self.values[d] @ self.base.rows % self.graded.p
 
 
 def _conj_matrix(kg: GroupAlgebra, g, span: SpanAlgebra) -> np.ndarray:
@@ -111,79 +115,62 @@ def _interior_action(kg: GroupAlgebra, quot: permgroups.QuotientSetup,
 
 
 def _end_crossed(balg: Algebra, quot: permgroups.QuotientSetup, action: dict,
-                 interior: dict, v_rows, base: SpanAlgebra | None = None,
-                 v_ambient=None) -> CliffordExtensionData:
-    """Opposite endomorphism algebra of (balg * E) (x)_balg V, degreewise.
+                 interior: dict, gen, base: SpanAlgebra | None = None
+                 ) -> CliffordExtensionData:
+    """Opposite endomorphism algebra of (balg * E) (x)_balg V for
+    V = balg gen, gen an idempotent: the corner gen (balg * E) gen.
 
-    Degree d holds Hom(V, V twisted by d); an isomorphism among those
-    homs, placed in degree d, is a unit, so every component holds one."""
+    For an idempotent e of an algebra A, f -> f(e) is an isomorphism
+    End_A(Ae)^op -> eAe (Thevenaz, G-algebras and modular representation
+    theory, 1995); here A = balg * E and (balg * E) (x)_balg V = A gen.
+    The basis of degree d is a basis of Hom(V, V twisted by d), each hom
+    t placed at its value x_d t(gen), which is sigma_d(t(gen)) in block
+    d of the crossed product.  The lemma is certified, not assumed: the
+    values of degree d must be a basis of gen (balg * E)_d gen.  An
+    isomorphism among the homs, placed in degree d, is a unit, so every
+    component holds one."""
     p = balg.p
     n = quot.order
+    db = balg.dim
     verify(quot.reps[0] == permgroups.identity_perm(len(quot.reps[0])),
            "the first coset representative is not the identity")
+    gen = balg.vec(gen)
+    verify(balg.is_idempotent(gen), "the generator of V is not idempotent")
     over = crossed_product(balg, quot, action, interior)
-    v_rows = gfp.row_basis(v_rows, p)
+    eye_b = np.eye(db, dtype=np.int64)
+    v_rows = gfp.row_basis(balg.mul(eye_b, gen), p)
     nv = v_rows.shape[0]
-    eye_b = np.eye(balg.dim, dtype=np.int64)
     # mats_v[k]: left multiplication by e_k on V, on coordinate columns
     mats_v = structure_constants(eye_b, v_rows, v_rows, balg.mul, p,
                                  "the module V").transpose(0, 2, 1)
     vmod = Module(balg, mats_v)
-    vmod.check()
-    sigma_inv = {d: gfp.inverse(action[quot.reps[d]], p) for d in range(n)}
-
-    def left_on_v(coeff):  # one coefficient vector, or a stack of them
-        return np.tensordot(coeff, mats_v, axes=1) % p
-
-    hom_bases = []
-    isos = []  # per degree, the coefficients of a module isomorphism
+    cgen = gfp.coords_in_rows(v_rows, gen, p).ravel()
+    one = np.zeros(over.alg.dim, dtype=np.int64)
+    one[:db] = gen  # gen (x) 1
+    values, chunks, isos = [], [], []
     for d in range(n):
-        mats_w = left_on_v(sigma_inv[d].T)  # e_k acts as sigma_d^-1(e_k)
-        homs = hom_space(vmod, Module(balg, mats_w))
+        sigma = action[quot.reps[d]]
+        # e_k acts on V twisted by d as sigma_d^-1(e_k)
+        mats_w = np.tensordot(gfp.inverse(sigma, p).T, mats_v, axes=1) % p
+        homs = np.array(hom_space(vmod, Module(balg, mats_w)),
+                        dtype=np.int64).reshape(-1, nv, nv)
+        values.append(homs @ cgen @ v_rows % p)  # t(gen), per hom t
+        chunk = np.zeros((len(homs), over.alg.dim), dtype=np.int64)
+        chunk[:, d * db:(d + 1) * db] = values[d] @ sigma.T % p
+        corner = over.alg.mul(over.alg.mul(one, over.component_rows(d)), one)
+        rank = gfp.rank(corner, p)
+        verify(gfp.rank(chunk, p) == len(chunk) == rank
+               and gfp.rank(np.vstack([corner, chunk]), p) == rank,
+               f"the degree-{d} homs are not a basis of the corner "
+               "gen (B * E)_d gen")
+        chunks.append(chunk)
         isos.append(invertible_combination(homs, p))
         if isos[-1] is None:
             raise ValueError("module is not invariant under the grading action")
-        hom_bases.append(homs)
-    dims = [len(h) for h in hom_bases]
-    verify(all(x == dims[0] for x in dims), "hom components of unequal size")
-
-    # the induced module: basis (f, j) for u_f (x) v_j
-    dim_m = n * nv
-    act_m = np.zeros((over.alg.dim, dim_m, dim_m), dtype=np.int64)
-    for d in range(n):
-        for f in range(n):
-            df = quot.group.mul(d, f)
-            coeffs = balg.mul(eye_b, interior[quot.defect(d, f)]) @ sigma_inv[df].T % p
-            act_m[d * balg.dim:(d + 1) * balg.dim,
-                  df * nv:(df + 1) * nv, f * nv:(f + 1) * nv] = left_on_v(coeffs)
-    Module(over.alg, act_m).check()
-
-    def full_endo(d, t):
-        out = np.zeros((dim_m, dim_m), dtype=np.int64)
-        for f in range(n):
-            fd = quot.group.mul(f, d)
-            coeff = (sigma_inv[fd] @ interior[quot.defect(f, d)]) % p
-            out[fd * nv:(fd + 1) * nv, f * nv:(f + 1) * nv] = (left_on_v(coeff) @ t) % p
-        return out
-
-    fulls = [np.array([full_endo(d, t) for t in hom_bases[d]]) for d in range(n)]
-    for m in np.concatenate(fulls):  # commuting with the crossed-product action
-        verify(not ((m @ act_m - act_m @ m) % p).any(), "endomorphism is not linear")
-    # an endomorphism is fixed by its values on the generating block 1 (x) V
-    gens = np.zeros((n, dims[0], dim_m, nv), dtype=np.int64)
-    for d in range(n):
-        gens[d, :, d * nv:(d + 1) * nv] = hom_bases[d]
-
-    def compose(x, y):  # the opposite composition, on 1 (x) V
-        return y @ x[..., :nv] % p
-
-    g = graded_from_chunks(compose, np.eye(dim_m, dtype=np.int64), fulls, quot.group,
-                           p, targets=gens)
+    verify(len({len(c) for c in chunks}) == 1, "hom components of unequal size")
+    g = graded_from_chunks(over.alg.mul, one, chunks, quot.group, p)
     g.verify_units(isos, "module isomorphism")
-    return CliffordExtensionData(
-        graded=g, quot=quot, hom_bases=hom_bases, v_rows=v_rows,
-        v_ambient=v_ambient, base=base,
-    )
+    return CliffordExtensionData(graded=g, quot=quot, values=values, base=base)
 
 
 def build_E(ext: BlockExtension, data: PointedGroupData, pt: Point,
@@ -192,10 +179,8 @@ def build_E(ext: BlockExtension, data: PointedGroupData, pt: Point,
     kg = ext.kg
     bp = data.span
     action, interior = _interior_action(kg, e_data.quot, bp, ext.b)
-    v_amb = gfp.row_basis(kg.mul(bp.rows, pt.idem), kg.p)
-    v_inner = bp.coords(v_amb)
-    return _end_crossed(bp.alg, e_data.quot, action, interior, v_inner,
-                        base=bp, v_ambient=v_amb)
+    return _end_crossed(bp.alg, e_data.quot, action, interior,
+                        bp.coords(pt.idem), base=bp)
 
 
 def build_F(ext: BlockExtension, data: PointedGroupData, cd: CornerData,
@@ -248,28 +233,24 @@ def psi_iso(ext: BlockExtension, pt: Point, ecd: CliffordExtensionData,
     quot = ecd.quot
     verify(fcd.pairs == theta.fusion.pairs,
            "the corner side is graded by pairs other than Theta's image")
-    ci = gfp.coords_in_rows(ecd.v_ambient, pt.idem, p)
-    verify(ci is not None, "the point idempotent is outside B^P i")
-    ci = ci.ravel()
+    # the unit, the identity hom of degree 1, has value gen
+    unit0 = ecd.graded.alg.unit[ecd.graded.component_indices(0)]
+    verify((unit0 @ ecd.ambient_values(0) % p == np.mod(pt.idem, p)).all(),
+           "the endomorphism side is not built on the point idempotent")
     dims = [c.shape[0] for c in fcd.chunk_rows]
     offsets = np.cumsum([0] + dims)
-    rows = []
+    blocks = []
     for d in range(quot.order):
-        g = quot.reps[d]
         target = theta.degree_map[d]
-        for t in ecd.hom_bases[d]:
-            w_amb = np.mod((t @ ci) @ ecd.v_ambient, p)
-            amb = kg.mul(kg.vec_of(g), w_amb)
-            corner_coords = fcd.corner.span.coords(amb)
-            c = gfp.coords_in_rows(fcd.chunk_rows[target], corner_coords, p)
-            verify(c is not None, "image misses the matching pair component")
-            fc = np.zeros(fcd.dim, dtype=np.int64)
-            fc[offsets[target]:offsets[target + 1]] = c.ravel()
-            rows.append(fc)
-    psi = np.array(rows, dtype=np.int64)
-    verify(gfp.is_invertible(psi, p), "the comparison map is not bijective")
-    verify(check_algebra_map(psi.T, ecd.graded.alg, fcd.graded.alg),
-           "the comparison map is not a unital algebra map")
+        amb = kg.mul(kg.vec_of(quot.reps[d]), ecd.ambient_values(d))
+        c = gfp.coords_in_rows(fcd.chunk_rows[target],
+                               fcd.corner.span.coords(amb), p)
+        verify(c is not None, "image misses the matching pair component")
+        block = np.zeros((len(c), fcd.dim), dtype=np.int64)
+        block[:, offsets[target]:offsets[target + 1]] = c
+        blocks.append(block)
+    psi = np.vstack(blocks)
+    _check_graded_map(ecd.graded, fcd.graded, psi, theta.degree_map)
     return psi
 
 
@@ -322,10 +303,7 @@ def local_residual(ext: BlockExtension, data: PointedGroupData, pt: Point,
     q = ssq.alg
     comps = q.simple_components()
     verify(len(comps) == 1, "the local quotient is not simple")
-    f = comps[0].primitive_bar
-    v_rows = gfp.row_basis(
-        np.array([q.mul(e, f) for e in np.eye(q.dim, dtype=np.int64)]), p)
-    out = _end_crossed(q, quot, action, interior, v_rows)
+    out = _end_crossed(q, quot, action, interior, comps[0].primitive_bar)
     _verify_field(out.graded.identity_span().alg, "local residual 1-component")
     out.factor_data = factor_set(out.graded)
     return out
@@ -402,12 +380,9 @@ def embed_truncate(ext: BlockExtension, data: PointedGroupData, pt: Point,
     if stable:
         quot = e_data.quot
         action, interior = _interior_action(kg, quot, base_primed, e)
-        v_amb = gfp.row_basis(np.array([kg.mul(r, i) for r in rows_bp]), p)
-        e_primed = _end_crossed(
-            base_primed.alg, quot, action, interior,
-            np.array([base_primed.coords(r) for r in v_amb]),
-            base=base_primed, v_ambient=v_amb)
-        e_map = _truncate_hom_map(kg, ecd, e_primed, e)
+        e_primed = _end_crossed(base_primed.alg, quot, action, interior,
+                                base_primed.coords(i), base=base_primed)
+        e_map = _truncate_hom_map(ecd, e_primed)
         _check_graded_map(ecd.graded, e_primed.graded, e_map)
         psi = psi_iso(ext, pt, ecd, fcd, theta)
         psi_primed = psi_iso(ext, pt, e_primed, f_primed, theta)
@@ -421,44 +396,20 @@ def embed_truncate(ext: BlockExtension, data: PointedGroupData, pt: Point,
     )
 
 
-def _truncate_hom_map(kg: GroupAlgebra, ecd: CliffordExtensionData,
-                      e_primed: CliffordExtensionData, e) -> np.ndarray:
-    """Cut each degreewise hom with the idempotent: ambient conjugation
-    of the module bases realizes t -> e t e on the primed module."""
-    p = kg.p
-    rows = []
+def _truncate_hom_map(ecd: CliffordExtensionData,
+                      e_primed: CliffordExtensionData) -> np.ndarray:
+    """Cut each degreewise hom t with the idempotent e: t -> e t on
+    e B^P i.  For e E-stable with e i = i, e t(i) = t(i), so the cut of
+    t is the primed hom with the same value at i; one solve per degree
+    reads it off the primed values."""
+    p = ecd.graded.p
+    out = np.zeros((ecd.dim, e_primed.dim), dtype=np.int64)
     for d in range(ecd.quot.order):
-        flat_primed = np.array([t.ravel() for t in e_primed.hom_bases[d]])
-        for t in ecd.hom_bases[d]:
-            cols = []
-            for r in e_primed.v_ambient:
-                c = gfp.coords_in_rows(ecd.v_ambient, r, p)
-                verify(c is not None, "e B^P i is not inside B^P i")
-                img = np.mod((t @ c.ravel()) @ ecd.v_ambient, p)
-                img = kg.mul(e, img)
-                c2 = gfp.coords_in_rows(e_primed.v_ambient, img, p)
-                verify(c2 is not None, "a cut hom leaves e B^P i")
-                cols.append(c2.ravel())
-            tp = np.array(cols, dtype=np.int64).T
-            coords = gfp.coords_in_rows(flat_primed, tp.ravel(), p)
-            verify(coords is not None, "cut hom left the primed hom span")
-            out = np.zeros(e_primed.dim, dtype=np.int64)
-            idx = np.nonzero(e_primed.graded.deg == d)[0]
-            out[idx] = coords.ravel()
-            rows.append(out)
-    return np.array(rows, dtype=np.int64)
-
-
-def _check_graded_map(g1: GradedAlgebra, g2: GradedAlgebra, m) -> None:
-    """Verify a coordinate matrix (rows: images of g1's basis) is a
-    degree-preserving algebra iso."""
-    p = g1.p
-    m = np.mod(np.asarray(m, dtype=np.int64), p)
-    verify(gfp.is_invertible(m, p), "map is not invertible")
-    verify(not ((m != 0) & (g1.deg[:, None] != g2.deg[None, :])).any(),
-           "map breaks the grading")
-    verify(check_algebra_map(m.T, g1.alg, g2.alg),
-           "map is not a unital algebra map")
+        c = gfp.coords_in_rows(e_primed.ambient_values(d), ecd.ambient_values(d), p)
+        verify(c is not None, "cut hom left the primed hom span")
+        out[np.ix_(ecd.graded.component_indices(d),
+                   e_primed.graded.component_indices(d))] = c
+    return out
 
 
 # -- diagonal tensor comparison --------------------------------------------------

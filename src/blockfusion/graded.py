@@ -423,8 +423,20 @@ def graded_iso_search(g1: GradedAlgebra, g2: GradedAlgebra, group_map=None):
     img = b.mul(b.mul(sigma.T @ r2 % p, (c @ r2 % p)[:, None]),
                 fsets[1].units[gm][:, None]).reshape(-1, b.dim)
     iso = img.T @ gfp.inverse(src.T, p) % p
-    verify(not ((iso != 0) & (g2.deg[:, None] != np.array(gm)[g1.deg])).any(),
-           "the graded isomorphism breaks the degree map")
-    verify(gfp.is_invertible(iso, p) and check_algebra_map(iso, a, b),
-           "the graded isomorphism is not an algebra isomorphism")
+    _check_graded_map(g1, g2, iso.T, gm)
     return iso
+
+
+def _check_graded_map(g1: GradedAlgebra, g2: GradedAlgebra, m,
+                      degree_map=None) -> None:
+    """Verify that a coordinate matrix (rows: images of g1's basis) is an
+    algebra isomorphism g1 -> g2 sending degree d to degree_map[d]
+    (default the identity)."""
+    p = g1.p
+    m = np.mod(np.asarray(m, dtype=np.int64), p)
+    dm = np.arange(g1.group.order) if degree_map is None else np.asarray(degree_map)
+    verify(gfp.is_invertible(m, p), "map is not invertible")
+    verify(not ((m != 0) & (dm[g1.deg][:, None] != g2.deg[None, :])).any(),
+           "map breaks the grading")
+    verify(check_algebra_map(m.T, g1.alg, g2.alg),
+           "map is not a unital algebra map")

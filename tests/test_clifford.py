@@ -73,9 +73,7 @@ def test_end_side_identity_component_is_the_corner_fixed_part(s3_chain):
     ecd = s3_chain[11]
     # evaluation at i carries degree-zero homs onto i B^P i
     p = kg.p
-    ci = gfp.coords_in_rows(ecd.v_rows, ecd.base.coords(pt.idem), p).ravel()
-    imgs = np.array([np.mod(h @ ci, p) for h in ecd.hom_bases[0]])
-    imgs = imgs @ ecd.v_rows % p  # back to B^P coordinates
+    imgs = ecd.values[0]  # the values at i, in B^P coordinates
     ibpi = gfp.row_basis(np.array([
         ecd.base.coords(kg.mul(kg.mul(pt.idem, r), pt.idem))
         for r in ecd.base.rows]), p)
@@ -277,6 +275,182 @@ def test_truncation_with_defects_outside_the_representatives(sc4_chain, which):
          "block cut": np.mod(cut @ data.span.rows, r.kg.p)}[which]
     et = cl.embed_truncate(r.ext, data, pt, *chain, e)
     assert et.diagram_commutes
+
+
+# -- the endomorphism side against the induced-module construction -------------
+
+
+def _twisted_homs(balg, quot, action, gen):
+    """V = B gen on its RREF basis, the left multiplications on it and,
+    per degree d, a basis of Hom(V, V twisted by d), where e_k acts on the
+    twist as sigma_d^-1(e_k)."""
+    p = balg.p
+    eye_b = np.eye(balg.dim, dtype=np.int64)
+    v_rows = gfp.row_basis(balg.mul(eye_b, gen), p)
+    mats_v = al.structure_constants(eye_b, v_rows, v_rows, balg.mul,
+                                    p).transpose(0, 2, 1)
+    vmod = al.Module(balg, mats_v)
+    vmod.check()
+    sigma_inv = [gfp.inverse(action[r], p) for r in quot.reps]
+    hom_bases = [al.hom_space(vmod, al.Module(
+        balg, np.tensordot(si.T, mats_v, axes=1) % p)) for si in sigma_inv]
+    return v_rows, mats_v, sigma_inv, hom_bases
+
+
+def _induced_module_reference(balg, quot, action, interior, gen):
+    """The endomorphism side built the long way: the full endomorphisms of
+    the induced module (B * E) (x)_B V, V = B gen, on the basis u_f (x) v_j,
+    checked to commute with the action of B * E and multiplied by opposite
+    composition on the generating block 1 (x) V."""
+    p, n, db = balg.p, quot.order, balg.dim
+    v_rows, mats_v, sigma_inv, hom_bases = _twisted_homs(balg, quot, action, gen)
+    nv = len(v_rows)
+    eye_b = np.eye(db, dtype=np.int64)
+
+    def left_on_v(coeff):
+        return np.tensordot(coeff, mats_v, axes=1) % p
+
+    over = gr.crossed_product(balg, quot, action, interior)
+    dim_m = n * nv
+    act_m = np.zeros((over.alg.dim, dim_m, dim_m), dtype=np.int64)
+    for d in range(n):
+        for f in range(n):
+            df = quot.group.mul(d, f)
+            coeffs = balg.mul(eye_b, interior[quot.defect(d, f)]) @ sigma_inv[df].T % p
+            act_m[d * db:(d + 1) * db, df * nv:(df + 1) * nv,
+                  f * nv:(f + 1) * nv] = left_on_v(coeffs)
+    al.Module(over.alg, act_m).check()
+
+    def full_endo(d, t):
+        out = np.zeros((dim_m, dim_m), dtype=np.int64)
+        for f in range(n):
+            fd = quot.group.mul(f, d)
+            coeff = sigma_inv[fd] @ interior[quot.defect(f, d)] % p
+            out[fd * nv:(fd + 1) * nv, f * nv:(f + 1) * nv] = left_on_v(coeff) @ t % p
+        return out
+
+    fulls = [np.array([full_endo(d, t) for t in hom_bases[d]]) for d in range(n)]
+    for m in np.concatenate(fulls):
+        assert not ((m @ act_m - act_m @ m) % p).any()
+    gens = np.zeros((n, len(hom_bases[0]), dim_m, nv), dtype=np.int64)
+    for d in range(n):
+        gens[d, :, d * nv:(d + 1) * nv] = hom_bases[d]
+
+    def compose(x, y):  # the opposite composition, on 1 (x) V
+        return y @ x[..., :nv] % p
+
+    return gr.graded_from_chunks(compose, np.eye(dim_m, dtype=np.int64), fulls,
+                                 quot.group, p, targets=gens)
+
+
+@pytest.fixture
+def end_side_calls(monkeypatch):
+    """Every call of clifford._end_crossed, as (arguments, result)."""
+    calls, real = [], cl._end_crossed
+
+    def recording(balg, quot, action, interior, gen, base=None):
+        out = real(balg, quot, action, interior, gen, base)
+        calls.append(((balg, quot, action, interior, gen), out))
+        return out
+
+    monkeypatch.setattr(cl, "_end_crossed", recording)
+    return calls
+
+
+# the catalog and the non-split blocks: GF(8) under C3 for F21 over C7 at
+# p = 2, GF(4) under C2 for S3 over C3
+REFERENCE_SCENARIOS = {s.name: s for s in wb.catalog()}
+REFERENCE_SCENARIOS.update({
+    f"F21-over-C7-block-{b}": wb.Scenario(
+        name=f"F21-over-C7-block-{b}", p=2, degree=7,
+        gens_g=["(0 1 2 3 4 5 6)", "(1 2 4)(3 6 5)"],
+        gens_h=["(0 1 2 3 4 5 6)"], block=b)
+    for b in (0, 1, 2)})
+REFERENCE_SCENARIOS["S3-over-C3-block-0"] = wb.Scenario(
+    name="S3-over-C3-block-0", p=2, degree=3, gens_g=["(0 1)", "(0 1 2)"],
+    gens_h=["(0 1 2)"], block=0)
+
+
+@pytest.mark.parametrize("name", sorted(REFERENCE_SCENARIOS))
+def test_the_corner_is_the_induced_module_construction(name, end_side_calls):
+    # build_E and local_residual at every local pointed group of the
+    # scenario (SC2 at P and at Q) equal the induced-module construction
+    # in structure constants, unit and grading
+    pipe = wb.Pipeline(REFERENCE_SCENARIOS[name])
+    ext = pipe.resolved().ext
+    points = {pipe.pointed()[0].P.elements: pipe.pointed(),
+              pipe.pointed(at_q=True)[0].P.elements: pipe.pointed(at_q=True)}
+    for data, pt in points.values():
+        e_data = pipe.fusion((data, pt))[1]
+        cl.build_E(ext, data, pt, e_data)
+        cl.local_residual(ext, data, pt, e_data, pipe.local_block((data, pt)))
+    assert len(end_side_calls) == 2 * len(points)
+    for args, out in end_side_calls:
+        ref = _induced_module_reference(*args)
+        assert np.array_equal(out.graded.alg.sc, ref.alg.sc)
+        assert np.array_equal(out.graded.alg.unit, ref.alg.unit)
+        assert np.array_equal(out.graded.deg, ref.deg)
+
+
+def _truncate_reference(kg, quot, calls, e):
+    """The cut t -> e t of every degreewise hom, computed on the whole
+    module e B^P i one vector at a time and read off the primed hom basis;
+    `calls` are the end-side calls of E and of the primed E."""
+    p = kg.p
+    homs, v_amb = [], []
+    e_primed = calls[1][1]
+    for (balg, _, action, _, gen), out in calls:
+        v_rows, _, _, hom_bases = _twisted_homs(balg, quot, action, gen)
+        homs.append(hom_bases)
+        v_amb.append(v_rows @ out.base.rows % p)
+    rows = []
+    for d in range(quot.order):
+        flat_primed = np.array([t.ravel() for t in homs[1][d]])
+        for t in homs[0][d]:
+            cols = []
+            for r in v_amb[1]:
+                c = gfp.coords_in_rows(v_amb[0], r, p)
+                img = kg.mul(e, (t @ c.ravel()) @ v_amb[0] % p)
+                cols.append(gfp.coords_in_rows(v_amb[1], img, p).ravel())
+            tp = np.array(cols, dtype=np.int64).T
+            coords = gfp.coords_in_rows(flat_primed, tp.ravel(), p)
+            out = np.zeros(e_primed.dim, dtype=np.int64)
+            out[e_primed.graded.deg == d] = coords.ravel()
+            rows.append(out)
+    return np.array(rows, dtype=np.int64)
+
+
+@pytest.mark.parametrize("which", ["b", "i", "block cut"])
+@pytest.mark.parametrize("name", ["SC1-S3-over-C3", "SC2-S4-over-A4"])
+def test_the_truncation_map_is_the_cut_of_the_homs(name, which, end_side_calls):
+    pipe = wb.Pipeline(REFERENCE_SCENARIOS[name])
+    r = pipe.resolved()
+    data, pt = at = pipe.pointed()
+    cd, e_data, fg, theta = pipe.fusion(at)
+    ecd = cl.build_E(r.ext, data, pt, e_data)
+    fcd = pipe.clifford_f(at)
+    i_in = data.span.coords(pt.idem)
+    (cut,) = [c for c in al.central_idempotents(data.span.alg)
+              if (data.span.alg.mul(c, i_in) == i_in).all()]
+    e = {"b": r.b, "i": pt.idem,
+         "block cut": np.mod(cut @ data.span.rows, r.kg.p)}[which]
+    et = cl.embed_truncate(r.ext, data, pt, e_data, cd, fg, theta, ecd, fcd, e)
+    assert et.diagram_commutes
+    assert [out for _, out in end_side_calls] == [ecd, et.e_primed]
+    want = _truncate_reference(r.kg, e_data.quot, end_side_calls, np.mod(e, r.kg.p))
+    assert np.array_equal(et.e_map, want)
+
+
+def test_the_end_side_certifies_the_corner_lemma(monkeypatch):
+    # with one hom dropped, the values of a degree no longer span the
+    # corner gen (B * E)_d gen, and the certificate says so
+    real = cl.hom_space
+    monkeypatch.setattr(cl, "hom_space", lambda m, n: real(m, n)[:-1])
+    pipe = wb.Pipeline(REFERENCE_SCENARIOS["SC2-S4-over-A4"])
+    data, pt = at = pipe.pointed()
+    with pytest.raises(al.VerificationError, match="^the degree-0 homs are "
+                       r"not a basis of the corner gen \(B \* E\)_d gen$"):
+        cl.build_E(pipe.resolved().ext, data, pt, pipe.fusion(at)[1])
 
 
 def test_diagonal_subgroup_of_a_product_scenario(s3_chain):
