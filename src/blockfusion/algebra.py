@@ -11,6 +11,8 @@ only available in characteristic p.
 """
 from __future__ import annotations
 
+import contextlib
+import contextvars
 import itertools
 import math
 from dataclasses import dataclass
@@ -42,6 +44,24 @@ def verify(ok, msg: str) -> None:
         raise VerificationError(msg)
 
 
+# the invariants table of the innermost shared_invariants() scope, or None
+_SHARED = contextvars.ContextVar("shared_invariants", default=None)
+
+
+@contextlib.contextmanager
+def shared_invariants():
+    """A scope in which every Algebra of equal content (p, sc, unit) reads
+    and fills one cache of derived invariants, so equal algebras reached
+    by different routes derive their radical and components once.  The
+    table is dropped when the scope exits, so nothing is shared with a
+    later scope."""
+    token = _SHARED.set({})
+    try:
+        yield
+    finally:
+        _SHARED.reset(token)
+
+
 def _frozen(*arrays):
     """Mark arrays read-only, so that an in-place edit of a cached value
     raises instead of changing it for every later caller."""
@@ -63,6 +83,7 @@ class Algebra:
         if self.sc.shape != (self.dim, self.dim, self.dim) or len(self.unit) != self.dim:
             raise ValueError("malformed structure constants")
         self._cache = {}  # derived invariants, computed on first use
+        self._key = None  # (p, sc, unit) as bytes, made on first shared lookup
         if check and self.dim:
             self._check_axioms()
 
@@ -95,8 +116,9 @@ class Algebra:
         return np.einsum("j,ijk->ki", self.vec(x), self.sc) % self.p
 
     def power(self, x, n: int) -> np.ndarray:
-        result = self.unit.copy()
-        base = self.vec(x)
+        """x^n for n >= 0; a stack of vectors is raised elementwise."""
+        base = np.mod(np.asarray(x, dtype=np.int64), self.p)
+        result = np.broadcast_to(self.unit, base.shape).copy()
         while n:
             if n & 1:
                 result = self.mul(result, base)
@@ -142,34 +164,52 @@ class Algebra:
         return quotient_algebra(self, ideal_rows)
 
     # -- cached invariants --------------------------------------------------
+    def _invariants(self) -> dict:
+        """The cache of derived invariants.  Inside shared_invariants() it
+        is the one every algebra of equal content shares: the first such
+        algebra to ask enters its own, and a later one merges its entries
+        into it and adopts it."""
+        table = _SHARED.get()
+        if table is not None:
+            if self._key is None:
+                self._key = (self.p, self.sc.tobytes(), self.unit.tobytes())
+            shared = table.setdefault(self._key, self._cache)
+            if shared is not self._cache:
+                for k, v in self._cache.items():
+                    shared.setdefault(k, v)
+                self._cache = shared
+        return self._cache
+
     def radical_rows(self, seed: int = DEFAULT_SEED) -> np.ndarray:
         """J(A) as read-only RREF rows, certified by _verify_radical.  The
         rows do not depend on the seed, which only drives the meataxe of
         the certificate, so they are cached once."""
-        if "radical" not in self._cache:
+        cache = self._invariants()
+        if "radical" not in cache:
             rows = _radical(self, seed)
             _frozen(rows)
-            self._cache["radical"] = rows
-        return self._cache["radical"]
+            cache["radical"] = rows
+        return cache["radical"]
 
     def semisimple_quotient(self, seed: int = DEFAULT_SEED) -> "QuotientAlgebra":
         """A/J(A), with read-only arrays; like the radical, seed-free."""
-        if "ssq" not in self._cache:
+        cache = self._invariants()
+        if "ssq" not in cache:
             q = self.quotient_by_ideal(self.radical_rows(seed))
             _frozen(q.proj, q.section, q.alg.sc, q.alg.unit)
-            self._cache["ssq"] = q
-        return self._cache["ssq"]
+            cache["ssq"] = q
+        return cache["ssq"]
 
     def simple_components(self, seed: int = DEFAULT_SEED):
         """The simple components of A/J(A), cached per seed (the seed
         picks each component's primitive idempotent)."""
-        key = ("components", seed)
-        if key not in self._cache:
+        cache, key = self._invariants(), ("components", seed)
+        if key not in cache:
             comps = _simple_components(self, seed)
             for c in comps:
                 _frozen(c.central_idempotent, c.primitive_bar)
-            self._cache[key] = comps
-        return self._cache[key]
+            cache[key] = comps
+        return cache[key]
 
 
 @dataclass
@@ -517,8 +557,7 @@ def frobenius_matrix(z: Algebra) -> np.ndarray:
     """Matrix of x -> x^p; additive on a commutative algebra in char p."""
     if not z.is_commutative():
         raise ValueError("algebra is not commutative")
-    cols = [z.power(e, z.p) for e in np.eye(z.dim, dtype=np.int64)]
-    return np.array(cols, dtype=np.int64).T % z.p
+    return z.power(np.eye(z.dim, dtype=np.int64), z.p).T
 
 
 def nilradical_commutative(z: Algebra) -> np.ndarray:
@@ -684,18 +723,15 @@ def _simple_components(a: Algebra, seed: int):
         return []
     zrows = s.center_rows()
     zspan = s.subalgebra(zrows)
+    eye = np.eye(s.dim, dtype=np.int64)
     comps = []
     for k, ez in enumerate(split_commutative_semisimple(zspan.alg)):
         z = zspan.lift(ez)
-        ideal = gfp.row_basis(
-            np.array([s.mul(z, b) for b in np.eye(s.dim, dtype=np.int64)]), s.p
-        )
+        ideal = gfp.row_basis(s.mul(z, eye), s.p)
         fbar = refine_to_primitive(s, z, rng)
         fcorner = s.corner(fbar)
         end_deg = fcorner.alg.dim
-        col_dim = gfp.rank(
-            np.array([s.mul(b, fbar) for b in np.eye(s.dim, dtype=np.int64)]), s.p
-        )
+        col_dim = gfp.rank(s.mul(eye, fbar), s.p)
         n = col_dim // end_deg
         verify(n * n * end_deg == ideal.shape[0],
                f"simple component {k} has dimension {ideal.shape[0]}, "
@@ -734,9 +770,7 @@ def component_profile(a: Algebra, e, seed: int = DEFAULT_SEED):
             hits.append(comp.index)
     if len(hits) != 1:
         return None, len(hits)
-    col_dim = gfp.rank(
-        np.array([s.mul(b, ebar) for b in np.eye(s.dim, dtype=np.int64)]), s.p
-    )
+    col_dim = gfp.rank(s.mul(np.eye(s.dim, dtype=np.int64), ebar), s.p)
     return hits[0], col_dim
 
 

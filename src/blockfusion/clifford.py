@@ -211,8 +211,6 @@ def build_F(ext: BlockExtension, data: PointedGroupData, cd: CornerData,
               for c, pair in zip(chunks, fg.pairs)]
     verify(all(w is not None for w in coords), "fusion witness escapes its component")
     g.verify_units(coords, "fusion witness")
-    # on B^P's own basis the 1-component keeps the radical points_at found
-    g.share_identity_algebra(data.span.alg)
     return CliffordExtensionData(
         graded=g, pairs=fg.pairs, corner=cd, chunk_rows=chunks,
     )

@@ -18,6 +18,7 @@ from .algebra import (
     Algebra,
     Inconclusive,
     SpanAlgebra,
+    VerificationError,
     check_algebra_map,
     find_unit_in_space,
     iter_units,
@@ -66,17 +67,6 @@ class GradedAlgebra:
                                        self.alg.unit, self.p)
         return self._ispan
 
-    def share_identity_algebra(self, other: Algebra) -> None:
-        """Take `other` as the algebra of the 1-component if their
-        structure constants and units are equal, so that the invariants
-        `other` has cached (its radical, its simple components) serve the
-        1-component too; otherwise change nothing."""
-        idx = self.component_indices(0)
-        if (other.dim == len(idx)
-                and (self.alg.sc[np.ix_(idx, idx, idx)] == other.sc).all()
-                and (self.alg.unit[idx] == other.unit).all()):
-            self._ispan = SpanAlgebra(other, self.component_rows(0))
-
     def validate(self) -> None:
         self.group.validate()
         verify(self.degree_of(self.alg.unit) == 0, "unit is not in degree 1")
@@ -84,6 +74,67 @@ class GradedAlgebra:
         want = self.group.table[self.deg[:, None], self.deg[None, :]]
         verify(not ((self.alg.sc != 0) & (self.deg != want[:, :, None])).any(),
                "grading broken on products")
+
+    def check_associative(self) -> None:
+        """Validate the grading, then raise ValueError unless the unit is a
+        two-sided identity and (e_i e_j) e_k = e_i (e_j e_k) for every
+        basis triple: Algebra's own axiom check, read by the grading.
+
+        Once validate() has passed, e_i e_j lies in degree de for e_i of
+        degree d and e_j of degree e, so both sides of the law lie in
+        degree def and only the blocks (d, e) -> de and (de, f) -> def are
+        read: n^3 b^5 work for n degrees and pieces of at most b elements,
+        against D^5 for the dense check on D basis elements.  Pieces are
+        padded to b with zero constants, so unequal pieces take the same
+        path.  Products are float64 through BLAS, exact while
+        b (p - 1)^2 < 2^53; one degree d and a chunk of its basis at a
+        time keep the transient arrays at about D^3 words.
+        """
+        self.validate()
+        a, p, t = self.alg, self.p, self.group.table
+        n, dim = self.group.order, a.dim
+        eye = np.eye(dim, dtype=np.int64)
+        if (a.left_mult(a.unit) != eye).any():
+            raise ValueError("the unit is not a left identity")
+        if (a.right_mult(a.unit) != eye).any():
+            raise ValueError("the unit is not a right identity")
+        pieces = [self.component_indices(d) for d in range(n)]
+        b = max(map(len, pieces))
+        if b * (p - 1) ** 2 >= 2**53:
+            raise ValueError(f"p = {p} with pieces of {b} elements is too large "
+                             "for the float64 associativity kernel")
+        # pos[d]: the basis of piece d, padded with index dim, whose
+        # constants are 0
+        pos = np.full((n, b), dim)
+        for d, idx in enumerate(pieces):
+            pos[d, :len(idx)] = idx
+        sc = np.zeros((dim + 1,) * 3)
+        sc[:dim, :dim, :dim] = a.sc
+        # blk[d, e, i, j, m]: the coordinate of e_i e_j at the m-th basis
+        # element of piece de, for e_i the i-th of piece d, e_j the j-th of e
+        blk = sc[pos[:, None, :, None, None], pos[None, :, None, :, None],
+                 pos[t][:, :, None, None, :]]
+        pairs = blk.reshape(n, n, b * b, b)  # e_j e_k as [e, f, (j, k), m]
+        chunk = max(1, min(b, dim**3 // max(1, n * n * b**3)))
+        for d in range(n):
+            # e_m e_k at l, for e_m in piece de, as [e, m, (f, k, l)]
+            right = blk[t[d]].transpose(0, 2, 1, 3, 4).reshape(n, b, n * b * b)
+            # e_i e_m at l, for e_m in piece ef, as [e, f, m, i, l]
+            left = blk[d, t].transpose(0, 1, 3, 2, 4)
+            for lo in range(0, b, chunk):
+                c = min(chunk, b - lo)
+                # (e_i e_j) e_k as [e, (i, j), (f, k, l)]
+                lhs = blk[d, :, lo:lo + c].reshape(n, c * b, b) @ right
+                # e_i (e_j e_k) as [e, f, (j, k), (i, l)]
+                rhs = pairs @ left[..., lo:lo + c, :].reshape(n, n, b, c * b)
+                rhs = rhs.reshape(n, n, b, b, c, b).transpose(0, 4, 2, 1, 3, 5)
+                # both sides are exact integers, so their difference is too
+                bad = np.fmod(lhs.reshape(rhs.shape) - rhs, p) != 0
+                if bad.any():
+                    e, i, j, f, k, _ = np.argwhere(bad)[0]
+                    i, j, k = pos[d, lo + i], pos[e, j], pos[f, k]
+                    raise ValueError(f"(e_{i} e_{j}) e_{k} is not e_{i} (e_{j} "
+                                     f"e_{k}): the product is not associative")
 
     def is_crossed_product(self) -> bool:
         """Whether every component holds a unit, by exhaustive scans; a scan
@@ -106,11 +157,15 @@ def graded_from_chunks(mul, unit_vec, chunks, table: GroupTable, p: int,
     an ambient where `mul` multiplies: the one place a graded algebra is
     assembled from homogeneous pieces.
 
-    Pieces are stacks of independent elements of any shape.  For every
-    pair of degrees (d, e) one solve finds the products of pieces d and e
-    in targets[de] (default chunks[de]); a product outside it is refused.
-    The unit is read from piece 0, which must be the table's identity.
-    `check` is Algebra's own associativity check.
+    Pieces are stacks of independent elements of any shape, not
+    necessarily of one size.  For every pair of degrees (d, e) one solve
+    finds the products of pieces d and e in targets[de] (default
+    chunks[de]); a product outside it is refused.  The unit is read from
+    piece 0, which must be the table's identity.  The grading is always
+    validated; with `check`, GradedAlgebra.check_associative then proves
+    the algebra associative with a two-sided unit on the blocks the
+    grading allows, and a failure raises ValueError.  The Algebra itself
+    is built without its dense check.
     """
     targets = chunks if targets is None else targets
     verify(table.identity == 0, "degree 0 is not the identity of the grading group")
@@ -132,9 +187,12 @@ def graded_from_chunks(mul, unit_vec, chunks, table: GroupTable, p: int,
     verify(ucoords is not None, "the unit does not lie in the degree-0 piece")
     unit = np.zeros(offsets[-1], dtype=np.int64)
     unit[blk[0]] = ucoords.ravel()
-    g = GradedAlgebra(alg=Algebra(p, sc, unit, check=check), group=table,
+    g = GradedAlgebra(alg=Algebra(p, sc, unit, check=False), group=table,
                       deg=np.repeat(np.arange(len(chunks)), sizes))
-    g.validate()
+    if check:
+        g.check_associative()
+    else:
+        g.validate()
     return g
 
 
@@ -192,9 +250,37 @@ def graded_radical_quotient(g: GradedAlgebra):
 
 def crossed_product(balg: Algebra, quot: permgroups.QuotientSetup, action: dict,
                     interior: dict) -> GradedAlgebra:
-    """B * E for an interior algebra: E = N/C, action of N on B, and an
-    interior map C -> B^x; multiplication (a (x) x)(b (x) y) = a x(b) i(c) (x) z
-    where x y = c z with z the chosen representative."""
+    """B * E for an interior algebra: E = N/C, the action of N on B, and an
+    interior map C -> B^x.  With sigma_d the action of the representative
+    r_d and alpha(d, e) = i(c), where r_d r_e = c r_de, the product is
+
+        (a x_d)(b x_e) = a sigma_d(b) alpha(d, e) x_de.
+
+    Associativity is certified by Passman's two identities (Passman,
+    Infinite Crossed Products, 1989, section 1), not by the dense check
+    of Algebra.  As each sigma_d is multiplicative, associativity on
+    a x_d, b x_e, c x_f says
+
+        a sigma_d(b) alpha(d, e) sigma_de(c) alpha(de, f)
+            = a sigma_d(b) sigma_d sigma_e(c) sigma_d(alpha(e, f)) alpha(d, ef),
+
+    which holds for all a, b iff it holds for a = b = 1.  Then c = 1 gives
+    the cocycle identity
+
+        alpha(d, e) alpha(de, f) = sigma_d(alpha(e, f)) alpha(d, ef),
+
+    and f = 1, where alpha(-, 1) = 1, the twisted action
+
+        sigma_d sigma_e(c) alpha(d, e) = alpha(d, e) sigma_de(c).
+
+    Conversely the two give the law: alpha(d, e) sigma_de(c) alpha(de, f)
+    = sigma_d sigma_e(c) alpha(d, e) alpha(de, f) = sigma_d sigma_e(c)
+    sigma_d(alpha(e, f)) alpha(d, ef).  1 x_1 is a two-sided unit iff
+    sigma_1 = id and alpha(1, e) = alpha(d, 1) = 1.  The identities are
+    checked on B's basis, batched over every (d, e) and (d, e, f), after
+    each sigma is checked to be an algebra map; a failure names d, e and
+    f.  The algebra is then built without the dense check.
+    """
     p = balg.p
     n = quot.order
     db = balg.dim
@@ -208,20 +294,41 @@ def crossed_product(balg: Algebra, quot: permgroups.QuotientSetup, action: dict,
     for x, m in action.items():
         verify(check_algebra_map(m, balg, balg),
                f"action of {x} is not by algebra automorphisms")
+    t = quot.group.table
+    # sigma[d]: columns the images of B's basis; alpha[d, e] in B's coords
+    sigma = np.array([np.mod(action[r], p) for r in quot.reps]).reshape(n, db, db)
+    alpha = np.mod([[interior[quot.defect(d, e)] for e in range(n)]
+                    for d in range(n)], p).reshape(n, n, db)
+    verify((sigma[0] == eye).all(), "sigma_1 is not the identity")
+    for e in np.flatnonzero((alpha[0] != balg.unit).any(axis=1)):
+        raise VerificationError(f"alpha(1, e) is not 1 at e = {e}")
+    for d in np.flatnonzero((alpha[:, 0] != balg.unit).any(axis=1)):
+        raise VerificationError(f"alpha(d, 1) is not 1 at d = {d}")
+    # sigma_d sigma_e(e_j) alpha(d, e) against alpha(d, e) sigma_de(e_j)
+    twisted = balg.mul((sigma[:, None] @ sigma[None]).transpose(0, 1, 3, 2) % p,
+                       alpha[:, :, None])
+    conj = balg.mul(alpha[:, :, None], sigma[t].transpose(0, 1, 3, 2))
+    for d, e in np.argwhere((twisted != conj).any(axis=(2, 3)))[:1]:
+        raise VerificationError(
+            "the twisted action sigma_d sigma_e = ad(alpha(d, e)) sigma_de "
+            f"fails at d = {d}, e = {e}")
+    for d, e, f in _cocycle_failures(balg, t, sigma, alpha)[:1]:
+        raise VerificationError(
+            "the cocycle identity alpha(d, e) alpha(de, f) = sigma_d(alpha(e, f)) "
+            f"alpha(d, ef) fails at d = {d}, e = {e}, f = {f}")
     dim = db * n
     sc = np.zeros((dim, dim, dim), dtype=np.int64)
     for d in range(n):
-        rd = quot.reps[d]
         for e in range(n):
-            de = quot.group.mul(d, e)
-            # e_i x(e_j) i(c), as e_i (x(e_j) i(c))
-            acted = balg.mul(np.mod(action[rd], p).T, interior[quot.defect(d, e)])
+            de = t[d, e]
+            # e_i sigma_d(e_j) alpha(d, e), as e_i (sigma_d(e_j) alpha(d, e))
+            acted = balg.mul(sigma[d].T, alpha[d, e])
             sc[d * db:(d + 1) * db, e * db:(e + 1) * db, de * db:(de + 1) * db] = \
                 balg.mul(eye[:, None], acted[None, :])
     unit = np.zeros(dim, dtype=np.int64)
     unit[:db] = balg.unit
     g = GradedAlgebra(
-        alg=Algebra(p, sc, unit, check=True),
+        alg=Algebra(p, sc, unit, check=False),
         group=quot.group,
         deg=np.repeat(np.arange(n), db),
     )
@@ -271,15 +378,20 @@ def factor_set(g: GradedAlgebra, units=None) -> FactorSetData:
 
 
 def _verify_cocycle(a1: Algebra, fs: FactorSetData) -> None:
-    """alpha(d, e) alpha(de, f) = d(alpha(e, f)) alpha(d, ef) for all d, e, f,
-    in one broadcast comparison of (n, n, n, dim1) arrays."""
-    t, alpha = fs.group.table, fs.alpha
+    """alpha(d, e) alpha(de, f) = d(alpha(e, f)) alpha(d, ef) for all d, e, f."""
+    if len(_cocycle_failures(a1, fs.group.table, fs.action, fs.alpha)):
+        raise ValueError("twisted cocycle identity fails")
+
+
+def _cocycle_failures(a1: Algebra, t, action, alpha) -> np.ndarray:
+    """The triples (d, e, f), in order, where alpha(d, e) alpha(de, f) !=
+    d(alpha(e, f)) alpha(d, ef): one broadcast comparison of (n, n, n,
+    dim1) arrays, with action[d] acting on coordinate columns."""
     n = len(t)
     lhs = a1.mul(alpha[:, :, None], alpha[t])
-    acted = np.einsum("dij,efj->defi", fs.action, alpha) % a1.p
+    acted = np.einsum("dij,efj->defi", action, alpha) % a1.p
     rhs = a1.mul(acted, alpha[np.arange(n)[:, None, None], t[None]])
-    if (lhs != rhs).any():
-        raise ValueError("twisted cocycle identity fails")
+    return np.argwhere((lhs != rhs).any(axis=-1))
 
 
 def _field_isos(a1: Algebra, a2: Algebra):

@@ -341,22 +341,25 @@ def _run_stages(report: Report, names, witnesses) -> Report:
     """Record one check per stage name.  `witnesses` is a generator that
     does the work of each stage in turn and then yields its witness.  A
     stage that raises is recorded as "fail", or as "inconclusive" when a
-    bounded search ran out, and the stages after it are skipped."""
-    for k, name in enumerate(names):
-        t0 = time.perf_counter()
-        try:
-            status, witness = "pass", next(witnesses)
-        except (al.Inconclusive, al.MeataxeBudgetExceeded) as ex:
-            status, witness = "inconclusive", {"reason": str(ex)}
-        except Exception as ex:  # recorded, later stages skipped
-            status, witness = "fail", {"error": str(ex)}
-        ms = int((time.perf_counter() - t0) * 1000)
-        report.checks.append(Check(name, status, ms, witness))
-        if status != "pass":
-            report.checks += [Check(n, "inconclusive", 0,
-                                    {"reason": "skipped"})
-                              for n in names[k + 1:]]
-            break
+    bounded search ran out, and the stages after it are skipped.  Within
+    one report, algebras of equal content share their derived invariants
+    (`algebra.shared_invariants`)."""
+    with al.shared_invariants():
+        for k, name in enumerate(names):
+            t0 = time.perf_counter()
+            try:
+                status, witness = "pass", next(witnesses)
+            except (al.Inconclusive, al.MeataxeBudgetExceeded) as ex:
+                status, witness = "inconclusive", {"reason": str(ex)}
+            except Exception as ex:  # recorded, later stages skipped
+                status, witness = "fail", {"error": str(ex)}
+            ms = int((time.perf_counter() - t0) * 1000)
+            report.checks.append(Check(name, status, ms, witness))
+            if status != "pass":
+                report.checks += [Check(n, "inconclusive", 0,
+                                        {"reason": "skipped"})
+                                  for n in names[k + 1:]]
+                break
     return report
 
 

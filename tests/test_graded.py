@@ -6,6 +6,8 @@ import textwrap
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from blockfusion import algebra as alg
 from blockfusion import blocks as bl
@@ -152,20 +154,6 @@ def test_graded_radical_quotient_semisimple_unchanged_dim():
     t = twisted_c2_over_gf3(1)
     q, _, _ = gr.graded_radical_quotient(t)
     assert q.alg.dim == t.alg.dim
-
-
-def test_the_1_component_takes_only_an_equal_algebra():
-    # the 1-component of the twisted C2 over GF(3) is GF(3) on e_0
-    equal = alg.Algebra(3, np.array([[[1]]]), np.array([1]))
-    # e_0 e_0 = 2 e_0 with unit 2 e_0: isomorphic, but not equal
-    rescaled = alg.Algebra(3, np.array([[[2]]]), np.array([2]))
-    for other, taken in ((equal, True), (rescaled, False),
-                         (alg.Algebra(3, np.zeros((0, 0, 0)), np.zeros(0)), False)):
-        g = twisted_c2_over_gf3(1)
-        g.share_identity_algebra(other)
-        one = g.identity_span()
-        assert (one.alg is other) == taken
-        assert (one.alg.sc == [[[1]]]).all() and (one.alg.unit == [1]).all()
 
 
 def test_factor_set_trivial_for_group_algebra():
@@ -530,3 +518,323 @@ def test_graded_iso_search_follows_a_non_identity_group_map():
     assert gr.graded_iso_search(g3, g3, group_map=inversion) is None
     assert gr.graded_iso_search(g3, g5) is None
     assert_graded_iso(gr.graded_iso_search(g3, g3), g3, g3)
+
+
+# -- the graded associativity kernel and Passman's identities against the
+# -- dense check --------------------------------------------------------------
+
+# the grading groups, each with its table and the homomorphisms whose
+# carry cocycles give the scalar 2-cocycles of the crossed products
+GRADINGS = {"C2": (cyclic_table(2), [(np.arange(2), 2)]),
+            "C3": (cyclic_table(3), [(np.arange(3), 3)]),
+            "C2xC2": COCYCLE_GROUPS["C2xC2"], "S3": COCYCLE_GROUPS["S3"]}
+CERTIFICATE_SETTINGS = settings(max_examples=40, deadline=None)
+
+
+def dense_refuses(a):
+    """Whether Algebra's dense check (Module.check on the left-regular
+    matrices, then the right unit) refuses a."""
+    try:
+        a._check_axioms()
+    except ValueError:
+        return True
+    return False
+
+
+def kernel_refuses(g):
+    try:
+        g.check_associative()
+    except ValueError:
+        return True
+    return False
+
+
+@st.composite
+def graded_assemblies(draw):
+    """A graded_from_chunks assembly inside M_N(GF(p)): M_n or its upper
+    triangular matrices with the elementary grading (E_ij in degree
+    g_i g_j^-1), beside the regular representation of the grading group
+    (P_g in degree g), so that every piece is nonempty and pieces differ
+    in size; each piece on a random basis of its span."""
+    t = GRADINGS[draw(st.sampled_from(sorted(GRADINGS)))][0]
+    m = len(t)
+    p = draw(st.sampled_from([2, 3, 5]))
+    n = draw(st.integers(1, 3))
+    labels = draw(st.lists(st.integers(0, m - 1), min_size=n, max_size=n))
+    upper = draw(st.booleans())
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    size = n + m
+    inv = [int(np.flatnonzero(t[g] == 0)[0]) for g in range(m)]
+    pieces = [[] for _ in range(m)]
+    for i, j in itertools.product(range(n), repeat=2):
+        if j >= i or not upper:
+            x = np.zeros((size, size), dtype=np.int64)
+            x[i, j] = 1
+            pieces[t[labels[i], inv[labels[j]]]].append(x)
+    for g in range(m):
+        x = np.zeros((size, size), dtype=np.int64)
+        x[n + t[g], n + np.arange(m)] = 1  # e_h -> e_gh
+        pieces[g].append(x)
+    pieces = [np.tensordot(random_invertible(len(c), p, rng), np.array(c), axes=1) % p
+              for c in pieces]
+    return gr.graded_from_chunks(lambda x, y: x @ y % p, np.eye(size, dtype=np.int64),
+                                 pieces, pg.GroupTable(t, tuple(range(m))), p,
+                                 check=False)
+
+
+@CERTIFICATE_SETTINGS
+@given(graded_assemblies(), st.data())
+def test_graded_kernel_agrees_with_the_dense_check(g, data):
+    assert min(g.component_dims()) >= 1
+    assert not kernel_refuses(g) and not dense_refuses(g.alg)
+    # one structure constant changed inside a block the grading allows
+    p, dim = g.p, g.alg.dim
+    i, j = data.draw(st.tuples(st.integers(0, dim - 1), st.integers(0, dim - 1)))
+    k = data.draw(st.sampled_from(list(g.component_indices(g.group.mul(g.deg[i], g.deg[j])))))
+    sc = g.alg.sc.copy()
+    sc[i, j, k] = (sc[i, j, k] + data.draw(st.integers(1, p - 1))) % p
+    mutant = gr.GradedAlgebra(alg.Algebra(p, sc, g.alg.unit, check=False), g.group, g.deg)
+    assert kernel_refuses(mutant) == dense_refuses(mutant.alg)
+
+
+def test_graded_kernel_takes_pieces_of_unequal_size():
+    # M_3(GF(3)) graded by C2 through the labels (0, 0, 1): degree 0 holds
+    # 5 matrix units, degree 1 holds 4, each beside one of P_0, P_1
+    t = cyclic_table(2)
+    pieces = [[], []]
+    for i, j in itertools.product(range(3), repeat=2):
+        x = np.zeros((5, 5), dtype=np.int64)
+        x[i, j] = 1
+        pieces[(i == 2) ^ (j == 2)].append(x)
+    for g in range(2):
+        x = np.zeros((5, 5), dtype=np.int64)
+        x[3 + t[g], 3 + np.arange(2)] = 1
+        pieces[g].append(x)
+    g = gr.graded_from_chunks(lambda x, y: x @ y % 3, np.eye(5, dtype=np.int64),
+                              [np.array(c) for c in pieces],
+                              pg.GroupTable(t, (0, 1)), 3)
+    assert g.component_dims() == [6, 5]
+    assert not kernel_refuses(g)
+    # every structure constant inside an allowed block, changed alone:
+    # the kernel gives the dense check's verdict on each, and for every
+    # e_i some change in e_i's products is refused
+    refused = set()
+    for i, j in itertools.product(range(g.alg.dim), repeat=2):
+        for k in g.component_indices(g.group.mul(g.deg[i], g.deg[j])):
+            sc = g.alg.sc.copy()
+            sc[i, j, k] = (sc[i, j, k] + 1) % 3
+            mutant = gr.GradedAlgebra(alg.Algebra(3, sc, g.alg.unit, check=False),
+                                      g.group, g.deg)
+            if kernel_refuses(mutant):
+                refused.add(i)
+            assert kernel_refuses(mutant) == dense_refuses(mutant.alg)
+    assert refused == set(range(g.alg.dim))
+
+
+def test_graded_kernel_reads_every_chunk():
+    # k 1 + k z + k z' in degree 0 and x_0, x_1, x_2 in degree 1 of C2, all
+    # products of non-units 0 but x_2 z = x_2: the law fails only at
+    # triples (x_2, z, z), and the kernel reads the 3 elements of a degree
+    # in chunks of 2, so x_2 is alone in the last chunk
+    sc = np.zeros((6, 6, 6), dtype=np.int64)
+    sc[0, np.arange(6), np.arange(6)] = sc[np.arange(6), 0, np.arange(6)] = 1
+    sc[5, 1, 5] = 1
+    g = gr.GradedAlgebra(alg.Algebra(3, sc, np.eye(6, dtype=np.int64)[0], check=False),
+                         pg.GroupTable(cyclic_table(2), (0, 1)),
+                         np.array([0, 0, 0, 1, 1, 1]))
+    assert dense_refuses(g.alg)
+    with pytest.raises(ValueError, match=r"^\(e_5 e_1\) e_1 is not e_5 \(e_1 e_1\): "
+                       "the product is not associative$"):
+        g.check_associative()
+
+
+def coefficient_algebras(p):
+    """B for the crossed products: k[C2], k[C3], M_2 and its upper
+    triangular matrices, each with the list of its units."""
+    def matmul(x, y):
+        return (x.reshape(x.shape[:-1] + (2, 2)) @ y.reshape(y.shape[:-1] + (2, 2))
+                % p).reshape(np.broadcast_shapes(x.shape, y.shape))
+
+    def on_basis(mul, basis):  # the unit first
+        sc = alg.structure_constants(basis, basis, basis, mul, p)
+        return alg.Algebra(p, sc, np.eye(len(basis), dtype=np.int64)[0])
+
+    # 1, E_01, E_10, E_11 as flattened 2 x 2 matrices
+    m2 = np.array([[1, 0, 0, 1], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]])
+    out = [twisted_group_algebra(cyclic_table(n), np.ones((n, n), dtype=np.int64), p).alg
+           for n in (2, 3)]
+    out += [on_basis(matmul, m2), on_basis(matmul, m2[[0, 1, 3]])]
+    return [(b, np.array(list(alg.iter_units(b)))) for b in out]
+
+
+COEFFICIENTS = {p: coefficient_algebras(p) for p in (2, 3, 5)}
+
+
+def conjugation(b, u):
+    """The matrix of x -> u x u^-1 on coordinate columns."""
+    eye = np.eye(b.dim, dtype=np.int64)
+    return b.mul(b.mul(u, eye), b.inverse_element(u)).T
+
+
+def crossed_setup(b, t, sigma, alpha):
+    """crossed_product's inputs for sigma (n, db, db) and alpha (n, n, db):
+    representatives r_d and one defect c_de per pair, acting by
+    conjugation with interior image alpha(d, e)."""
+    n = len(t)
+    reps = tuple(("r", d) for d in range(n))
+    defects = tuple(tuple(("c", d, e) for e in range(n)) for d in range(n))
+    quot = pg.QuotientSetup(None, None, reps, {}, pg.GroupTable(t, reps), defects)
+    action = {r: sigma[d] for d, r in enumerate(reps)}
+    interior = {}
+    for d, e in itertools.product(range(n), repeat=2):
+        action[defects[d][e]] = conjugation(b, alpha[d, e])
+        interior[defects[d][e]] = alpha[d, e]
+    return quot, action, interior
+
+
+def crossed_by_formula(b, t, sigma, alpha):
+    """The algebra (a x_d)(b x_e) = a sigma_d(b) alpha(d, e) x_de, one basis
+    pair at a time, without a check."""
+    n, db, p = len(t), b.dim, b.p
+    eye = np.eye(db, dtype=np.int64)
+    sc = np.zeros((n * db,) * 3, dtype=np.int64)
+    for d, e, i, j in itertools.product(range(n), range(n), range(db), range(db)):
+        x = b.mul(eye[i], b.mul(sigma[d][:, j], alpha[d, e]))
+        sc[d * db + i, e * db + j, t[d, e] * db:(t[d, e] + 1) * db] = x
+    unit = np.zeros(n * db, dtype=np.int64)
+    unit[:db] = b.unit
+    return alg.Algebra(p, sc, unit, check=False)
+
+
+def broken_identities(b, t, sigma, alpha):
+    """Which of Passman's identities fail, by a loop over d, e, f and B's basis."""
+    n, p = len(t), b.p
+    broken = set()
+    for d, e in itertools.product(range(n), repeat=2):
+        for j in range(b.dim):
+            c = np.eye(b.dim, dtype=np.int64)[j]
+            if (b.mul(sigma[d] @ (sigma[e] @ c) % p, alpha[d, e])
+                    != b.mul(alpha[d, e], sigma[t[d, e]] @ c % p)).any():
+                broken.add("twisted action")
+        for f in range(n):
+            if (b.mul(alpha[d, e], alpha[t[d, e], f])
+                    != b.mul(sigma[d] @ alpha[e, f] % p, alpha[d, t[e, f]])).any():
+                broken.add("cocycle")
+    return broken
+
+
+@st.composite
+def crossed_products(draw):
+    """(B, table, sigma, alpha, kind): sigma_d = ad(u_d) and alpha(d, e) =
+    w(d, e) u_d u_e u_de^-1 for random units u_d of B (u_1 = 1) and a
+    normalized scalar 2-cocycle w, so the defects are rarely 1 and both
+    identities hold; then, by `kind`, one alpha(d, e) with d, e != 1 is
+    scaled (the twisted action still holds), or with every u_d = 1 one
+    sigma_d, d != 1, is composed with a conjugation (the cocycle identity
+    still holds), or nothing is changed."""
+    p = draw(st.sampled_from([2, 3, 5]))
+    b, units = draw(st.sampled_from(COEFFICIENTS[p]))
+    t, homs = GRADINGS[draw(st.sampled_from(sorted(GRADINGS)))]
+    n = len(t)
+    kind = draw(st.sampled_from(["valid", "cocycle", "action"]))
+    pick = st.integers(0, len(units) - 1)
+    u = np.array([b.unit] + [units[draw(pick)] for _ in range(n - 1)])
+    if kind == "action":
+        u[:] = b.unit
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    w = np.ones((n, n), dtype=np.int64)
+    for f, m in homs:
+        w = w * np.where((f[:, None] + f[None, :]) // m, rng.integers(1, p), 1) % p
+    uinv = np.array([b.inverse_element(x) for x in u])
+    sigma = np.array([conjugation(b, x) for x in u])
+    alpha = w[:, :, None] * b.mul(b.mul(u[:, None], u[None]), uinv[t]) % p
+    if kind == "cocycle" and n > 1 and p > 2:
+        d, e = draw(st.integers(1, n - 1)), draw(st.integers(1, n - 1))
+        alpha[d, e] = alpha[d, e] * draw(st.integers(2, p - 1)) % p
+    if kind == "action" and n > 1:
+        d = draw(st.integers(1, n - 1))
+        sigma[d] = conjugation(b, units[draw(pick)]) @ sigma[d] % p
+    return b, t, sigma, alpha, kind
+
+
+@CERTIFICATE_SETTINGS
+@given(crossed_products())
+def test_passman_identities_agree_with_the_dense_check(case):
+    b, t, sigma, alpha, kind = case
+    broken = broken_identities(b, t, sigma, alpha)
+    # each mutant breaks at most the identity it aims at
+    assert broken <= {"valid": set(), "cocycle": {"cocycle"},
+                      "action": {"twisted action"}}[kind]
+    try:
+        g = gr.crossed_product(b, *crossed_setup(b, t, sigma, alpha))
+        refusal = None
+    except alg.VerificationError as exc:
+        refusal = str(exc)
+    assert (refusal is not None) == bool(broken) == dense_refuses(
+        crossed_by_formula(b, t, sigma, alpha))
+    if refusal is None:
+        assert (g.alg.sc == crossed_by_formula(b, t, sigma, alpha).sc).all()
+    else:
+        assert next(iter(broken)) in refusal
+
+
+def test_each_identity_alone_is_refused():
+    # B = M_2(GF(3)); kC3 is commutative, so no twisted action fails there
+    b, units = COEFFICIENTS[3][2]
+    eye = np.eye(4, dtype=np.int64)
+    # over C2 with alpha = 1 and sigma_1 = ad(v), v^2 not central:
+    # sigma_1 sigma_1 = ad(v^2) is not sigma_0 = id, and the cocycle
+    # identity holds, as every alpha is 1
+    v = next(x for x in units
+             if (conjugation(b, x) @ conjugation(b, x) % 3 != eye).any())
+    action = np.array([eye, conjugation(b, v)])
+    ones = np.broadcast_to(b.unit, (2, 2, 4)).copy()
+    # over C3 with sigma = id and alpha(1, 1) = 2, the rest 1: at d = e = 1,
+    # f = 2, alpha(1, 1) alpha(2, 2) = 2 but alpha(1, 2) alpha(1, 0) = 1
+    scaled = np.broadcast_to(b.unit, (3, 3, 4)).copy()
+    scaled[1, 1] = 2 * b.unit % 3
+    for t, sigma, alpha, which in (
+            (cyclic_table(2), action, ones, "twisted action"),
+            (cyclic_table(3), np.array([eye] * 3), scaled, "cocycle")):
+        assert broken_identities(b, t, sigma, alpha) == {which}
+        assert dense_refuses(crossed_by_formula(b, t, sigma, alpha))
+        with pytest.raises(alg.VerificationError, match=which):
+            gr.crossed_product(b, *crossed_setup(b, t, sigma, alpha))
+
+
+def test_certificates_survive_python_O():
+    # python -O strips assert statements; the graded kernel and the
+    # crossed-product identities must still refuse
+    out = _run_optimized("""
+        import sys
+        import numpy as np
+        from blockfusion import algebra as alg, graded as gr, permgroups as pg
+        t = np.array([[0, 1], [1, 0]])
+        table = pg.GroupTable(t, (0, 1))
+        sc = np.zeros((2, 2, 2), dtype=np.int64)
+        sc[0, 0, 0] = sc[0, 1, 1] = sc[1, 0, 1] = sc[1, 1, 0] = 1
+        print("optimize", sys.flags.optimize)
+        sc[1, 1, 0] = 2  # x_1 x_1 = 2: GF(3)^alpha[C2], associative
+        gr.GradedAlgebra(alg.Algebra(3, sc, [1, 0], check=False), table,
+                         np.array([0, 1])).check_associative()
+        print("twisted passed")
+        sc[1, 0, 1] = 2  # x_1 1 = 2 x_1
+        try:
+            gr.GradedAlgebra(alg.Algebra(3, sc, [1, 0], check=False), table,
+                             np.array([0, 1])).check_associative()
+        except ValueError as exc:
+            print("refused:", exc)
+        reps = ("r0", "r1")
+        defects = (("c00", "c01"), ("c10", "c11"))
+        quot = pg.QuotientSetup(None, None, reps, {}, pg.GroupTable(t, reps), defects)
+        one = alg.Algebra(3, np.ones((1, 1, 1)), [1])
+        action = dict.fromkeys(reps + sum(defects, ()), np.eye(1, dtype=np.int64))
+        interior = {"c00": [1], "c01": [1], "c10": [2], "c11": [1]}
+        try:
+            gr.crossed_product(one, quot, action, interior)
+        except AssertionError as exc:
+            print("refused:", exc)
+    """)
+    assert out == ["optimize 1", "twisted passed",
+                   "refused: the unit is not a right identity",
+                   "refused: alpha(d, 1) is not 1 at d = 1"]

@@ -1,4 +1,5 @@
 import collections
+import itertools
 import json
 import os
 import subprocess
@@ -429,17 +430,52 @@ def test_resolving_a_scenario_builds_its_blocks_once(calls, s):
     assert calls["blocks"] == 1 and r.invariant
 
 
-def record_radicals(monkeypatch):
-    """The content (p, sc, unit) of every algebra whose radical is derived."""
+def record_radicals(monkeypatch, per_report=None):
+    """The content (p, sc, unit) of every algebra whose radical is derived.
+    Given a list `per_report`, each is also appended to it as (report,
+    content), the report numbered by the `_run_stages` call it falls in."""
     seen = []
     orig = al._radical
+    numbers, current = itertools.count(), [None]
 
     def recording(a, *args):
         seen.append((a.p, a.sc.tobytes(), a.unit.tobytes()))
+        if per_report is not None:
+            per_report.append((current[0], seen[-1]))
         return orig(a, *args)
 
+    def numbered(*args, _real=wb._run_stages):
+        current[0] = next(numbers)
+        return _real(*args)
+
     monkeypatch.setattr(al, "_radical", recording)
+    monkeypatch.setattr(wb, "_run_stages", numbered)
     return seen
+
+
+def test_each_algebra_derives_its_radical_once_per_report(monkeypatch):
+    # the E side, the F side and the local residual build algebras equal
+    # to ones already built (B^P, the residual 1-components): inside one
+    # report they share the invariants the first one derived
+    derived = []
+    record_radicals(monkeypatch, derived)
+    assert all(r.passed() for r in wb.run_catalog(seed=7))
+    assert derived and all(report is not None for report, _ in derived)
+    assert len(set(derived)) == len(derived)
+
+
+def test_no_pipeline_path_runs_the_dense_associativity_check(monkeypatch):
+    # the graded kernel and Passman's identities certify every graded
+    # algebra the pipeline builds; no Algebra runs its dense check
+    def refuse(self):
+        raise AssertionError("dense associativity check on the pipeline path")
+
+    monkeypatch.setattr(al.Algebra, "_check_axioms", refuse)
+    assert all(r.passed() for r in wb.run_catalog(seed=7))
+    data = os.path.join(os.path.dirname(__file__), "data", "s5-a5-p3.json")
+    with open(data) as fh:
+        s5 = wb.scenario_from_dict(json.load(fh))
+    assert wb.run_scenario(s5, seed=7).passed()
 
 
 def test_defect_search_stops_at_the_largest_order(calls):
