@@ -15,6 +15,7 @@ import numpy as np
 from . import gfp, permgroups
 from .algebra import (
     SpanAlgebra,
+    component_profile,
     primitive_idempotent_in,
     primitive_idempotents,
     primitive_summands,
@@ -378,25 +379,25 @@ def local_pointed_groups(kg: GroupAlgebra, sub: PermGroup, b, within: PermGroup,
 
 def defect_pointed_groups(kg: GroupAlgebra, sub: PermGroup, b, within: PermGroup,
                           subgroup_cap: int = 512):
-    """The local pointed groups (P, gamma) of the largest order, P a
-    p-subgroup of `within`: each is maximal, so a defect pointed group.
+    """The local pointed groups (P, gamma), in point order, at the first
+    p-subgroup P of `within` that has a local point, visiting the
+    p-subgroups from the largest order down, in `p_subgroups` order within
+    one order.  No local pointed group has a larger order, so each is
+    maximal, a defect pointed group.
 
-    The p-subgroups are visited from the largest order down, and the walk
-    stops at the first order that has a local point; the result lists
-    them in `p_subgroups` order, then point order.  A maximal local
-    pointed group of smaller order, which can exist when 1 is not
-    primitive in B^G, is not listed.
+    The search stops at that P: its conjugates are not visited, and a
+    maximal local pointed group of smaller order, which can exist when 1
+    is not primitive in B^G, is not listed.
     """
     by_order = {}
     for P in permgroups.p_subgroups(within, kg.p, cap=subgroup_cap):
         by_order.setdefault(P.order, []).append(P)
     for order in sorted(by_order, reverse=True):
-        out = []
         for P in by_order[order]:
             data = points_at(kg, sub, b, P)
-            out += [(data, pt) for pt in data.points if pt.local]
-        if out:
-            return out
+            out = [(data, pt) for pt in data.points if pt.local]
+            if out:
+                return out
     return []
 
 
@@ -406,12 +407,20 @@ def stabilizer_of_point(
 ) -> PermGroup:
     """N_G(P_gamma): normalizer elements fixing the point gamma of B^P."""
     ng = permgroups.normalizer(within, data.P)
-    keep = []
     inner = data.span.alg
-    target = data.span.coords(pt.idem)
+    # same_point against the target, whose profile is computed once, as is
+    # each distinct conjugate's: many g move the idempotent alike
+    target = component_profile(inner, data.span.coords(pt.idem))
+    if target[0] is None:
+        raise ValueError("stabilizer_of_point requires a primitive (single-component) idempotent")
+    same = {}
+    keep = []
     for g in ng.elements:
         moved = kg.conj_vec(g, pt.idem)
-        if same_point(inner, data.span.coords(moved), target):
+        key = moved.tobytes()
+        if key not in same:
+            same[key] = component_profile(inner, data.span.coords(moved)) == target
+        if same[key]:
             keep.append(g)
     return permgroups.from_elements(keep, degree=within.degree)
 

@@ -13,14 +13,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import permgroups
-from .algebra import (UNIT_SCAN_CHUNK, _solve_stack, _span_sums, find_unit_in_space,
+from . import gfp, permgroups
+from .algebra import (UNIT_SCAN_CHUNK, _packs, _solve_stack, _span_sums, find_unit_in_space,
                       intertwiner_rows, verify)
 from .blocks import GroupAlgebra, PointedGroupData, Point, stabilizer_of_point
 from .graded import GradedAlgebra, graded_corner
 from .permgroups import GroupTable, PermGroup, aut_compose, pconj
-
-Pair = tuple  # (phi: index map on P.elements, gbar: int)
 
 
 def aut_gbar(quot: permgroups.QuotientSetup, P: PermGroup):
@@ -85,17 +83,13 @@ def corner_data(ext, data: PointedGroupData, pt: Point) -> CornerData:
     kg = ext.kg
     g, span = graded_corner(ext, pt.idem)
     p_images = {}
-    seen = {}
     for u in data.P.elements:
-        ui = kg.mul(kg.vec_of(u), pt.idem)
-        c = span.coords(ui)
+        c = span.coords(kg.mul(kg.vec_of(u), pt.idem))
         if not g.alg.is_unit_element(c):
             raise ValueError("structural image of P is not invertible in iAi")
-        key = tuple(c)
-        if key in seen and seen[key] != u:
-            raise ValueError("structural map P -> (iAi)^x is not injective")
-        seen[key] = u
         p_images[u] = c
+    if len({tuple(c) for c in p_images.values()}) < len(p_images):
+        raise ValueError("structural map P -> (iAi)^x is not injective")
     return CornerData(graded=g, span=span, P=data.P, idem=pt.idem, p_images=p_images)
 
 
@@ -133,14 +127,10 @@ def fusion_F_normalizer(ext, cd: CornerData) -> FusionGroup:
     """F via scanning homogeneous units of iAi that normalize Pi.
 
     Exhaustive and independent of fusion_F_direct and of the intertwiner
-    spaces: every vector v of every component is tested against the linear
-    normalizing equations, that each ui has a u'i with v(ui) = (u'i)v, and
-    every vector that passes them is tested for invertibility.  For a unit
-    v the equations say v(ui)v^-1 = u'i.  One scan tabulates v's left
-    multiplication with v(ui) and (ui)v for every u; the survivors go, in
-    scan order, to the batched elimination in batches of at most
-    UNIT_SCAN_CHUNK, and each pair keeps its first witness in scan order.
-    """
+    spaces: a scan tabulating only v(ui) and (ui)v tests every vector v of
+    every component against v(ui) = (u'i)v (for a unit, v(ui)v^-1 = u'i);
+    v is solved only if its match u -> u' is a permutation of P and its pair
+    (phi, gbar) has no witness yet.  Each pair keeps its first witness."""
     images = np.array([cd.p_images[u] for u in cd.P.elements])
     found = _normalizing_units(cd.graded, images)
     pairs = sorted(found)
@@ -149,47 +139,57 @@ def fusion_F_normalizer(ext, cd: CornerData) -> FusionGroup:
 
 def _normalizing_units(g: GradedAlgebra, images) -> dict:
     """(phi, gbar) -> the first unit v of degree gbar, in scan order, with
-    v images[k] v^-1 = images[phi[k]] for every k."""
-    a = g.alg
-    p, dim = a.p, a.dim
-    n = len(images)
-    # x y_k and y_k x, for the images y_k, as matrices acting on x
-    right = np.einsum("uj,ijk->uik", images, a.sc)
-    left = np.einsum("ui,ijk->ujk", images, a.sc)
+    v images[k] v^-1 = images[phi[k]] for every k.
 
-    def survivors(rows):
-        # per row x: its left multiplication, then x y_k, then y_k x
-        arrays = np.concatenate([np.einsum("ri,ijk->rkj", rows, a.sc),
-                                 np.einsum("ri,uik->ruk", rows, right),
-                                 np.einsum("rj,ujk->ruk", rows, left)], axis=1)
-        arrays %= p
-        for values, sums in _span_sums(rows, arrays, p):
-            vy = sums[:, dim:dim + n].reshape(len(sums), n, 1, -1)
-            yv = sums[:, dim + n:].reshape(len(sums), 1, n, -1)
-            match = (vy == yv).all(axis=3)
-            keep = match.any(axis=2).all(axis=1)
-            yield values[keep], sums[keep, :dim], match[keep].argmax(axis=2)
+    The images are distinct (corner_data refuses a non-injective P -> iAi),
+    so for a unit v each y_k has exactly one y_k' with v y_k = y_k' v,
+    namely v y_k v^-1, and k -> k' is injective as conjugation is: the
+    match of a unit is a permutation.  Survivors are held (fewer than 2
+    UNIT_SCAN_CHUNK) and solved in scan order whenever UNIT_SCAN_CHUNK are
+    held and at the end: the first of each pair, then, at the end or if
+    UNIT_SCAN_CHUNK are still held, the others of the pairs without a
+    unit.  Most survivors of a pair in F are never solved.
+    """
+    a, p, n = g.alg, g.alg.p, len(images)
+    # e_i y_k and y_k e_i for every basis vector e_i, and L(e_i)
+    prods = np.concatenate([np.tensordot(a.sc, images, (1, 1)).transpose(0, 2, 1),
+                            np.tensordot(images, a.sc, (1, 0)).transpose(1, 0, 2)], axis=1) % p
+    packs, lrows, found, held = _packs(p, a.dim), a.sc.transpose(0, 2, 1), {}, []
+    if packs:  # a sum of packed rows is their XOR
+        lrows = gfp.pack_gf2(lrows)
 
-    found = {}
+    def solve(pending, end):  # the held (degree d, v, phi), in scan order
+        firsts = {(phi, d): k for k, (d, _, phi) in reversed(list(enumerate(pending)))}
+        for later in (False, True):
+            batch = [(d, v, phi) for k, (d, v, phi) in enumerate(pending)
+                     if (firsts[phi, d] != k) == later and (phi, d) not in found]
+            if later and not end and len(batch) < UNIT_SCAN_CHUNK:
+                return batch
+            if batch:
+                vs = np.array([v for _, v, _ in batch])
+                lmul = (np.bitwise_xor.reduce(np.where(vs[..., None], lrows, 0), 1) if packs
+                        else np.tensordot(vs, lrows, 1) % p)
+                is_unit, _ = _solve_stack(lmul, a.unit[:, None], p)
+                for d, v, phi in (b for b, unit in zip(batch, is_unit) if unit):
+                    found.setdefault((phi, d), v)
+        return []
+
     for d in range(g.group.order):
-        for values, lmul, phis in _rebatch(survivors(g.component_rows(d)), UNIT_SCAN_CHUNK):
-            is_unit, _ = _solve_stack(lmul, a.unit[:, None], p)
-            for v, phi in zip(values[is_unit], phis[is_unit]):
-                found.setdefault((tuple(phi.tolist()), d), v)
+        idx = g.component_indices(d)
+        for coeffs, sums in _span_sums(np.eye(len(idx), dtype=np.int64), prods[idx], p):
+            sums = sums.reshape(len(sums), 2, n, -1)
+            match = (sums[:, 0, :, None] == sums[:, 1, None]).all(axis=3)
+            # the linear test, then whether the match is a permutation
+            ks = np.flatnonzero(match.any(axis=2).all(axis=1))
+            match = match[ks]
+            perm = ((match.sum(axis=1) == 1) & (match.sum(axis=2) == 1)).all(axis=1)
+            vs = coeffs[ks[perm]] @ np.eye(a.dim, dtype=np.int64)[idx]
+            phis = map(tuple, match[perm].argmax(axis=2).tolist())
+            held += [(d, v, phi) for v, phi in zip(vs, phis) if (phi, d) not in found]
+            if len(held) >= UNIT_SCAN_CHUNK:
+                held = solve(held, False)
+    solve(held, True)
     return found
-
-
-def _rebatch(parts, size: int):
-    """The rows of a stream of array tuples, in order, re-cut into tuples
-    of at most `size` rows."""
-    held = None
-    for part in parts:
-        held = part if held is None else tuple(map(np.concatenate, zip(held, part)))
-        while len(held[0]) >= size:
-            yield tuple(x[:size] for x in held)
-            held = tuple(x[size:] for x in held)
-    if held is not None and len(held[0]):
-        yield held
 
 
 # -- the group-side fusion group E ----------------------------------------------

@@ -154,51 +154,114 @@ def sc2_corner():
     return r, cd
 
 
+@pytest.fixture(scope="module")
+def sc2_scalar(sc2_corner):
+    return scalar_normalizer(sc2_corner[1])
+
+
 def assert_same_normalizer(got, want, name=""):
     assert sorted(got) == sorted(want), name
     for pair, w in want.items():
         assert (got[pair] == w).all(), (name, pair)
 
 
-def test_normalizer_pairs_and_first_witnesses_match_scalar_scan(corners, sc2_corner):
+def test_normalizer_pairs_and_first_witnesses_match_scalar_scan(corners, sc2_corner,
+                                                                sc2_scalar):
     for name, (r, cd) in {**corners, "SC2": sc2_corner}.items():
         f = fu.fusion_F_normalizer(r.ext, cd)
-        assert_same_normalizer(f.witnesses, scalar_normalizer(cd), name)
+        want = sc2_scalar if name == "SC2" else scalar_normalizer(cd)
+        assert_same_normalizer(f.witnesses, want, name)
         assert f.pairs == sorted(f.witnesses)
 
 
-def linear_survivors(a, rows, images):
-    """How many vectors of the span satisfy v y = y' v, y' among the
-    images, for every image y: the normalizing equations, unit or not."""
-    coeffs = np.array(list(np.ndindex(*[a.p] * len(rows))), dtype=np.int64)
-    v = coeffs @ rows % a.p
-    vy = np.einsum("ni,uj,ijk->nuk", v, images, a.sc) % a.p
-    yv = np.einsum("ui,nj,ijk->nuk", images, v, a.sc) % a.p
-    match = (vy[:, :, None] == yv[:, None, :]).all(axis=3)
-    return int(match.any(axis=2).all(axis=1).sum())
+def permutation_match(a, v, images):
+    """The k -> k' with v y_k = y_k' v, the y the images, as a tuple when
+    it is a permutation, else None."""
+    vy = np.einsum("i,uj,ijk->uk", v, images, a.sc) % a.p
+    yv = np.einsum("ui,j,ijk->uk", images, v, a.sc) % a.p
+    match = (vy[:, None] == yv[None]).all(axis=2)
+    if (match.sum(axis=0) == 1).all() and (match.sum(axis=1) == 1).all():
+        return tuple(match.argmax(axis=1).tolist())
+    return None
 
 
-def test_normalizer_eliminates_only_the_linear_survivors(sc2_corner, monkeypatch):
+def component_scan(g, d):
+    """The vectors of component d in the scan order of the coefficients."""
+    rows = g.component_rows(d)
+    return np.array(list(np.ndindex(*[g.alg.p] * len(rows))), dtype=np.int64) @ rows % g.alg.p
+
+
+def test_normalizer_solves_only_undecided_permutation_survivors(sc2_corner, sc2_scalar,
+                                                                 monkeypatch):
     r, cd = sc2_corner
     g = cd.graded
+    a = g.alg
     images = np.array([cd.p_images[u] for u in cd.P.elements])
-    batches = []
-    real = gfp.solve_packed_gf2
+    scanned, solved = [], []
+    real_scan, real_solve = fu._span_sums, fu._solve_stack
 
-    def counting(rows, rhs):
-        batches.append(len(rows))
-        return real(rows, rhs)
+    def scan(*args):
+        for coeffs, sums in real_scan(*args):
+            scanned.append(len(coeffs))
+            yield coeffs, sums
 
-    monkeypatch.setattr(gfp, "solve_packed_gf2", counting)
-    fu.fusion_F_normalizer(r.ext, cd)
-    want = [linear_survivors(g.alg, g.component_rows(d), images)
-            for d in range(g.group.order)]
-    # the solver sees exactly the survivors, a small share of 2 x 2^12
-    assert sum(batches) == sum(want) < 2 * 2**12 // 8
-    assert max(batches) <= alg.UNIT_SCAN_CHUNK
-    # survivors are pooled across chunks: full batches, then one remainder
-    # per component
-    assert len(batches) == sum(-(-n // alg.UNIT_SCAN_CHUNK) for n in want)
+    def solve(stack, rhs, p):
+        is_unit, x = real_solve(stack, rhs, p)
+        solved.append((np.array(stack), is_unit))
+        return is_unit, x
+
+    monkeypatch.setattr(fu, "_span_sums", scan)
+    monkeypatch.setattr(fu, "_solve_stack", solve)
+    f = fu.fusion_F_normalizer(r.ext, cd)
+    # the linear test sees every vector of both components
+    assert sum(scanned) == 2 * 2**12
+    # the solver's rows are v's packed left multiplications, which name v
+    vectors = np.concatenate([component_scan(g, d) for d in range(2)])
+    index = {key: i for i, key in enumerate(map(bytes, gfp.pack_gf2(
+        np.einsum("ni,ijk->nkj", vectors, a.sc) % 2)))}
+    assert len(index) == len(vectors) - 1  # the zero vector lies in both
+    decided, seen = set(), set()
+    for stack, is_unit in solved:
+        new = set()
+        for key, unit in zip(map(bytes, stack), is_unit):
+            i = index[key]
+            d = i // 2**12
+            phi = permutation_match(a, vectors[i], images)
+            assert phi is not None and (phi, d) not in decided
+            assert unit == a.is_unit_element(vectors[i])
+            seen.add(i)
+            if unit:
+                new.add((phi, d))
+        decided |= new
+    # every survivor of a pair up to the pair's first unit was solved
+    first = {}
+    for i, v in enumerate(vectors):
+        phi = permutation_match(a, v, images)
+        pair = (phi, i // 2**12)
+        if phi is not None and pair not in first:
+            assert i in seen
+            if a.is_unit_element(v):
+                first[pair] = v
+    assert_same_normalizer(f.witnesses, first)
+    assert_same_normalizer(f.witnesses, sc2_scalar)
+
+
+def test_every_normalizing_unit_has_a_permutation_match(corners, sc2_corner):
+    # soundness of the oracle's filter: a unit v with v y_k = y_k' v for some
+    # k' at every k (the linear test) has a permutation match; the units
+    # that fail the linear test do not normalize Pi
+    for name, (_, cd) in {**corners, "SC2": sc2_corner}.items():
+        g = cd.graded
+        a = g.alg
+        images = np.array([cd.p_images[u] for u in cd.P.elements])
+        for d in range(g.group.order):
+            units = np.array(list(scalar_units(a, g.component_rows(d))))
+            vy = np.einsum("ni,uj,ijk->nuk", units, images, a.sc) % a.p
+            yv = np.einsum("ui,nj,ijk->nuk", images, units, a.sc) % a.p
+            linear = (vy[:, :, None] == yv[:, None]).all(axis=3).any(axis=2).all(axis=1)
+            assert linear.any(), (name, d)
+            for v in units[linear]:
+                assert permutation_match(a, v, images) is not None, (name, d)
 
 
 # (G, N): kG graded by G/N; every component has |N| elements

@@ -479,13 +479,14 @@ def test_no_pipeline_path_runs_the_dense_associativity_check(monkeypatch):
 
 
 def test_defect_search_stops_at_the_largest_order(calls):
-    # S4 over A4 at p = 2: the three dihedral Sylow subgroups hold local
-    # points, so no smaller 2-subgroup is visited and no containment tested
+    # S4 over A4 at p = 2: the first dihedral Sylow subgroup holds a local
+    # point, so neither its two conjugates nor a smaller 2-subgroup is
+    # visited, and no containment is tested
     s = wb.Scenario(name="S4-A4", p=2, degree=4, gens_g=["(0 1)", "(0 1 2 3)"],
                     gens_h=["(0 1 2)", "(1 2 3)"])
     r = wb.run_scenario(s, through="points")
     assert r.passed() and r.invariants["P_order"] == 8
-    assert calls["points_at"] == 3
+    assert calls["points_at"] == 1
     assert calls["pointed_group_contains"] == 0
 
 
