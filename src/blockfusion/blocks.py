@@ -435,20 +435,28 @@ class LocalBlockData:
     simple_dim: int
 
 
-def local_block_data(kg: GroupAlgebra, sub: PermGroup, b,
-                     data: PointedGroupData, pt: Point) -> LocalBlockData:
+def local_block_idempotent(kg: GroupAlgebra, data: PointedGroupData,
+                           pt: Point) -> np.ndarray:
+    """b_delta, ambient kG coords: the block of k[C_H(P)]Br(b) that Br(i)
+    hits, for i in the local point pt."""
     verify(pt.local, "only local points determine a block of B(P)")
     br = data.br
-    c = br.centralizer
     bri = br.apply(pt.idem)
     cands = []
-    for blk in blocks(kg, c):
+    for blk in blocks(kg, br.centralizer):
         blk = kg.mul(blk, br.brb)
         if blk.any() and kg.mul(blk, bri).any():
             cands.append(blk)
     verify(len(cands) == 1, "Br(i) must land in a single block of B(P)")
-    b_gamma = cands[0]
-    rows = np.array([kg.mul(kg.vec_of(g), b_gamma) for g in c.elements])
+    return cands[0]
+
+
+def local_block_data(kg: GroupAlgebra, sub: PermGroup, b,
+                     data: PointedGroupData, pt: Point) -> LocalBlockData:
+    b_gamma = local_block_idempotent(kg, data, pt)
+    br = data.br
+    bri = br.apply(pt.idem)
+    rows = np.array([kg.mul(kg.vec_of(g), b_gamma) for g in br.centralizer.elements])
     span = kg.span(rows, b_gamma)
     rad_inner = span.alg.radical_rows()
     # Br(i) is primitive in B(P), so it picks exactly one simple component
@@ -484,9 +492,9 @@ def local_block_data(kg: GroupAlgebra, sub: PermGroup, b,
 
 def extended_brauer_extension(kg_parent: GroupAlgebra, sub: PermGroup,
                               data: PointedGroupData, pt: Point,
-                              stabilizer: PermGroup,
-                              lbd: LocalBlockData) -> tuple:
-    """k[N_G(Q_delta)] * b_delta graded by N_G(Q_delta) / (Q * C_H(Q)).
+                              stabilizer: PermGroup, b_delta) -> tuple:
+    """k[N_G(Q_delta)] * b_delta graded by N_G(Q_delta) / (Q * C_H(Q)), for
+    b_delta from local_block_idempotent.
 
     Returns (GroupAlgebra of the stabilizer, BlockExtension).
     """
@@ -496,8 +504,8 @@ def extended_brauer_extension(kg_parent: GroupAlgebra, sub: PermGroup,
         [pmul(a, x) for a in q.elements for x in c.elements], degree=stabilizer.degree
     )
     kn = GroupAlgebra(stabilizer, kg_parent.p)
-    b_delta = np.zeros(kn.n, dtype=np.int64)
+    b_n = np.zeros(kn.n, dtype=np.int64)  # b_delta in kN coords
     for g in c.elements:
-        b_delta[kn.index(g)] = lbd.b_gamma[kg_parent.index(g)]
-    ext = block_extension(kn, base, b_delta)
+        b_n[kn.index(g)] = b_delta[kg_parent.index(g)]
+    ext = block_extension(kn, base, b_n)
     return kn, ext

@@ -419,16 +419,22 @@ def _shifted_perm(g, g2, n1, n2):
 
 def graded_restrict(g: GradedAlgebra, degrees: list, table: GroupTable) -> GradedAlgebra:
     """The sum of the listed degree components as a graded algebra over
-    the induced subgroup table (degrees[k] in g matches k in the table)."""
+    the induced subgroup table (degrees[k] in g matches k in the table),
+    keeping g's units of those degrees."""
+    units, _ = g.certified_units()
     chunks = [g.component_rows(d) for d in degrees]
-    return graded_from_chunks(g.alg.mul, g.alg.unit, chunks, table, g.p, check=False)
+    out = graded_from_chunks(g.alg.mul, g.alg.unit, chunks, table, g.p, check=False)
+    out.verify_units([units[d, g.deg == d] for d in degrees], "kept unit")
+    return out
 
 
 def graded_tensor_diagonal(g1: GradedAlgebra, g2: GradedAlgebra,
                            match: list, table: GroupTable) -> GradedAlgebra:
     """Degreewise tensor product: component k is g1's match[k][0]
     component tensored with g2's match[k][1] component.  An element is a
-    d1 x d2 array; the basis element e_a (x) e_b has a single 1 at (a, b)."""
+    d1 x d2 array; the basis element e_a (x) e_b has a single 1 at (a, b).
+    The units u_k (x) u'_k of the factors' units are certified and kept."""
+    (u1, _), (u2, _) = g1.certified_units(), g2.certified_units()
     p = g1.p
     a1, a2 = g1.alg, g2.alg
     pieces = []
@@ -443,7 +449,10 @@ def graded_tensor_diagonal(g1: GradedAlgebra, g2: GradedAlgebra,
         return np.einsum("...ab,...cd,acm,bdn->...mn", x, y, a1.sc, a2.sc,
                          optimize=True) % p
 
-    return graded_from_chunks(mul, np.outer(a1.unit, a2.unit), pieces, table, p)
+    out = graded_from_chunks(mul, np.outer(a1.unit, a2.unit), pieces, table, p)
+    out.verify_units([np.outer(u1[x, g1.deg == x], u2[y, g2.deg == y])
+                      for x, y in match], "tensor of units")
+    return out
 
 
 def diagonal_tensor_check(ext1: BlockExtension, data1: PointedGroupData,

@@ -39,6 +39,9 @@ class GradedAlgebra:
     deg: np.ndarray  # degree index per basis element
     _ispan: SpanAlgebra | None = field(default=None, init=False, repr=False,
                                       compare=False)
+    # kept by verify_units: per degree a unit and its inverse, (n, dim)
+    units: np.ndarray | None = field(default=None, init=False, compare=False)
+    inverses: np.ndarray | None = field(default=None, init=False, compare=False)
 
     @property
     def p(self) -> int:
@@ -136,19 +139,26 @@ class GradedAlgebra:
                     raise ValueError(f"(e_{i} e_{j}) e_{k} is not e_{i} (e_{j} "
                                      f"e_{k}): the product is not associative")
 
-    def is_crossed_product(self) -> bool:
-        """Whether every component holds a unit, by exhaustive scans; a scan
-        above the cap raises Inconclusive."""
-        return all(homogeneous_unit(self, d) is not None
-                   for d in range(self.group.order))
-
     def verify_units(self, coords, what: str) -> None:
         """The crossed-product certificate: for every degree d, the element
-        with coordinates coords[d] in component d is a unit."""
-        for d in range(self.group.order):
-            x = np.zeros(self.alg.dim, dtype=np.int64)
-            x[self.deg == d] = np.ravel(coords[d])
-            verify(self.alg.is_unit_element(x), f"the degree-{d} {what} is not a unit")
+        x with coordinates coords[d] in component d is a unit, by one solve
+        of L(x) y = 1 (x y = 1 makes L(x) onto, so y = x^-1).  Keeps the
+        units and inverses, with u_1 = 1 as factor_set requires."""
+        a, n = self.alg, self.group.order
+        units = np.zeros((n, a.dim), dtype=np.int64)
+        inverses = np.zeros_like(units)
+        for d in range(n):
+            units[d, self.deg == d] = np.mod(np.ravel(coords[d]), self.p)
+            y = gfp.solve(a.left_mult(units[d]), a.unit[:, None], self.p)
+            verify(y is not None, f"the degree-{d} {what} is not a unit")
+            inverses[d] = y.ravel()
+        units[0] = inverses[0] = a.unit
+        self.units, self.inverses = units, inverses
+
+    def certified_units(self) -> tuple:
+        """(units, inverses) as verify_units kept them, or a refusal."""
+        verify(self.units is not None, "the graded algebra carries no units")
+        return self.units, self.inverses
 
 
 def graded_from_chunks(mul, unit_vec, chunks, table: GroupTable, p: int,
@@ -214,7 +224,7 @@ def graded_corner(ext, i):
 
 def homogeneous_unit(g: GradedAlgebra, d: int):
     """An invertible element of the degree-d component, or None, by an
-    exhaustive scan of the component."""
+    exhaustive scan of the component; crossed products carry theirs."""
     if d == 0:
         return g.alg.unit.copy()
     return find_unit_in_space(g.alg, g.component_rows(d))
@@ -224,13 +234,15 @@ def homogeneous_unit(g: GradedAlgebra, d: int):
 
 
 def graded_radical_quotient(g: GradedAlgebra):
-    """A / J(A_1)A with its inherited grading; requires a crossed product.
+    """A / J(A_1)A with its inherited grading, for a crossed product.
 
     Returns (quotient GradedAlgebra, proj, section) with proj/section in
     the coordinates of g.alg.  J(A_1)A is spanned by homogeneous products,
     so the rows of its RREF are homogeneous and the section, the unit
-    vectors at the free columns, is homogeneous too.
+    vectors at the free columns, is homogeneous too.  So proj is a graded
+    algebra surjection, and the images of g's units are units, certified.
     """
+    units, _ = g.certified_units()
     a = g.alg
     ispan = g.identity_span()
     rad1 = ispan.alg.radical_rows() @ ispan.rows % g.p
@@ -241,7 +253,8 @@ def graded_radical_quotient(g: GradedAlgebra):
     quot.validate()
     verify(not quot.identity_span().alg.radical_rows().shape[0],
            "quotient 1-component is not semisimple")
-    verify(quot.is_crossed_product(), "quotient is not a crossed product")
+    img = units @ q.proj.T % g.p
+    quot.verify_units([img[d, quot.deg == d] for d in range(len(img))], "image of a unit")
     return quot, q.proj, q.section
 
 
@@ -344,35 +357,26 @@ def crossed_product(balg: Algebra, quot: permgroups.QuotientSetup, action: dict,
 @dataclass
 class FactorSetData:
     group: GroupTable
-    units: np.ndarray  # (n, dim) chosen homogeneous units, units[0] = 1
     alpha: np.ndarray  # (n, n, dim1) values in the 1-component, inner coords
     action: np.ndarray  # (n, dim1, dim1) automorphisms of the 1-component
     component: Algebra  # the 1-component as a standalone algebra
 
 
-def factor_set(g: GradedAlgebra, units=None) -> FactorSetData:
+def factor_set(g: GradedAlgebra) -> FactorSetData:
+    """The factor set on the units u_d that g carries: x -> u_d x u_d^-1 on
+    the 1-component and alpha(d, e) = u_d u_e u_de^-1, a twisted cocycle."""
+    units, uinv = g.certified_units()
     a = g.alg
-    p = g.p
     n = g.group.order
     ispan = g.identity_span()
-    if units is None:
-        units = []
-        for d in range(n):
-            u = homogeneous_unit(g, d)
-            if u is None:
-                raise ValueError(f"no homogeneous unit in degree {d}")
-            units.append(u)
-    units = np.array([a.vec(u) for u in units])
-    verify((units[0] == a.unit).all(), "degree-1 unit must be the unit")
     d1 = ispan.rows.shape[0]
-    uinv = np.array([a.inverse_element(u) for u in units])
     # action[d][:, k] = coords of u_d e_k u_d^-1; alpha[d, e] of u_d u_e u_de^-1
     conj = a.mul(a.mul(units[:, None], ispan.rows[None]), uinv[:, None])
     action = ispan.coords(conj.reshape(-1, a.dim)).reshape(n, d1, d1)
     action = action.transpose(0, 2, 1)
     vals = a.mul(a.mul(units[:, None], units[None]), uinv[g.group.table])
     alpha = ispan.coords(vals.reshape(-1, a.dim)).reshape(n, n, d1)
-    fs = FactorSetData(g.group, units, alpha, action, ispan.alg)
+    fs = FactorSetData(g.group, alpha, action, ispan.alg)
     _verify_cocycle(ispan.alg, fs)
     return fs
 
@@ -511,19 +515,15 @@ def graded_iso_search(g1: GradedAlgebra, g2: GradedAlgebra, group_map=None):
     group_map[d] (default the identity), as a matrix whose columns are
     the images of g1's basis, or None.  It is the witness (sigma, c) of
     `factor_sets_equivalent` on the two factor sets, x u_d -> sigma(x) c_d
-    u'_{gm(d)}, and is verified before it is returned.  Raises
-    Inconclusive when an input is not a crossed product or its
-    1-component is not commutative and generated by one element."""
+    u'_{gm(d)} on the units the inputs carry, and is verified before it is
+    returned.  Raises VerificationError for an input without units, and
+    Inconclusive when a 1-component is not commutative and generated by
+    one element."""
     n = g1.group.order
     if g1.alg.dim != g2.alg.dim or g2.group.order != n:
         return None
     gm = list(range(n)) if group_map is None else list(group_map)
-    fsets = []
-    for g in (g1, g2):
-        units = [homogeneous_unit(g, d) for d in range(n)]
-        if any(u is None for u in units):
-            raise Inconclusive("a graded algebra is not a crossed product")
-        fsets.append(factor_set(g, units))
+    fsets = [factor_set(g1), factor_set(g2)]
     witness = factor_sets_equivalent(*fsets, group_map=gm)
     if witness is None:
         return None
@@ -531,9 +531,9 @@ def graded_iso_search(g1: GradedAlgebra, g2: GradedAlgebra, group_map=None):
     a, b, p = g1.alg, g2.alg, g1.p
     r1, r2 = g1.identity_span().rows, g2.identity_span().rows
     # the basis x u_d of g1, x over the basis of its 1-component, and its image
-    src = a.mul(r1[None], fsets[0].units[:, None]).reshape(-1, a.dim)
+    src = a.mul(r1[None], g1.units[:, None]).reshape(-1, a.dim)
     img = b.mul(b.mul(sigma.T @ r2 % p, (c @ r2 % p)[:, None]),
-                fsets[1].units[gm][:, None]).reshape(-1, b.dim)
+                g2.units[gm][:, None]).reshape(-1, b.dim)
     iso = img.T @ gfp.inverse(src.T, p) % p
     _check_graded_map(g1, g2, iso.T, gm)
     return iso

@@ -313,11 +313,12 @@ class Pipeline:
             r.kg, r.h, r.b, *at))
 
     def local_extension(self, at) -> bl.BlockExtension:
-        """k[N_G(Q_delta)] b_delta, N_G(Q_delta) from the fusion stage."""
+        """k[N_G(Q_delta)] b_delta, N_G(Q_delta) from the fusion stage; a
+        pair report needs b_delta only, not the local block's structure."""
         r = self.resolved()
         return self._at("local-ext", at, lambda: bl.extended_brauer_extension(
             r.kg, r.h, *at, self.fusion(at)[1].stabilizer,
-            self.local_block(at))[1])
+            bl.local_block_idempotent(r.kg, *at))[1])
 
 
 # -- the verification pipeline ---------------------------------------------------

@@ -339,7 +339,7 @@ def test_local_block_data_and_extension():
     lbd = bl.local_block_data(kg, A4, b, data, pt)
     assert lbd.b_gamma.any()
     assert lbd.simple_dim >= 1
-    kn, ext = bl.extended_brauer_extension(kg, A4, data, pt, ng, lbd)
+    kn, ext = bl.extended_brauer_extension(kg, A4, data, pt, ng, lbd.b_gamma)
     assert ext.quot.order == 6  # N_G(Q_delta) / Q C_H(Q) = S4 / V4
     dims = {ext.component_rows(d).shape[0] for d in range(6)}
     assert len(dims) == 1

@@ -168,7 +168,7 @@ def test_residual_refuses_a_1_component_that_is_not_a_field():
     g = gr.GradedAlgebra(al.Algebra(2, sc, np.array([1, 1, 0, 0])), table,
                          np.array([0, 0, 1, 1]))
     g.validate()
-    assert g.is_crossed_product()
+    g.verify_units([[1, 1], [1, 1]], "element 1 (x) x_d")
     with pytest.raises(al.VerificationError, match="^the residual 1-component "
                        "is not a field: it has 2 simple components$"):
         cl.residual(cl.CliffordExtensionData(graded=g))
@@ -482,6 +482,8 @@ def test_graded_tensor_diagonal_matches_elementwise_products(s3_chain):
     # reference: e_a (x) e_b times e_c (x) e_d is the outer product of
     # e_a e_c and e_b e_d, read off at the basis positions (a', b')
     g, _ = gr.graded_corner(s3_chain[4], s3_chain[4].b)
+    g.verify_units([gr.homogeneous_unit(g, d)[g.deg == d] for d in range(2)],
+                   "scanned unit")
     t = cl.graded_tensor_diagonal(g, g, [(0, 0), (1, 1)], g.group)
     basis = [(a, b) for k in range(2) for a in g.component_indices(k)
              for b in g.component_indices(k)]
@@ -585,3 +587,37 @@ def test_comparison_and_truncation_checks_survive_python_O():
         "refused: image misses the matching pair component",
         "refused: the corner side is graded by pairs other than Theta's image",
         "refused: truncating element is not idempotent"]
+
+
+def factor_set_on(g, units):
+    """The factor set of g on other units, one per degree, certified."""
+    h = gr.GradedAlgebra(g.alg, g.group, g.deg)
+    h.verify_units([u[g.deg == d] for d, u in enumerate(units)], "chosen unit")
+    return gr.factor_set(h)
+
+
+@pytest.mark.parametrize("name", sorted(REFERENCE_SCENARIOS))
+def test_carried_and_scanned_units_give_equivalent_factor_sets(name):
+    # the residuals read the units their builders certified; a factor set
+    # depends on the units, its class does not: on every residual (E, F and
+    # local, SC2 at P and at Q) the factor set on the carried units is
+    # equivalent to those on the units homogeneous_unit scans for and on
+    # these times the last unit c of the 1-component (c = 1 over GF(2))
+    pipe = wb.Pipeline(REFERENCE_SCENARIOS[name])
+    ext = pipe.resolved().ext
+    points = {pipe.pointed()[0].P.elements: pipe.pointed(),
+              pipe.pointed(at_q=True)[0].P.elements: pipe.pointed(at_q=True)}
+    for data, pt in points.values():
+        e_data = pipe.fusion((data, pt))[1]
+        for res in (cl.residual(cl.build_E(ext, data, pt, e_data)),
+                    pipe.residual_f((data, pt)),
+                    cl.local_residual(ext, data, pt, e_data,
+                                      pipe.local_block((data, pt)))):
+            g = res.graded
+            scanned = np.array([gr.homogeneous_unit(g, d)
+                                for d in range(g.group.order)])
+            one = g.identity_span()
+            c = one.lift(list(al.iter_units(one.alg))[-1])
+            for units in (scanned, g.alg.mul(c, scanned)):
+                assert gr.factor_sets_equivalent(
+                    res.factor_data, factor_set_on(g, units)) is not None

@@ -47,23 +47,32 @@ def sc1_graded():
     return kg, ext, gr.graded_corner(ext, ext.b)
 
 
+def with_scanned_units(g):
+    """g carrying the units that homogeneous_unit scans for, certified."""
+    g.verify_units([gr.homogeneous_unit(g, d)[g.deg == d]
+                    for d in range(g.group.order)], "scanned unit")
+    return g
+
+
 def twisted_c2_over_gf3(alpha_ss):
+    """GF(3)^alpha[C2] with x^2 = alpha_ss, carrying the units 1 and x."""
     sc = np.zeros((2, 2, 2), dtype=np.int64)
     sc[0, 0, 0] = 1
     sc[0, 1, 1] = 1
     sc[1, 0, 1] = 1
     sc[1, 1, 0] = alpha_ss
     table = pg.GroupTable(np.array([[0, 1], [1, 0]]), (0, 1))
-    return gr.GradedAlgebra(
-        alg.Algebra(3, sc, np.array([1, 0])), table, np.array([0, 1])
-    )
+    g = gr.GradedAlgebra(alg.Algebra(3, sc, np.array([1, 0])), table, np.array([0, 1]))
+    g.verify_units([[1], [1]], "element x_d")
+    return g
 
 
 def test_graded_from_extension_valid():
     _, ext, (g, span) = sc1_graded()
     g.validate()
     assert g.component_dims() == [3, 3]
-    assert g.is_crossed_product()
+    assert g.units is None
+    with_scanned_units(g)  # the corner of SC1 is a crossed product
     assert (span.lift(g.alg.unit) == ext.b).all()
 
 
@@ -137,7 +146,7 @@ def test_homogeneous_unit():
 def test_graded_radical_quotient_dims():
     # J(kC3) has dim 2 per component: 6 - 4 = 2
     _, _, (g, _) = sc1_graded()
-    q, proj, section = gr.graded_radical_quotient(g)
+    q, proj, section = gr.graded_radical_quotient(with_scanned_units(g))
     assert q.component_dims() == [1, 1]
     q.validate()
     # projection is an algebra map
@@ -166,8 +175,7 @@ def test_factor_set_trivial_for_group_algebra():
 
 
 def test_factor_set_extracts_twist():
-    t = twisted_c2_over_gf3(2)
-    fs = gr.factor_set(t, units=[np.array([1, 0]), np.array([0, 1])])
+    fs = gr.factor_set(twisted_c2_over_gf3(2))
     assert (fs.alpha[1, 1] == np.array([2])).all()
 
 
@@ -179,7 +187,7 @@ def test_factor_set_matches_its_loop_definition():
               crossed_by_conjugation(S3, C3, 2)):
         a, n = g.alg, g.group.order
         units = [gr.homogeneous_unit(g, d) for d in range(n)]
-        fs = gr.factor_set(g, units)
+        fs = gr.factor_set(with_scanned_units(g))
         ispan = g.identity_span()
         for d in range(n):
             uinv = a.inverse_element(units[d])
@@ -204,8 +212,8 @@ def test_factor_sets_equivalence_vs_twist():
 def test_factor_sets_equivalent_different_unit_choice():
     t = twisted_c2_over_gf3(1)
     fs1 = gr.factor_set(t)
-    u = gr.homogeneous_unit(t, 1)
-    fs2 = gr.factor_set(t, units=[t.alg.unit, (2 * u) % 3])
+    t.verify_units([[1], [2]], "element 2 x_d")
+    fs2 = gr.factor_set(t)
     assert gr.factor_sets_equivalent(fs1, fs2)
 
 
@@ -222,7 +230,7 @@ def test_crossed_product_reconstructs_group_algebra():
     cp = crossed_by_conjugation(S3, C3, 3)
     assert cp.alg.dim == 6
     assert cp.component_dims() == [3, 3]
-    assert gr.graded_iso_search(cp, g) is not None
+    assert gr.graded_iso_search(cp, with_scanned_units(g)) is not None
 
 
 def test_crossed_product_trivial_group_is_base():
@@ -233,7 +241,8 @@ def test_crossed_product_trivial_group_is_base():
 def test_crossed_product_above_the_scan_cap_checks_its_own_units():
     # kC21 * C2 inside the dihedral group of order 42 at p = 2: a scan of a
     # component covers 2^21 elements, above the cap, so only the units
-    # 1 (x) x_d themselves can certify the crossed product
+    # 1 (x) x_d that crossed_product certified can give the radical
+    # quotient and the factor sets
     rotation = "(" + " ".join(map(str, range(21))) + ")"
     reflection = "".join(f"({i} {21 - i})" for i in range(1, 11))
     d42 = grp(21, rotation, reflection)
@@ -242,7 +251,18 @@ def test_crossed_product_above_the_scan_cap_checks_its_own_units():
     cp = crossed_by_conjugation(d42, c21, 2)
     assert cp.component_dims() == [21, 21]
     with pytest.raises(alg.Inconclusive):
-        cp.is_crossed_product()
+        gr.homogeneous_unit(cp, 1)
+    # 21 is odd, so kC21 is semisimple and the quotient is cp itself
+    q, proj, _ = gr.graded_radical_quotient(cp)
+    assert q.component_dims() == [21, 21]
+    assert (q.units == cp.units @ proj.T % 2).all()
+    for g in (cp, q):
+        fs = gr.factor_set(g)
+        # the reflection squares to 1, and acts on kC21 by inversion
+        assert (fs.alpha == fs.component.unit).all()
+        assert (fs.action[0] == np.eye(21, dtype=np.int64)).all()
+        assert (fs.action[1] @ fs.action[1] % 2 == np.eye(21, dtype=np.int64)).all()
+        assert (fs.action[1] != np.eye(21, dtype=np.int64)).any()
 
 
 def _run_optimized(script):
@@ -268,6 +288,8 @@ def test_cocycle_check_survives_python_O():
         kg = bl.GroupAlgebra(s3, 3)
         ext = bl.block_extension(kg, c3, bl.blocks(kg, c3)[0])
         g, _ = gr.graded_corner(ext, ext.b)
+        g.verify_units([gr.homogeneous_unit(g, d)[g.deg == d] for d in range(2)],
+                       "unit")
         print("optimize", sys.flags.optimize)
         fs = gr.factor_set(g)
         print("alpha(1, 1)", fs.alpha[0, 0].tolist())
@@ -283,8 +305,8 @@ def test_cocycle_check_survives_python_O():
 
 def test_graded_checks_survive_python_O():
     # python -O strips assert statements; the grading law, the factor
-    # set's choice of units and the crossed-product certificate must still
-    # be checked
+    # set's need of certified units and the crossed-product certificate,
+    # in each degree, must still be checked
     out = _run_optimized("""
         import sys
         import numpy as np
@@ -300,11 +322,15 @@ def test_graded_checks_survive_python_O():
         print("degrees", g.deg.tolist())
         deg = g.deg.copy()
         deg[[2, 3]] = deg[[3, 2]]  # one basis element in each degree swapped
-        units = [gr.homogeneous_unit(g, d) for d in range(2)]
-        units[0] = 2 * units[0] % 3
+        unit1 = gr.homogeneous_unit(g, 1)[3:]
+        # 1 + e_1 + e_2 lies in the radical of the local 1-component
         for check in (gr.GradedAlgebra(g.alg, g.group, deg).validate,
-                      lambda: gr.factor_set(g, units),
-                      lambda: g.verify_units([[1, 0, 0], [0, 0, 0]], "element")):
+                      lambda: gr.factor_set(g),
+                      lambda: g.verify_units([[1, 0, 0], [0, 0, 0]], "element"),
+                      lambda: g.verify_units([[1, 1, 1], unit1], "element"),
+                      lambda: gr.factor_set(g),
+                      lambda: g.verify_units([[1, 0, 0], unit1], "element"),
+                      lambda: gr.factor_set(g)):
             try:
                 check()
                 print("passed")
@@ -313,8 +339,11 @@ def test_graded_checks_survive_python_O():
     """)
     assert out == ["optimize 1", "degrees [0, 0, 0, 1, 1, 1]",
                    "refused: grading broken on products",
-                   "refused: degree-1 unit must be the unit",
-                   "refused: the degree-1 element is not a unit"]
+                   "refused: the graded algebra carries no units",
+                   "refused: the degree-1 element is not a unit",
+                   "refused: the degree-0 element is not a unit",
+                   "refused: the graded algebra carries no units",
+                   "passed", "passed"]
 
 
 def rebased(a, t):
@@ -339,7 +368,7 @@ def rebased_graded(g, rng):
     for d in range(g.group.order):
         idx = g.component_indices(d)
         t[np.ix_(idx, idx)] = random_invertible(len(idx), p, rng)
-    return gr.GradedAlgebra(rebased(g.alg, t), g.group, g.deg.copy())
+    return with_scanned_units(gr.GradedAlgebra(rebased(g.alg, t), g.group, g.deg.copy()))
 
 
 def polynomial_field(f, p):
@@ -439,18 +468,19 @@ COCYCLE_GROUPS = {
 
 
 def twisted_group_algebra(t, alpha, q):
-    """GF(q)^alpha[G], graded by G: u_d u_e = alpha(d, e) u_de."""
+    """GF(q)^alpha[G], graded by G: u_d u_e = alpha(d, e) u_de, carrying
+    the units u_d."""
     n = len(t)
     sc = np.zeros((n, n, n), dtype=np.int64)
     sc[np.arange(n)[:, None], np.arange(n)[None], t] = alpha
-    return gr.GradedAlgebra(alg.Algebra(q, sc, np.eye(n, dtype=np.int64)[0]),
-                            pg.GroupTable(t, tuple(range(n))), np.arange(n))
+    g = gr.GradedAlgebra(alg.Algebra(q, sc, np.eye(n, dtype=np.int64)[0]),
+                         pg.GroupTable(t, tuple(range(n))), np.arange(n))
+    g.verify_units(np.ones((n, 1), dtype=np.int64), "element u_d")
+    return g
 
 
 def scalar_factor_set(t, alpha, q):
-    n = len(t)
-    return gr.factor_set(twisted_group_algebra(t, alpha, q),
-                         units=np.eye(n, dtype=np.int64))
+    return gr.factor_set(twisted_group_algebra(t, alpha, q))
 
 
 def random_cocycle(group, q, rng):

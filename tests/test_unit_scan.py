@@ -280,7 +280,9 @@ GRADINGS = [
 def normalizer_systems(draw):
     """A group algebra kG graded by G/N on a random homogeneous basis,
     with 1 to 3 distinct elements standing in for Pi: group elements,
-    which group elements normalize, or random vectors."""
+    which group elements normalize, or random vectors.  The span
+    row-reduces the stacked pieces, so each span row is labelled by the
+    coset of its support, and the grading is validated."""
     p = draw(st.sampled_from([2, 3, 5]))
     gens_g, gens_n, degree = draw(st.sampled_from(GRADINGS))
     g = pg.enumerate_group(tuple(pg.parse_cycles(c, degree) for c in gens_g), degree)
@@ -290,7 +292,7 @@ def normalizer_systems(draw):
     assume(p ** n.order * quot.order <= 1250)
     kg = bl.GroupAlgebra(g, p)
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    rows, deg = [], []
+    rows = []
     for d in range(quot.order):
         idx = [kg.index(x) for x in g.elements if quot.omega_of(x) == d]
         block = np.eye(n.order, dtype=np.int64)
@@ -302,9 +304,10 @@ def normalizer_systems(draw):
         piece = np.zeros((n.order, kg.n), dtype=np.int64)
         piece[:, idx] = block
         rows.append(piece)
-        deg += [d] * n.order
     span = kg.span(np.vstack(rows))
+    deg = [quot.omega_of(g.elements[np.flatnonzero(r)[0]]) for r in span.rows]
     graded = gr.GradedAlgebra(span.alg, quot.group, np.array(deg))
+    graded.validate()
     images = []
     for _ in range(draw(st.integers(1, 3))):
         if draw(st.booleans()):
