@@ -15,6 +15,8 @@ from blockfusion import graded as gr
 from blockfusion import permgroups as pg
 from blockfusion import workbench as wb
 
+from test_graded import with_scanned_units
+
 
 @pytest.fixture(scope="module")
 def s3_chain():
@@ -481,9 +483,7 @@ def test_diagonal_tensor_check_refuses_past_the_cap_before_building(
 def test_graded_tensor_diagonal_matches_elementwise_products(s3_chain):
     # reference: e_a (x) e_b times e_c (x) e_d is the outer product of
     # e_a e_c and e_b e_d, read off at the basis positions (a', b')
-    g, _ = gr.graded_corner(s3_chain[4], s3_chain[4].b)
-    g.verify_units([gr.homogeneous_unit(g, d)[g.deg == d] for d in range(2)],
-                   "scanned unit")
+    g = with_scanned_units(gr.graded_corner(s3_chain[4], s3_chain[4].b)[0])
     t = cl.graded_tensor_diagonal(g, g, [(0, 0), (1, 1)], g.group)
     basis = [(a, b) for k in range(2) for a in g.component_indices(k)
              for b in g.component_indices(k)]
