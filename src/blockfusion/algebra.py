@@ -838,7 +838,7 @@ def _packs(p: int, width: int) -> bool:
     return p == 2 and width <= gfp.PACKED_WIDTH
 
 
-def _span_sums(rows, arrays, p: int, cap: int = EXHAUSTIVE_CAP):
+def _span_sums(rows, arrays, p: int):
     """Every combination v = c @ rows, c over [0, p)^r in np.ndindex order,
     with the matching sum S(c) = sum_j c_j arrays[j], in chunks.
 
@@ -854,13 +854,13 @@ def _span_sums(rows, arrays, p: int, cap: int = EXHAUSTIVE_CAP):
     Russians" step of M4RI).  Yields (values, sums) per chunk.  When
     _packs(p, w) the last axis of every sum is packed by gfp.pack_gf2 and
     the sum is XOR; otherwise sums are int64 arrays mod p.  Raises
-    Inconclusive when p^r exceeds cap.
+    Inconclusive when p^r exceeds EXHAUSTIVE_CAP.
     """
     rows = np.asarray(rows, dtype=np.int64)
     arrays = np.asarray(arrays, dtype=np.int64)
     r, d = rows.shape
-    if p**r > cap:
-        raise Inconclusive(f"unit scan of size {p}^{r} exceeds cap {cap}")
+    if p**r > EXHAUSTIVE_CAP:
+        raise Inconclusive(f"unit scan of size {p}^{r} exceeds cap {EXHAUSTIVE_CAP}")
     if _packs(p, arrays.shape[-1]):
         encode, add = gfp.pack_gf2, np.bitwise_xor
     else:
@@ -902,63 +902,40 @@ def _solve_stack(stack, rhs, p: int):
     return gfp.batch_solve(stack, rhs, p)
 
 
+def _invertible_combinations(mats, p: int):
+    """The one exhaustive scan behind every unit search: the coefficient
+    vectors c with sum_k c_k mats[k] invertible, in np.ndindex order, one
+    array per chunk of _span_sums, found by one _solve_stack of the chunk
+    (transient memory of order UNIT_SCAN_CHUNK * d^2 words)."""
+    mats = np.asarray(mats, dtype=np.int64)
+    if len(mats) == 0:
+        return
+    rhs = np.zeros((mats.shape[1], 1), dtype=np.int64)
+    for values, sums in _span_sums(np.eye(len(mats), dtype=np.int64), mats, p):
+        invertible, _ = _solve_stack(sums, rhs, p)
+        yield values[invertible]
+
+
 def invertible_combination(mats, p: int):
     """Coefficients c with sum_k c_k mats[k] invertible, the first in
-    np.ndindex order, or None when none is (exhaustive).
-
-    Scans the combinations in the chunks of _span_sums and tests each chunk
-    with one batched elimination; raises Inconclusive when p^len(mats)
-    exceeds EXHAUSTIVE_CAP.
-    """
-    mats = np.asarray(mats, dtype=np.int64)
-    n = len(mats)
-    if n == 0:
-        return None
-    rhs = np.zeros((mats.shape[1], 1), dtype=np.int64)
-    for values, sums in _span_sums(np.eye(n, dtype=np.int64), mats, p):
-        invertible, _ = _solve_stack(sums, rhs, p)
-        if invertible.any():
-            return values[np.argmax(invertible)]
-    return None
+    np.ndindex order, or None when none is (exhaustive)."""
+    return next((hits[0] for hits in _invertible_combinations(mats, p)
+                 if len(hits)), None)
 
 
-def unit_scan(a: Algebra, rows, cap: int = EXHAUSTIVE_CAP):
-    """The units of a in the row span of `rows`, with their inverses.
-
-    Exhaustive: walks every coefficient vector of [0, p)^r in np.ndindex
-    order, in the chunks of _span_sums over the left multiplications of the
-    rows, and yields (units, inverses) per chunk, both in scan order.  Each
-    chunk goes through one batched Gauss-Jordan elimination:
-    gfp.solve_packed_gf2 on packed rows over GF(2) with d <=
-    gfp.PACKED_WIDTH, otherwise gfp.batch_solve.  Transient memory is of
-    order UNIT_SCAN_CHUNK * d^2 words.
-    """
-    p, d = a.p, a.dim
-    rows = np.mod(np.asarray(rows, dtype=np.int64), p).reshape(-1, d)
-    # left multiplication by each row
-    lmul = np.einsum("ri,ijk->rkj", rows, a.sc) % p
-    for values, table in _span_sums(rows, lmul, p, cap):
-        # v is a unit iff its left multiplication L is invertible, and
-        # then L x = 1 gives x = v^-1
-        is_unit, inv = _solve_stack(table, a.unit[:, None], p)
-        yield values[is_unit], inv[is_unit, :, 0]
-
-
-def iter_units(a: Algebra, cap: int = EXHAUSTIVE_CAP):
-    """All invertible elements, deterministically ordered; exhaustive scan."""
-    for units, _ in unit_scan(a, np.eye(a.dim, dtype=np.int64), cap):
+def iter_units(a: Algebra):
+    """All invertible elements, deterministically ordered; exhaustive scan
+    of the left multiplications L(e_i)."""
+    for units in _invertible_combinations(a.sc.transpose(0, 2, 1), a.p):
         yield from units
 
 
-def find_unit_in_space(a: Algebra, rows, cap: int = EXHAUSTIVE_CAP):
-    """An invertible element of a inside the row span, or None (exhaustive)."""
+def find_unit_in_space(a: Algebra, rows):
+    """An invertible element of a inside the row span, or None (exhaustive):
+    the first unit c @ R in np.ndindex order of c, R the RREF row basis."""
     rows = gfp.row_basis(rows, a.p)
-    if rows.shape[0] == 0:
-        return None
-    for units, _ in unit_scan(a, rows, cap):
-        if len(units):
-            return units[0]
-    return None
+    c = invertible_combination(np.einsum("ri,ijk->rkj", rows, a.sc) % a.p, a.p)
+    return None if c is None else c @ rows % a.p
 
 
 def central_idempotents(a: Algebra):

@@ -14,6 +14,7 @@ import numpy as np
 
 from . import gfp, permgroups
 from .algebra import (
+    SimpleComponent,
     SpanAlgebra,
     component_profile,
     primitive_idempotent_in,
@@ -427,12 +428,12 @@ def stabilizer_of_point(
 
 @dataclass
 class LocalBlockData:
-    """The block of k[C_H(P)]Br(b) attached to a local point."""
+    """The block of k[C_H(P)]Br(b) attached to a local point, with the
+    simple component of its semisimple quotient that Br(i) hits."""
 
     b_gamma: np.ndarray  # ambient kG coords
     block_span: SpanAlgebra  # B(P) * b_gamma
-    max_ideal_rows: np.ndarray  # maximal ideal attached to the point, ambient coords
-    simple_dim: int
+    component: SimpleComponent  # of block_span.alg, hit by Br(i)
 
 
 def local_block_idempotent(kg: GroupAlgebra, data: PointedGroupData,
@@ -453,41 +454,22 @@ def local_block_idempotent(kg: GroupAlgebra, data: PointedGroupData,
 
 def local_block_data(kg: GroupAlgebra, sub: PermGroup, b,
                      data: PointedGroupData, pt: Point) -> LocalBlockData:
-    b_gamma = local_block_idempotent(kg, data, pt)
-    br = data.br
-    bri = br.apply(pt.idem)
-    rows = np.array([kg.mul(kg.vec_of(g), b_gamma) for g in br.centralizer.elements])
-    span = kg.span(rows, b_gamma)
-    rad_inner = span.alg.radical_rows()
-    # Br(i) is primitive in B(P), so it picks exactly one simple component
-    # of the block; the maximal ideal is the radical plus the others
+    return local_block_from(kg, data, pt, local_block_idempotent(kg, data, pt))
+
+
+def local_block_from(kg: GroupAlgebra, data: PointedGroupData, pt: Point,
+                     b_delta) -> LocalBlockData:
+    """The local block data on b_delta from local_block_idempotent."""
+    bri = data.br.apply(pt.idem)
+    rows = np.array([kg.mul(kg.vec_of(g), b_delta) for g in data.br.centralizer.elements])
+    span = kg.span(rows, b_delta)
+    # Br(i) is primitive in B(P), so it hits exactly one simple component
     ssq = span.alg.semisimple_quotient()
-    comps = span.alg.simple_components()
-    xbar = ssq.project(span.coords(kg.mul(bri, b_gamma)))
-    hits = [cp for cp in comps
+    xbar = ssq.project(span.coords(kg.mul(bri, b_delta)))
+    hits = [cp for cp in span.alg.simple_components()
             if ssq.alg.mul(cp.central_idempotent, xbar).any()]
     verify(len(hits) == 1, "Br(i) must hit a single simple component")
-    chunks = [rad_inner] if rad_inner.shape[0] else []
-    for cp in comps:
-        if cp.index == hits[0].index:
-            continue
-        ideal = gfp.row_basis(np.array([
-            ssq.alg.mul(cp.central_idempotent, e)
-            for e in np.eye(ssq.alg.dim, dtype=np.int64)]), kg.p)
-        chunks.append(np.array([ssq.lift(v) for v in ideal]))
-    inner_max = (gfp.row_basis(np.vstack(chunks), kg.p) if chunks
-                 else np.zeros((0, span.alg.dim), dtype=np.int64))
-    max_rows = (
-        np.mod(inner_max @ span.rows, kg.p)
-        if inner_max.shape[0]
-        else np.zeros((0, kg.n), dtype=np.int64)
-    )
-    return LocalBlockData(
-        b_gamma=b_gamma,
-        block_span=span,
-        max_ideal_rows=max_rows,
-        simple_dim=span.alg.dim - inner_max.shape[0],
-    )
+    return LocalBlockData(b_gamma=b_delta, block_span=span, component=hits[0])
 
 
 def extended_brauer_extension(kg_parent: GroupAlgebra, sub: PermGroup,

@@ -278,30 +278,37 @@ def residual(cd: CliffordExtensionData) -> CliffordExtensionData:
 def local_residual(ext: BlockExtension, data: PointedGroupData, pt: Point,
                    e_data: EFusionData,
                    lbd: LocalBlockData) -> CliffordExtensionData:
-    """Endomorphism-side residual rebuilt over the simple quotient of the
-    block of the Brauer construction, acting on its unique simple module.
-    Its 1-component, the endomorphisms of that simple module, must be a
-    field."""
+    """Endomorphism-side residual rebuilt over the simple quotient z Q of
+    the block of the Brauer construction, acting on its unique simple
+    module: Q = B(P) b_delta / J and z the central idempotent of the
+    component Br(i) hits.  Its 1-component, the endomorphisms of that
+    simple module, must be a field."""
     kg = ext.kg
     p = kg.p
     span = lbd.block_span
-    quot = e_data.quot
-    inner_max = (span.coords(lbd.max_ideal_rows) if lbd.max_ideal_rows.shape[0]
-                 else np.zeros((0, span.alg.dim), dtype=np.int64))
-    ssq = span.alg.quotient_by_ideal(inner_max)
-    action, interior = _interior_action(kg, quot, span, lbd.b_gamma)
+    comp, rad = lbd.component, span.alg.radical_rows()
+    z = comp.central_idempotent
+    ssq = span.alg.semisimple_quotient()
+    action, interior = _interior_action(kg, e_data.quot, span, lbd.b_gamma)
     for g, m in action.items():
         verify((kg.conj_vec(g, lbd.b_gamma) == lbd.b_gamma).all(),
                "stabilizer does not fix the local block")
-        verify(gfp.coords_in_rows(inner_max, inner_max @ m.T % p, p) is not None,
+        verify(gfp.coords_in_rows(rad, rad @ m.T % p, p) is not None,
                "action does not preserve the radical")
     acts = ssq.proj @ np.array(list(action.values())) @ ssq.section.T % p
-    action = dict(zip(action, acts))
-    interior = {c: ssq.project(v) for c, v in interior.items()}
-    q = ssq.alg
-    comps = q.simple_components()
-    verify(len(comps) == 1, "the local quotient is not simple")
-    out = _end_crossed(q, quot, action, interior, comps[0].primitive_bar)
+    verify((acts @ z % p == z).all(), "action does not fix the local component")
+    simple = ssq.alg.corner(z)
+    # the action restricted to z Q: column j is the image of basis row j
+    images = (simple.rows @ acts.transpose(0, 2, 1) % p).reshape(-1, ssq.alg.dim)
+    k = simple.alg.dim
+    acts = simple.coords(images).reshape(-1, k, k).transpose(0, 2, 1)
+    centre = simple.alg.center_rows().shape[0]
+    verify(centre == comp.end_field_degree, "the local quotient is not simple: "
+           f"its centre has dimension {centre}, not {comp.end_field_degree}")
+    interior = {c: simple.coords(ssq.alg.mul(z, ssq.project(v)))
+                for c, v in interior.items()}
+    out = _end_crossed(simple.alg, e_data.quot, dict(zip(action, acts)),
+                       interior, simple.coords(comp.primitive_bar))
     _verify_field(out.graded.identity_span().alg, "local residual 1-component")
     out.factor_data = factor_set(out.graded)
     return out
@@ -459,7 +466,7 @@ def diagonal_tensor_check(ext1: BlockExtension, data1: PointedGroupData,
                           pt1: Point, ext2: BlockExtension,
                           data2: PointedGroupData, pt2: Point,
                           within1: PermGroup, within2: PermGroup,
-                          gbar_map=None, dim_cap: int = TENSOR_DIM_CAP) -> dict:
+                          gbar_map=None) -> dict:
     """Compare the residual corner extension of the diagonal tensor
     scenario with the diagonal tensor of the two residual extensions,
     over the common fusion pairs.
@@ -548,9 +555,9 @@ def diagonal_tensor_check(ext1: BlockExtension, data1: PointedGroupData,
     # component k of the tensor is rest1's component k tensored with rest2's
     tensor_dim = sum(x * y for x, y in zip(rest1.component_dims(),
                                           rest2.component_dims()))
-    if max(tensor_dim, restdd.alg.dim) > dim_cap:
+    if max(tensor_dim, restdd.alg.dim) > TENSOR_DIM_CAP:
         raise Inconclusive(f"tensor comparison of dimension {tensor_dim} "
-                           f"exceeds the dimension cap {dim_cap}")
+                           f"exceeds the dimension cap {TENSOR_DIM_CAP}")
     tensor = graded_tensor_diagonal(
         rest1, rest2, [(k, k) for k in range(len(common))], ktable)
     iso = graded_iso_search(restdd, tensor)

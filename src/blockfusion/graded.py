@@ -162,22 +162,21 @@ class GradedAlgebra:
 
 
 def graded_from_chunks(mul, unit_vec, chunks, table: GroupTable, p: int,
-                       targets=None, check: bool = True) -> GradedAlgebra:
+                       check: bool = True) -> GradedAlgebra:
     """The graded algebra with component d on the pieces chunks[d], inside
     an ambient where `mul` multiplies: the one place a graded algebra is
     assembled from homogeneous pieces.
 
     Pieces are stacks of independent elements of any shape, not
     necessarily of one size.  For every pair of degrees (d, e) one solve
-    finds the products of pieces d and e in targets[de] (default
-    chunks[de]); a product outside it is refused.  The unit is read from
-    piece 0, which must be the table's identity.  The grading is always
-    validated; with `check`, GradedAlgebra.check_associative then proves
-    the algebra associative with a two-sided unit on the blocks the
-    grading allows, and a failure raises ValueError.  The Algebra itself
-    is built without its dense check.
+    finds the products of pieces d and e in chunks[de]; a product outside
+    it is refused.  The unit is read from piece 0, which must be the
+    table's identity.  The grading is always validated; with `check`,
+    GradedAlgebra.check_associative then proves the algebra associative
+    with a two-sided unit on the blocks the grading allows, and a failure
+    raises ValueError.  The Algebra itself is built without its dense
+    check.
     """
-    targets = chunks if targets is None else targets
     verify(table.identity == 0, "degree 0 is not the identity of the grading group")
     sizes = [len(c) for c in chunks]
     offsets = np.cumsum([0] + sizes)
@@ -188,7 +187,7 @@ def graded_from_chunks(mul, unit_vec, chunks, table: GroupTable, p: int,
             de = table.mul(d, e)
             try:
                 sc[blk[d], blk[e], blk[de]] = structure_constants(
-                    chunks[d], chunks[e], targets[de], mul, p)
+                    chunks[d], chunks[e], chunks[de], mul, p)
             except ValueError as exc:
                 raise ValueError(f"a product of degrees {d} and {e} leaves "
                                  f"the degree-{de} piece") from exc

@@ -369,8 +369,8 @@ def _is_p_power(n: int, p: int) -> bool:
     return n == 1
 
 
-def aut_group(p_grp: PermGroup, order_cap: int = 64):
-    """All automorphisms of a p-group of order <= order_cap.
+def aut_group(p_grp: PermGroup):
+    """All automorphisms of a p-group of order <= 64.
 
     Automorphisms are returned as index maps on p_grp.elements (tuples),
     found by brute force over generator-image tuples: each tuple extends
@@ -378,8 +378,8 @@ def aut_group(p_grp: PermGroup, order_cap: int = 64):
     generators, and the map it gives is kept when it is a bijective table
     homomorphism.
     """
-    if p_grp.order > order_cap:
-        raise CapExceeded(f"aut_group order cap {order_cap} exceeded")
+    if p_grp.order > 64:
+        raise CapExceeded("aut_group order cap 64 exceeded")
     n = p_grp.order
     t = p_grp.mult_table()
     verify((t >= 0).all(), "the elements of P do not form a group")

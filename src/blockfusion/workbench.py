@@ -307,10 +307,14 @@ class Pipeline:
         return self._at("residual-F", at,
                         lambda: cl.residual(self.clifford_f(at)))
 
+    def local_idempotent(self, at) -> np.ndarray:
+        """b_delta, which both the local block and the local extension read."""
+        return self._at("b-delta", at, lambda: bl.local_block_idempotent(
+            self.resolved().kg, *at))
+
     def local_block(self, at) -> bl.LocalBlockData:
-        r = self.resolved()
-        return self._at("local", at, lambda: bl.local_block_data(
-            r.kg, r.h, r.b, *at))
+        return self._at("local", at, lambda: bl.local_block_from(
+            self.resolved().kg, *at, self.local_idempotent(at)))
 
     def local_extension(self, at) -> bl.BlockExtension:
         """k[N_G(Q_delta)] b_delta, N_G(Q_delta) from the fusion stage; a
@@ -318,7 +322,7 @@ class Pipeline:
         r = self.resolved()
         return self._at("local-ext", at, lambda: bl.extended_brauer_extension(
             r.kg, r.h, *at, self.fusion(at)[1].stabilizer,
-            bl.local_block_idempotent(r.kg, *at))[1])
+            self.local_idempotent(at))[1])
 
 
 # -- the verification pipeline ---------------------------------------------------
@@ -442,7 +446,7 @@ def _scenario_stages(pipe: Pipeline, inv: dict):
         re, cl.local_residual(ext, data, pt, e_data, lbd)),
         "residual does not match the local construction")
     yield {"local_block_dim": int(lbd.block_span.alg.dim),
-           "simple_dim": int(lbd.simple_dim)}
+           "simple_dim": int(lbd.component.component_dim)}
 
 
 # -- Morita pairs ----------------------------------------------------------------

@@ -338,7 +338,7 @@ def test_local_block_data_and_extension():
     assert ng.order == 24  # V4 is normal in S4 and the point is unique
     lbd = bl.local_block_data(kg, A4, b, data, pt)
     assert lbd.b_gamma.any()
-    assert lbd.simple_dim >= 1
+    assert lbd.component.component_dim >= 1
     kn, ext = bl.extended_brauer_extension(kg, A4, data, pt, ng, lbd.b_gamma)
     assert ext.quot.order == 6  # N_G(Q_delta) / Q C_H(Q) = S4 / V4
     dims = {ext.component_rows(d).shape[0] for d in range(6)}

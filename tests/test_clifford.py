@@ -1,3 +1,4 @@
+import dataclasses
 import os
 import subprocess
 import sys
@@ -305,7 +306,7 @@ def _induced_module_reference(balg, quot, action, interior, gen):
     """The endomorphism side built the long way: the full endomorphisms of
     the induced module (B * E) (x)_B V, V = B gen, on the basis u_f (x) v_j,
     checked to commute with the action of B * E and multiplied by opposite
-    composition on the generating block 1 (x) V."""
+    composition of the full matrices."""
     p, n, db = balg.p, quot.order, balg.dim
     v_rows, mats_v, sigma_inv, hom_bases = _twisted_homs(balg, quot, action, gen)
     nv = len(v_rows)
@@ -336,15 +337,12 @@ def _induced_module_reference(balg, quot, action, interior, gen):
     fulls = [np.array([full_endo(d, t) for t in hom_bases[d]]) for d in range(n)]
     for m in np.concatenate(fulls):
         assert not ((m @ act_m - act_m @ m) % p).any()
-    gens = np.zeros((n, len(hom_bases[0]), dim_m, nv), dtype=np.int64)
-    for d in range(n):
-        gens[d, :, d * nv:(d + 1) * nv] = hom_bases[d]
 
-    def compose(x, y):  # the opposite composition, on 1 (x) V
-        return y @ x[..., :nv] % p
+    def compose(x, y):  # the opposite composition
+        return y @ x % p
 
     return gr.graded_from_chunks(compose, np.eye(dim_m, dtype=np.int64), fulls,
-                                 quot.group, p, targets=gens)
+                                 quot.group, p)
 
 
 @pytest.fixture
@@ -476,8 +474,9 @@ def test_diagonal_tensor_check_refuses_past_the_cap_before_building(
     monkeypatch.setattr(cl, "graded_tensor_diagonal", refuse)
     s3 = s3_chain[0]
     ext, data, pt = s3_chain[4:7]
+    monkeypatch.setattr(cl, "TENSOR_DIM_CAP", 1)
     with pytest.raises(al.Inconclusive, match="exceeds the dimension cap 1"):
-        cl.diagonal_tensor_check(ext, data, pt, ext, data, pt, s3, s3, dim_cap=1)
+        cl.diagonal_tensor_check(ext, data, pt, ext, data, pt, s3, s3)
 
 
 def test_graded_tensor_diagonal_matches_elementwise_products(s3_chain):
@@ -621,3 +620,128 @@ def test_carried_and_scanned_units_give_equivalent_factor_sets(name):
             for units in (scanned, g.alg.mul(c, scanned)):
                 assert gr.factor_sets_equivalent(
                     res.factor_data, factor_set_on(g, units)) is not None
+
+
+# -- the local residual on z Q against the maximal-ideal quotient --------------
+
+
+def _max_ideal_local_residual(ext, e_data, lbd):
+    """The local residual built the long way: the quotient of the block
+    B(P) b_delta by its maximal ideal M, the radical plus the simple
+    components that Br(i) does not hit, whose simple components are
+    derived again.  Returns (residual, dim M)."""
+    p = ext.kg.p
+    span = lbd.block_span
+    ssq = span.alg.semisimple_quotient()
+    eye = np.eye(ssq.alg.dim, dtype=np.int64)
+    chunks = [span.alg.radical_rows()]
+    for cp in span.alg.simple_components():
+        if cp.index != lbd.component.index:
+            ideal = gfp.row_basis(ssq.alg.mul(cp.central_idempotent, eye), p)
+            chunks.append(ideal @ ssq.section % p)
+    max_ideal = gfp.row_basis(np.vstack(chunks), p)
+    quo = span.alg.quotient_by_ideal(max_ideal)
+    action, interior = cl._interior_action(ext.kg, e_data.quot, span, lbd.b_gamma)
+    acts = quo.proj @ np.array(list(action.values())) @ quo.section.T % p
+    (comp,) = quo.alg.simple_components()
+    out = cl._end_crossed(quo.alg, e_data.quot, dict(zip(action, acts)),
+                          {c: quo.project(v) for c, v in interior.items()},
+                          comp.primitive_bar)
+    out.factor_data = gr.factor_set(out.graded)
+    return out, max_ideal.shape[0]
+
+
+S4_GENS, A4_GENS = ["(0 1)", "(0 1 2 3)"], ["(0 1 2)", "(1 2 3)"]
+# P trivial: B(P) b_delta is kA4 over GF(2), whose simple components are
+# GF(2) and GF(4), one for each of its two local points
+KA4_TRIVIAL_P = wb.Scenario(name="S4-over-A4-p2-trivial-P", p=2, degree=4,
+                            gens_g=S4_GENS, gens_h=A4_GENS, subgroup=["()"])
+LOCAL_SCENARIOS = dict(REFERENCE_SCENARIOS)
+LOCAL_SCENARIOS.update({s.name: s for s in (
+    wb.Scenario(name="S3-over-S3-p2-block-0", p=2, degree=3,
+                gens_g=["(0 1)", "(0 1 2)"], gens_h=["(0 1)", "(0 1 2)"], block=0),
+    *(wb.Scenario(name=f"S4-over-S4-p3-block-{b}", p=3, degree=4,
+                  gens_g=S4_GENS, gens_h=S4_GENS, block=b) for b in (0, 1)),
+    wb.Scenario(name="S4-over-A4-p3", p=3, degree=4, gens_g=S4_GENS,
+                gens_h=A4_GENS),
+    wb.Scenario(name="S4-over-V4-p2", p=2, degree=4, gens_g=S4_GENS,
+                gens_h=["(0 1)(2 3)", "(0 2)(1 3)"]),
+    KA4_TRIVIAL_P)})
+
+
+@pytest.mark.parametrize("name", sorted(LOCAL_SCENARIOS))
+def test_the_local_residual_on_z_q_is_the_maximal_ideal_quotient(name):
+    # at every local point of P (and of Q, for SC2) the residual on the
+    # corner z Q matches the one on B(P) b_delta / M, and the component's
+    # dimension is that of the quotient
+    pipe = wb.Pipeline(LOCAL_SCENARIOS[name])
+    ext = pipe.resolved().ext
+    groups = {pipe.pointed(q)[0].P.elements: pipe.pointed(q)[0]
+              for q in (False, True)}
+    for data in groups.values():
+        for pt in [pt for pt in data.points if pt.local]:
+            e_data, lbd = pipe.fusion((data, pt))[1], pipe.local_block((data, pt))
+            old, dim_m = _max_ideal_local_residual(ext, e_data, lbd)
+            new = cl.local_residual(ext, data, pt, e_data, lbd)
+            assert cl.residuals_match(old, new)
+            assert lbd.component.component_dim == lbd.block_span.alg.dim - dim_m
+
+
+def test_each_point_of_ka4_hits_its_own_component():
+    pipe = wb.Pipeline(KA4_TRIVIAL_P)
+    data = pipe.pointed()[0]
+    assert [pt.local for pt in data.points] == [True, True]
+    lbds = [pipe.local_block((data, pt)) for pt in data.points]
+    assert all(len(lbd.block_span.alg.simple_components()) == 2 for lbd in lbds)
+    assert sorted((lbd.component.index, lbd.component.end_field_degree)
+                  for lbd in lbds) == [(0, 1), (1, 2)]
+
+
+def _two_component_mutant():
+    """The local block data of KA4_TRIVIAL_P's first point with z the sum
+    of both central idempotents, so z Q is GF(2) x GF(4), not simple."""
+    pipe = wb.Pipeline(KA4_TRIVIAL_P)
+    at = pipe.pointed()
+    lbd = pipe.local_block(at)
+    z = sum(cp.central_idempotent for cp in lbd.block_span.alg.simple_components())
+    mutant = dataclasses.replace(lbd, component=dataclasses.replace(
+        lbd.component, central_idempotent=z % 2))
+    return pipe.resolved().ext, at, pipe.fusion(at)[1], lbd, mutant
+
+
+def test_the_centre_check_refuses_a_sum_of_two_components():
+    ext, (data, pt), e_data, lbd, mutant = _two_component_mutant()
+    assert lbd.component.end_field_degree == 1
+    cl.local_residual(ext, data, pt, e_data, lbd)
+    with pytest.raises(al.VerificationError, match="^the local quotient is not "
+                       "simple: its centre has dimension 3, not 1$"):
+        cl.local_residual(ext, data, pt, e_data, mutant)
+
+
+def test_the_centre_check_survives_python_O():
+    # python -O strips assert statements; local_residual must still refuse
+    # a z that is the sum of two simple components
+    script = textwrap.dedent("""
+        import sys
+        sys.path.insert(0, sys.argv[1])
+        from blockfusion import clifford as cl
+        from test_clifford import _two_component_mutant
+        ext, (data, pt), e_data, lbd, mutant = _two_component_mutant()
+        print("optimize", sys.flags.optimize)
+        cl.local_residual(ext, data, pt, e_data, lbd)
+        print("clean run passed")
+        try:
+            cl.local_residual(ext, data, pt, e_data, mutant)
+            print("passed")
+        except AssertionError as exc:
+            print("refused:", exc)
+    """)
+    src = os.path.dirname(os.path.dirname(cl.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run([sys.executable, "-O", "-c", script, os.path.dirname(__file__)],
+                          env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == [
+        "optimize 1", "clean run passed",
+        "refused: the local quotient is not simple: its centre has dimension 3, not 1"]

@@ -329,37 +329,32 @@ def test_normalizing_units_match_scalar_scan(system):
     assert_same_normalizer(fu._normalizing_units(graded, images), scalar_normalizer(cd))
 
 
-def test_scans_raise_inconclusive_past_the_cap():
+def test_scans_raise_inconclusive_past_the_cap(monkeypatch):
     m = matrix_algebra(2, 2)
     assert issubclass(alg.Inconclusive, RuntimeError)
-    with pytest.raises(alg.Inconclusive, match="exceeds cap"):
-        alg.find_unit_in_space(m, np.eye(4, dtype=np.int64), cap=15)
+    monkeypatch.setattr(alg, "EXHAUSTIVE_CAP", 15)
+    with pytest.raises(alg.Inconclusive, match="exceeds cap 15"):
+        alg.find_unit_in_space(m, np.eye(4, dtype=np.int64))
     with pytest.raises(alg.Inconclusive):
-        list(alg.iter_units(m, cap=15))
+        list(alg.iter_units(m))
     # at the cap itself the scan still runs
-    assert alg.find_unit_in_space(m, np.eye(4, dtype=np.int64), cap=16) is not None
+    monkeypatch.setattr(alg, "EXHAUSTIVE_CAP", 16)
+    assert alg.find_unit_in_space(m, np.eye(4, dtype=np.int64)) is not None
 
 
-def test_unit_scan_yields_inverses():
-    a = matrix_algebra(2, 3)
-    for units, invs in alg.unit_scan(a, np.eye(a.dim, dtype=np.int64)):
-        for v, w in zip(units, invs):
-            assert (a.mul(v, w) == a.unit).all() and (a.mul(w, v) == a.unit).all()
-
-
+# the chunks and scan order of the one generator behind every unit search,
+# and the first hit of find_unit_in_space
 @pytest.mark.parametrize("name", sorted(SCANS))
 def test_unit_scan_is_the_scalar_sequence_with_inverses(name):
     a, rows = SCANS[name]
-    chunks = list(alg.unit_scan(a, rows))
+    lmul = np.array([a.left_mult(r) for r in rows])
+    chunks = list(alg._invertible_combinations(lmul, a.p))
     assert len(chunks) == chunk_count(a.p, rows.shape[0])
-    got = [v for units, _ in chunks for v in units]
+    got = [c @ rows % a.p for hits in chunks for c in hits]
     want = list(scalar_units(a, rows))
     assert 0 < len(want) < a.p ** rows.shape[0] - 1
     assert len(got) == len(want)
     assert all((x == y).all() for x, y in zip(got, want))
-    for units, invs in chunks:
-        for v, w in zip(units, invs):
-            assert (a.mul(v, w) == a.unit).all() and (a.mul(w, v) == a.unit).all()
     first = alg.find_unit_in_space(a, rows)
     want_first = next(scalar_units(a, gfp.row_basis(rows, a.p)))
     assert (first == want_first).all()

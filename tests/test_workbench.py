@@ -378,7 +378,7 @@ def calls(monkeypatch):
     counts = collections.Counter()
     for mod, name in ((wb, "resolve_scenario"), (fu, "fusion_report"),
                       (cl, "build_F"), (bl, "local_block_data"),
-                      (bl, "local_block_idempotent"),
+                      (bl, "local_block_from"), (bl, "local_block_idempotent"),
                       (bl, "extended_brauer_extension"), (bl, "points_at"),
                       (bl, "pointed_group_contains"), (bl, "blocks")):
         def counted(*args, _real=getattr(mod, name), _name=name, **kwargs):
@@ -392,8 +392,8 @@ def calls(monkeypatch):
 # compares the dimensions of the local extension, which needs the local
 # block idempotent b_delta but not the structure of B(Q) b_delta
 STAGE_FUNCTIONS = {"resolve_scenario": 1, "fusion_report": 1, "build_F": 1,
-                   "local_block_data": 0, "local_block_idempotent": 1,
-                   "extended_brauer_extension": 1}
+                   "local_block_data": 0, "local_block_from": 0,
+                   "local_block_idempotent": 1, "extended_brauer_extension": 1}
 
 
 @pytest.mark.parametrize("name", ["SC1-S3-over-C3-identity",
@@ -421,6 +421,10 @@ def test_catalog_shares_one_pipeline_per_scenario(calls):
     assert calls["fusion_report"] == 7
     # once per pipeline and local pointed group that a pair compares
     assert calls["extended_brauer_extension"] == 6
+    # b_delta once per pipeline and local pointed group, read by the local
+    # block of each scenario report and by the local extension of each pair
+    assert calls["local_block_idempotent"] == 7
+    assert calls["local_block_from"] == 5 and calls["local_block_data"] == 0
     # once per subgroup a defect search visits or a scenario or pair names;
     # the defect searches visit only the subgroups of the largest order
     assert calls["points_at"] == 7
