@@ -745,3 +745,18 @@ def test_the_centre_check_survives_python_O():
     assert proc.stdout.splitlines() == [
         "optimize 1", "clean run passed",
         "refused: the local quotient is not simple: its centre has dimension 3, not 1"]
+
+
+def test_the_local_residual_quotients_by_no_ideal(monkeypatch, s3_chain):
+    # the local block already holds Q = B(P) b_delta / J and its simple
+    # components; the local residual cuts Q by z instead of forming a quotient
+    kg, b, ext, data, pt = s3_chain[2:7]
+    lbd = bl.local_block_data(kg, s3_chain[1], b, data, pt)
+    re = cl.residual(s3_chain[11])
+
+    def refuse(*args):
+        raise AssertionError("local_residual formed a quotient")
+
+    monkeypatch.setattr(al.Algebra, "quotient_by_ideal", refuse)
+    monkeypatch.setattr(al, "_simple_components", refuse)
+    assert cl.residuals_match(re, cl.local_residual(ext, data, pt, s3_chain[8], lbd))
