@@ -648,9 +648,16 @@ class SimpleComponent:
 
 
 def _find_splitting_idempotent(s: Algebra, rng):
-    """A proper idempotent of a semisimple algebra, or None (division algebra)."""
+    """A proper idempotent of s, or None when s is a field.  s must be
+    simple, as every corner e S e of a simple component of a semisimple
+    algebra is: by Wedderburn's little theorem it is then M_n(GF(q)),
+    commutative exactly when n = 1, so a commutative s has no proper
+    idempotent and is returned None before any candidate is tried.  In
+    M_n(GF(q)), n > 1, the basis and then MEATAXE_BUDGET random elements
+    are tried until one has a minimal polynomial with two coprime factors."""
+    if s.is_commutative():
+        return None
     p = s.p
-    candidates = list(np.eye(s.dim, dtype=np.int64))
 
     def try_element(x):
         if not np.any(x):
@@ -673,20 +680,11 @@ def _find_splitting_idempotent(s: Algebra, rng):
             return e
         return None
 
-    for x in candidates:
+    draws = (rng.integers(0, p, size=s.dim) for _ in range(MEATAXE_BUDGET))
+    for x in itertools.chain(np.eye(s.dim, dtype=np.int64), draws):
         e = try_element(x)
         if e is not None:
             return e
-    for _ in range(MEATAXE_BUDGET):
-        e = try_element(rng.integers(0, p, size=s.dim))
-        if e is not None:
-            return e
-    if p**s.dim <= EXHAUSTIVE_CAP:
-        for idx in np.ndindex(*([p] * s.dim)):
-            e = try_element(np.array(idx, dtype=np.int64))
-            if e is not None:
-                return e
-        return None  # certified: no splitting exists
     raise Inconclusive("idempotent search budget exhausted")
 
 
@@ -702,16 +700,15 @@ def _poly_xgcd(f, g, p: int):
     return r0, s0, t0
 
 
-def refine_to_primitive(s: Algebra, e, rng) -> np.ndarray:
-    """A primitive idempotent of the semisimple algebra s below e."""
+def refine_to_primitive(s: Algebra, e, rng):
+    """The corner f s f, a field, and f, a primitive idempotent of the
+    semisimple algebra s below e; e must lie in one simple component."""
     e = s.vec(e)
     while True:
         corner = s.corner(e)
-        split = None
-        if corner.alg.dim > 1:
-            split = _find_splitting_idempotent(corner.alg, rng)
+        split = _find_splitting_idempotent(corner.alg, rng)
         if split is None:
-            return e
+            return corner, e
         e = corner.lift(split)
 
 
@@ -728,8 +725,7 @@ def _simple_components(a: Algebra, seed: int):
     for k, ez in enumerate(split_commutative_semisimple(zspan.alg)):
         z = zspan.lift(ez)
         ideal = gfp.row_basis(s.mul(z, eye), s.p)
-        fbar = refine_to_primitive(s, z, rng)
-        fcorner = s.corner(fbar)
+        fcorner, fbar = refine_to_primitive(s, z, rng)
         end_deg = fcorner.alg.dim
         col_dim = gfp.rank(s.mul(eye, fbar), s.p)
         n = col_dim // end_deg
@@ -921,13 +917,6 @@ def invertible_combination(mats, p: int):
     np.ndindex order, or None when none is (exhaustive)."""
     return next((hits[0] for hits in _invertible_combinations(mats, p)
                  if len(hits)), None)
-
-
-def iter_units(a: Algebra):
-    """All invertible elements, deterministically ordered; exhaustive scan
-    of the left multiplications L(e_i)."""
-    for units in _invertible_combinations(a.sc.transpose(0, 2, 1), a.p):
-        yield from units
 
 
 def find_unit_in_space(a: Algebra, rows):

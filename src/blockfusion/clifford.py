@@ -60,6 +60,7 @@ from .graded import (
     factor_set,
     factor_sets_equivalent,
     _check_graded_map,
+    _verify_field,
     graded_from_chunks,
     graded_iso_search,
     graded_radical_quotient,
@@ -250,20 +251,6 @@ def psi_iso(ext: BlockExtension, pt: Point, ecd: CliffordExtensionData,
     psi = np.vstack(blocks)
     _check_graded_map(ecd.graded, fcd.graded, psi, theta.degree_map)
     return psi
-
-
-def _verify_field(one: Algebra, what: str) -> None:
-    """Verify that the 1-component `one` is a field: commutative, with
-    radical 0 and one simple component.  A 1-dimensional unital algebra
-    is spanned by its unit, so it is GF(p)."""
-    if one.dim == 1:
-        return
-    verify(one.is_commutative(), f"the {what} is not a field: "
-           "it is not commutative")
-    verify(not one.radical_rows().shape[0], f"the {what} is not a field: "
-           "its radical is not 0")
-    n = len(one.simple_components())
-    verify(n == 1, f"the {what} is not a field: it has {n} simple components")
 
 
 def residual(cd: CliffordExtensionData) -> CliffordExtensionData:

@@ -9,11 +9,12 @@ here.
 """
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import gfp, permgroups, polys
+from . import algebra, gfp, permgroups, polys
 from .algebra import (
     Algebra,
     Inconclusive,
@@ -21,7 +22,7 @@ from .algebra import (
     VerificationError,
     check_algebra_map,
     find_unit_in_space,
-    iter_units,
+    frobenius_matrix,
     quotient_algebra,
     span_algebra,
     structure_constants,
@@ -397,78 +398,85 @@ def _cocycle_failures(a1: Algebra, t, action, alpha) -> np.ndarray:
     return np.argwhere((lhs != rhs).any(axis=-1))
 
 
+def _verify_field(one: Algebra, what: str) -> None:
+    """Verify that the 1-component `one` is a field: commutative, with
+    radical 0 and one simple component.  A 1-dimensional unital algebra
+    is spanned by its unit, so it is GF(p)."""
+    if one.dim == 1:
+        return
+    verify(one.is_commutative(), f"the {what} is not a field: "
+           "it is not commutative")
+    verify(not one.radical_rows().shape[0], f"the {what} is not a field: "
+           "its radical is not 0")
+    n = len(one.simple_components())
+    verify(n == 1, f"the {what} is not a field: it has {n} simple components")
+
+
+def _nonzero_vectors(p: int, n: int):
+    """The nonzero vectors of GF(p)^n, lazily, in np.ndindex order."""
+    for idx in itertools.islice(np.ndindex(*[p] * n), 1, None):
+        yield np.array(idx, dtype=np.int64)
+
+
 def _field_isos(a1: Algebra, a2: Algebra):
-    """All algebra isomorphisms between two finite fields over GF(p),
-    as matrices (columns = images of a1's basis)."""
-    p = a1.p
-    if a1.dim != a2.dim:
+    """All algebra isomorphisms between two finite fields over GF(p), as
+    matrices (columns = images of a1's basis).  A generator x of a1, the
+    first nonzero element whose minimal polynomial m has degree f = dim a1,
+    goes to the first root r of m in a2; every automorphism of a2 is a
+    power of Frobenius, so the f Frobenius powers of x -> r are all."""
+    p, f = a1.p, a1.dim
+    if a2.dim != f:
         return []
-    # primitive element of a1: basis element (or small combo) with minpoly
-    # of full degree
-    gen = None
-    for cand in list(np.eye(a1.dim, dtype=np.int64)) + [
-        np.arange(1, a1.dim + 1, dtype=np.int64) % p
-    ]:
-        mp = polys.minpoly_matrix(a1.left_mult(cand), p)
-        if polys.degree(mp) == a1.dim:
-            gen = cand
-            gen_mp = mp
+    for x in _nonzero_vectors(p, f):
+        m = polys.minpoly_matrix(a1.left_mult(x), p)
+        if polys.degree(m) == f:
             break
-    if gen is None:
-        raise Inconclusive("no primitive element found in the 1-component")
-    # powers of gen as a basis of a1
-    pows = [a1.unit.copy()]
-    for _ in range(a1.dim - 1):
-        pows.append(a1.mul(pows[-1], gen))
-    pmat = np.array(pows)  # rows: gen^k in a1 coords
-    pinv_mat = gfp.inverse(pmat.T, p)
+    root = next(r for r in _nonzero_vectors(p, f)
+                if not (polys.eval_at_matrix(m, a2.left_mult(r), p) @ a2.unit % p).any())
+    pows, rpows = [a1.unit], [a2.unit]
+    for _ in range(f - 1):
+        pows.append(a1.mul(pows[-1], x))
+        rpows.append(a2.mul(rpows[-1], root))
+    iso = np.array(rpows).T @ gfp.inverse(np.array(pows).T, p) % p  # x^k -> r^k
+    frob = frobenius_matrix(a2)
     out = []
-    for tup in np.ndindex(*([p] * a2.dim)):
-        root = np.array(tup, dtype=np.int64)
-        if (polys.eval_at_matrix(gen_mp, a2.left_mult(root), p) @ a2.unit % p).any():
-            continue  # not a root of the minimal polynomial
-        # iso: gen^k -> root^k
-        rpows = [a2.unit.copy()]
-        for _ in range(a1.dim - 1):
-            rpows.append(a2.mul(rpows[-1], root))
-        iso = (np.array(rpows).T @ pinv_mat) % p  # columns: images of a1 basis
-        if gfp.is_invertible(iso, p):
-            verify(check_algebra_map(iso, a1, a2), "field isomorphism is not an algebra map")
-            out.append(iso)
+    for _ in range(f):
+        verify(check_algebra_map(iso, a1, a2), "field isomorphism is not an algebra map")
+        out.append(iso)
+        iso = frob @ iso % p
     return out
 
 
 def factor_sets_equivalent(f1: FactorSetData, f2: FactorSetData,
                            group_map=None):
-    """Equivalence of two crossed products whose 1-components are
-    commutative and generated by one element: an algebra isomorphism
-    sigma of the 1-components that carries f1's action to f2's, and a
-    1-cochain c of units of f2's 1-component with
+    """Equivalence of two crossed products over fields: an algebra
+    isomorphism sigma of the 1-components that carries f1's action to
+    f2's, and a 1-cochain c of units of f2's 1-component with
 
         sigma(alpha1(d, e)) c(de) = c(d) d(c(e)) alpha2(gm(d), gm(e))
 
     for all d, e, gm the group map (default the identity).  Every sigma
-    is found by mapping a primitive element to the roots of its minimal
-    polynomial, and c by `_cochain_search`.  Returns the witness
-    (sigma, c), sigma with columns the images of f1's 1-component basis
-    and c[d] the coordinates of c(d), or None.  Commutativity is checked
-    here; that the 1-components are fields is checked by the residual
-    builders.  Raises Inconclusive when a 1-component is not commutative,
-    has no primitive element among the candidates tried, or the cochain
-    search exceeds COCHAIN_CAP."""
+    comes from `_field_isos`, and c from `_cochain_search` over the
+    units, which are the nonzero vectors.  Returns the witness (sigma, c),
+    sigma with columns the images of f1's 1-component basis and c[d] the
+    coordinates of c(d), or None.  Raises VerificationError when a
+    1-component is not a field, and Inconclusive when f2's has more than
+    EXHAUSTIVE_CAP elements or the cochain search exceeds COCHAIN_CAP."""
     n = f1.group.order
     if f2.group.order != n:
         return None
     gm = list(range(n)) if group_map is None else list(group_map)
     alg1, alg2 = f1.component, f2.component
-    if not (alg1.is_commutative() and alg2.is_commutative()):
-        raise Inconclusive("a 1-component is not commutative, so its factor "
-                           "set does not decide graded isomorphism")
-    p = alg1.p
-    units2 = np.array(list(iter_units(alg2)))
+    _verify_field(alg1, "1-component")
+    _verify_field(alg2, "1-component")
+    p, f = alg2.p, alg2.dim
+    if p**f > algebra.EXHAUSTIVE_CAP:
+        raise Inconclusive(f"unit scan of size {p}^{f} exceeds cap "
+                           f"{algebra.EXHAUSTIVE_CAP}")
     gens, steps = f1.group.spanning_tree()
-    if len(units2) ** len(gens) > COCHAIN_CAP:
+    if (p**f - 1) ** len(gens) > COCHAIN_CAP:
         raise Inconclusive("cochain search exceeds cap")
+    units2 = np.indices([p] * f, dtype=np.int64).reshape(f, -1).T[1:]
     act2 = f2.action[gm]
     for sigma in _field_isos(alg1, alg2):
         if ((sigma @ f1.action - act2 @ sigma) % p).any():
@@ -515,9 +523,9 @@ def graded_iso_search(g1: GradedAlgebra, g2: GradedAlgebra, group_map=None):
     the images of g1's basis, or None.  It is the witness (sigma, c) of
     `factor_sets_equivalent` on the two factor sets, x u_d -> sigma(x) c_d
     u'_{gm(d)} on the units the inputs carry, and is verified before it is
-    returned.  Raises VerificationError for an input without units, and
-    Inconclusive when a 1-component is not commutative and generated by
-    one element."""
+    returned.  Raises VerificationError for an input without units or
+    with a 1-component that is not a field, and Inconclusive past the caps
+    of `factor_sets_equivalent`."""
     n = g1.group.order
     if g1.alg.dim != g2.alg.dim or g2.group.order != n:
         return None

@@ -125,9 +125,6 @@ class PermGroup:
             pconj(x, g) in mine for x in other.generators for g in self.generators
         )
 
-    def conjugate(self, g: Perm) -> "PermGroup":
-        return from_elements([pconj(g, x) for x in self.elements], self.degree)
-
     def mult_table(self) -> np.ndarray:
         """t[i, j] = index of elements[i] * elements[j], or -1 where that
         product lies outside the element list."""

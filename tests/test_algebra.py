@@ -13,6 +13,7 @@ from blockfusion import algebra as alg
 from blockfusion import blocks as bl
 from blockfusion import gfp
 from blockfusion import permgroups as pg
+from blockfusion import polys
 
 
 def cyclic_group_algebra(n, p):
@@ -23,6 +24,13 @@ def cyclic_group_algebra(n, p):
     unit = np.zeros(n, dtype=np.int64)
     unit[0] = 1
     return alg.Algebra(p, sc, unit)
+
+
+def all_units(a):
+    """Every unit of a in np.ndindex order: the exhaustive scan of the left
+    multiplications L(e_i), whose coefficient vectors are the units."""
+    return [u for hits in alg._invertible_combinations(a.sc.transpose(0, 2, 1), a.p)
+            for u in hits]
 
 
 def group_algebra(grp, p):
@@ -41,6 +49,39 @@ def matrix_algebra(n, p):
         for j in range(d):
             sc[i, j] = ((basis[i] @ basis[j]) % p).reshape(-1)
     return alg.Algebra(p, sc, np.eye(n, dtype=np.int64).reshape(-1))
+
+
+def rebased(a, t):
+    """The algebra a on the basis given by the rows of the invertible t."""
+    p = a.p
+    tinv = gfp.inverse(t, p)
+    prods = np.einsum("ia,jb,abk->ijk", t, t, a.sc) % p
+    return alg.Algebra(p, prods @ tinv % p, a.unit @ tinv % p)
+
+
+def random_invertible(n, p, rng):
+    while True:
+        t = rng.integers(0, p, size=(n, n))
+        if gfp.is_invertible(t, p):
+            return t
+
+
+def polynomial_field(f, p):
+    """GF(p)[x]/(f) on the basis 1, x, ..., x^(n-1); f monic, low degree first."""
+    n = len(f) - 1
+    powers = np.zeros((2 * n - 1, n), dtype=np.int64)
+    powers[:n] = np.eye(n, dtype=np.int64)
+    for k in range(n, 2 * n - 1):
+        # x^k = x * x^(k-1), with x^n = -(f_0 + ... + f_(n-1) x^(n-1))
+        prev = powers[k - 1]
+        powers[k, 1:] = prev[:-1]
+        powers[k] = (powers[k] - prev[-1] * np.array(f[:n])) % p
+    sc = np.array([[powers[i + j] for j in range(n)] for i in range(n)])
+    return alg.Algebra(p, sc, np.eye(n, dtype=np.int64)[0])
+
+
+FIELDS = {"GF(4)": ([1, 1, 1], 2), "GF(8)": ([1, 1, 0, 1], 2),
+          "GF(9)": ([1, 0, 1], 3), "GF(25)": ([2, 0, 1], 5)}
 
 
 def test_axiom_check_rejects_nonassociative():
@@ -219,6 +260,74 @@ def test_simple_components_matrix_algebra():
     assert (c.matrix_size, c.end_field_degree, c.component_dim) == (2, 1, 4)
 
 
+def test_a_field_past_the_scan_cap_is_one_simple_component():
+    # GF(2^21) = GF(2)[x]/(x^21 + x^2 + 1): its 2^21 elements exceed
+    # EXHAUSTIVE_CAP, and a commutative simple algebra is a field
+    k = polynomial_field([1, 0, 1] + [0] * 18 + [1], 2)
+    assert 2**21 > alg.EXHAUSTIVE_CAP
+    (comp,) = k.simple_components()
+    assert (comp.end_field_degree, comp.matrix_size) == (21, 1)
+
+
+class CountingRng:
+    """A seeded generator that counts the draws made from it."""
+
+    def __init__(self, seed):
+        self.rng, self.draws = np.random.default_rng(seed), 0
+
+    def integers(self, *args, **kwargs):
+        self.draws += 1
+        return self.rng.integers(*args, **kwargs)
+
+
+def splits(s, x):
+    """Whether the minimal polynomial of x has two coprime factors."""
+    return len(polys.factor(polys.minpoly_matrix(s.left_mult(x), s.p), s.p)) > 1
+
+
+def scanned_proper_idempotents(s):
+    """Reference: every idempotent of s other than 0 and 1, by a scan of
+    all of s in np.ndindex order."""
+    xs = np.array(list(np.ndindex(*[s.p] * s.dim)), dtype=np.int64)
+    proper = (s.mul(xs, xs) == xs).all(axis=1) & xs.any(axis=1) & (xs != s.unit).any(axis=1)
+    return {x.tobytes() for x in xs[proper]}
+
+
+@pytest.mark.parametrize("name", sorted(FIELDS))
+def test_a_field_corner_has_no_splitting_idempotent_without_a_draw(name):
+    f, p = FIELDS[name]
+    field = polynomial_field(f, p)
+    rng = np.random.default_rng(5)
+    for _ in range(4):
+        k = rebased(field, random_invertible(field.dim, p, rng))
+        counting = CountingRng(0)
+        assert alg._find_splitting_idempotent(k, counting) is None
+        assert counting.draws == 0
+        assert not scanned_proper_idempotents(k)
+
+
+# M_2(GF(2)) on I, E_01, E_10 and E_00 + E_01 + E_10: two nilpotents, the
+# identity and an element of order 3, none of which splits
+NO_SPLITTING_BASIS = np.array([[1, 0, 0, 1], [0, 1, 0, 0], [0, 0, 1, 0], [1, 1, 1, 0]])
+
+
+@pytest.mark.parametrize("n, p", [(2, 2), (2, 3), (3, 3)])
+def test_a_matrix_corner_still_splits_in_any_basis(n, p):
+    m = matrix_algebra(n, p)
+    rng = np.random.default_rng(7)
+    bases = [random_invertible(n * n, p, rng) for _ in range(3)]
+    if (n, p) == (2, 2):
+        bases.append(NO_SPLITTING_BASIS)
+    for t in bases:
+        s = rebased(m, t)
+        counting = CountingRng(0)
+        e = alg._find_splitting_idempotent(s, counting)
+        assert e.tobytes() in scanned_proper_idempotents(s)
+        if t is NO_SPLITTING_BASIS:
+            assert not any(splits(s, x) for x in np.eye(s.dim, dtype=np.int64))
+            assert counting.draws > 0
+
+
 def test_primitive_idempotents_and_same_point_in_m2():
     m = matrix_algebra(2, 2)
     comp = m.simple_components()[0]
@@ -230,7 +339,7 @@ def test_primitive_idempotents_and_same_point_in_m2():
     assert alg.same_point(m, e, f)
     # direct conjugacy witness: some unit u with u e u^-1 = f
     found = False
-    for u in alg.iter_units(m):
+    for u in all_units(m):
         if (m.mul(m.mul(u, e), m.inverse_element(u)) == f).all():
             found = True
             break
@@ -327,10 +436,10 @@ def test_module_iso_positive_and_negative():
 
 def test_iter_units_counts():
     a = cyclic_group_algebra(2, 2)  # GF(2)[C2] local: units = 1 + rad
-    units = list(alg.iter_units(a))
+    units = all_units(a)
     assert len(units) == 2
     m = matrix_algebra(2, 2)  # GL(2,2) has order 6
-    assert len(list(alg.iter_units(m))) == 6
+    assert len(all_units(m)) == 6
 
 
 def test_find_unit_in_space():

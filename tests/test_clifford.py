@@ -16,6 +16,7 @@ from blockfusion import graded as gr
 from blockfusion import permgroups as pg
 from blockfusion import workbench as wb
 
+from test_algebra import all_units
 from test_graded import with_scanned_units
 
 
@@ -616,7 +617,7 @@ def test_carried_and_scanned_units_give_equivalent_factor_sets(name):
             scanned = np.array([gr.homogeneous_unit(g, d)
                                 for d in range(g.group.order)])
             one = g.identity_span()
-            c = one.lift(list(al.iter_units(one.alg))[-1])
+            c = one.lift(all_units(one.alg)[-1])
             for units in (scanned, g.alg.mul(c, scanned)):
                 assert gr.factor_sets_equivalent(
                     res.factor_data, factor_set_on(g, units)) is not None

@@ -25,8 +25,10 @@ def test_catalog_report_matches_golden_file(tmp_path):
 
 # F21 over C7 at p = 2, block 0: a non-split block whose local quotient is
 # GF(8); S4 over A4 at p = 2 with P trivial: a local block with two simple
-# components, of which the point hits one
-@pytest.mark.parametrize("name", ["f21-c7-p2-block0", "s4-a4-p2-trivial-p"])
+# components, of which the point hits one; S5 over A5 at p = 3: a larger
+# scenario, whose Psi has 16 rows
+@pytest.mark.parametrize("name", ["f21-c7-p2-block0", "s4-a4-p2-trivial-p",
+                                  "s5-a5-p3"])
 def test_verify_report_matches_golden_file(tmp_path, name):
     out = tmp_path / f"{name}.json"
     assert cli.main(["verify", "--seed", "7", str(DATA / f"{name}.json"),

@@ -16,6 +16,8 @@ from blockfusion import graded as gr
 from blockfusion import permgroups as pg
 from blockfusion import workbench as wb
 
+from test_algebra import FIELDS, all_units, polynomial_field, random_invertible, rebased
+
 
 def grp(degree, *cycles):
     gens = tuple(pg.parse_cycles(c, degree) for c in cycles)
@@ -225,12 +227,16 @@ def test_graded_iso_search_matches_factor_set_verdicts():
 
 
 def test_crossed_product_reconstructs_group_algebra():
-    # kC3 * C2 with S3 acting by conjugation is kS3 with its C2-grading
-    kg, ext, (g, _) = sc1_graded()
+    # kC3 * C2 with S3 acting by conjugation is kS3 with its C2-grading:
+    # x u_d -> x r_d, r_d the representative of degree d, is a graded
+    # isomorphism
+    kg, _, (g, span) = sc1_graded()
     cp = crossed_by_conjugation(S3, C3, 3)
     assert cp.alg.dim == 6
     assert cp.component_dims() == [3, 3]
-    assert gr.graded_iso_search(cp, with_scanned_units(g)) is not None
+    images = [kg.mul(kg.vec_of(x), kg.vec_of(r))
+              for r in pg.quotient(S3, C3).reps for x in C3.elements]
+    gr._check_graded_map(cp, g, span.coords(np.array(images)))
 
 
 def test_crossed_product_trivial_group_is_base():
@@ -346,21 +352,6 @@ def test_graded_checks_survive_python_O():
                    "passed", "passed"]
 
 
-def rebased(a, t):
-    """The algebra a on the basis given by the rows of the invertible t."""
-    p = a.p
-    tinv = gfp.inverse(t, p)
-    prods = np.einsum("ia,jb,abk->ijk", t, t, a.sc) % p
-    return alg.Algebra(p, prods @ tinv % p, a.unit @ tinv % p)
-
-
-def random_invertible(n, p, rng):
-    while True:
-        t = rng.integers(0, p, size=(n, n))
-        if gfp.is_invertible(t, p):
-            return t
-
-
 def rebased_graded(g, rng):
     """g on a random basis that keeps every basis vector homogeneous."""
     p, dim = g.p, g.alg.dim
@@ -369,24 +360,6 @@ def rebased_graded(g, rng):
         idx = g.component_indices(d)
         t[np.ix_(idx, idx)] = random_invertible(len(idx), p, rng)
     return with_scanned_units(gr.GradedAlgebra(rebased(g.alg, t), g.group, g.deg.copy()))
-
-
-def polynomial_field(f, p):
-    """GF(p)[x]/(f) on the basis 1, x, ..., x^(n-1); f monic, low degree first."""
-    n = len(f) - 1
-    powers = np.zeros((2 * n - 1, n), dtype=np.int64)
-    powers[:n] = np.eye(n, dtype=np.int64)
-    for k in range(n, 2 * n - 1):
-        # x^k = x * x^(k-1), with x^n = -(f_0 + ... + f_(n-1) x^(n-1))
-        prev = powers[k - 1]
-        powers[k, 1:] = prev[:-1]
-        powers[k] = (powers[k] - prev[-1] * np.array(f[:n])) % p
-    sc = np.array([[powers[i + j] for j in range(n)] for i in range(n)])
-    return alg.Algebra(p, sc, np.eye(n, dtype=np.int64)[0])
-
-
-FIELDS = {"GF(4)": ([1, 1, 1], 2), "GF(8)": ([1, 1, 0, 1], 2),
-          "GF(9)": ([1, 0, 1], 3), "GF(25)": ([2, 0, 1], 5)}
 
 
 @pytest.mark.parametrize("name", sorted(FIELDS))
@@ -425,9 +398,8 @@ def assert_graded_iso(iso, g1, g2, group_map=None):
 
 
 @pytest.mark.parametrize("make", [lambda: twisted_c2_over_gf3(2),
-                                  lambda: crossed_by_conjugation(S3, C3, 3),
                                   f21_block0_residual],
-                         ids=["twisted C2 over GF(3)", "kS3 over C3 at p = 3",
+                         ids=["twisted C2 over GF(3)",
                               "F21 over C7 at p = 2, block 0 residual"])
 def test_graded_isos_survive_a_change_of_basis(make):
     g = make()
@@ -436,6 +408,27 @@ def test_graded_isos_survive_a_change_of_basis(make):
         assert gr.factor_sets_equivalent(gr.factor_set(h), gr.factor_set(g))
         assert_graded_iso(gr.graded_iso_search(h, g), h, g)
         assert_graded_iso(gr.graded_iso_search(g, h), g, h)
+
+
+def test_factor_sets_over_a_field_past_the_cap_are_refused(monkeypatch):
+    # the residual over GF(8): its 7 units are enumerated only within the cap
+    f = gr.factor_set(f21_block0_residual())
+    monkeypatch.setattr(alg, "EXHAUSTIVE_CAP", 7)
+    with pytest.raises(alg.Inconclusive, match=r"^unit scan of size 2\^3 exceeds cap 7$"):
+        gr.factor_sets_equivalent(f, f)
+    monkeypatch.setattr(alg, "EXHAUSTIVE_CAP", 8)
+    assert gr.factor_sets_equivalent(f, f) is not None
+
+
+def test_crossed_products_over_a_non_field_are_refused():
+    # kS3 over C3 at p = 3: the 1-component kC3 is local, not a field
+    g = crossed_by_conjugation(S3, C3, 3)
+    h = rebased_graded(g, np.random.default_rng(11))
+    refusal = "^the 1-component is not a field: its radical is not 0$"
+    with pytest.raises(alg.VerificationError, match=refusal):
+        gr.factor_sets_equivalent(gr.factor_set(h), gr.factor_set(g))
+    with pytest.raises(alg.VerificationError, match=refusal):
+        gr.graded_iso_search(g, h)
 
 
 def cyclic_table(n):
@@ -694,7 +687,7 @@ def coefficient_algebras(p):
     out = [twisted_group_algebra(cyclic_table(n), np.ones((n, n), dtype=np.int64), p).alg
            for n in (2, 3)]
     out += [on_basis(matmul, m2), on_basis(matmul, m2[[0, 1, 3]])]
-    return [(b, np.array(list(alg.iter_units(b)))) for b in out]
+    return [(b, np.array(all_units(b))) for b in out]
 
 
 COEFFICIENTS = {p: coefficient_algebras(p) for p in (2, 3, 5)}

@@ -20,7 +20,7 @@ from blockfusion import graded as gr
 from blockfusion import permgroups as pg
 from blockfusion import workbench as wb
 
-from test_algebra import cyclic_group_algebra, matrix_algebra
+from test_algebra import all_units, cyclic_group_algebra, matrix_algebra
 
 
 def scalar_units(a, rows):
@@ -95,7 +95,7 @@ def chunk_count(p, r):
 @pytest.mark.parametrize("name", sorted(ALGEBRAS))
 def test_iter_units_is_the_scalar_sequence(name):
     a = ALGEBRAS[name]
-    got = list(alg.iter_units(a))
+    got = all_units(a)
     want = list(scalar_units(a, np.eye(a.dim, dtype=np.int64)))
     assert len(got) == len(want)
     assert all((x == y).all() for x, y in zip(got, want))
@@ -336,7 +336,7 @@ def test_scans_raise_inconclusive_past_the_cap(monkeypatch):
     with pytest.raises(alg.Inconclusive, match="exceeds cap 15"):
         alg.find_unit_in_space(m, np.eye(4, dtype=np.int64))
     with pytest.raises(alg.Inconclusive):
-        list(alg.iter_units(m))
+        all_units(m)
     # at the cap itself the scan still runs
     monkeypatch.setattr(alg, "EXHAUSTIVE_CAP", 16)
     assert alg.find_unit_in_space(m, np.eye(4, dtype=np.int64)) is not None

@@ -486,6 +486,26 @@ def test_no_pipeline_path_runs_the_dense_associativity_check(monkeypatch):
     assert wb.run_scenario(s5, seed=7).passed()
 
 
+def test_residual_comparisons_scan_no_units(monkeypatch):
+    # a residual 1-component is a field, whose units are its nonzero
+    # vectors: factor_sets_equivalent enumerates them without a scan
+    callers = []
+    real = al._span_sums
+
+    def scan(*args):
+        frame, names = sys._getframe(1), set()
+        while frame is not None:
+            names.add(frame.f_code.co_name)
+            frame = frame.f_back
+        callers.append(names)
+        return real(*args)
+
+    monkeypatch.setattr(al, "_span_sums", scan)
+    assert all(r.passed() for r in wb.run_catalog(seed=7))
+    assert callers  # the pipeline's other unit searches are counted
+    assert not [c for c in callers if "factor_sets_equivalent" in c]
+
+
 def test_defect_search_stops_at_the_largest_order(calls):
     # S4 over A4 at p = 2: the first dihedral Sylow subgroup holds a local
     # point, so neither its two conjugates nor a smaller 2-subgroup is
